@@ -24,8 +24,8 @@ from .kernel import (
 )
 from .surface import (
     CmdAxiom, CmdDeclareRelation, CmdDeclareSurjection, CmdDeclareTransfer,
-    CmdDefinition, CmdParameter, CmdTheorem, EXACT_MODULO, PLam,
-    SurfaceError, elaborate, parse_script, print_term,
+    CmdDefinition, CmdParameter, CmdTheorem, EXACT_MODULO, NESTED_TOO_DEEPLY,
+    PLam, SurfaceError, elaborate, parse_script, print_term,
 )
 from .tables import (
     DeclTables, SynthesisError, TableError, declare_relation_v2,
@@ -46,7 +46,7 @@ class TheoremResult:
     name: str
     engine: str  # "v1" | "v2"
     status: str  # "proved" | "failed"
-    seconds: float
+    seconds: float  # engine run, re-check and admission; see README
     proof: Term | None = None
     failure: TransferFailure | None = None
     trace_lines: list[str] = field(default_factory=list)
@@ -78,7 +78,8 @@ class ScriptError(Exception):
 
 def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionState:
     """Run a script's commands in order; never raises for script-level
-    problems (they are collected in the returned state)."""
+    problems (they are collected in the returned state).  Input nested
+    deeper than the interpreter's recursion limit is a script error."""
     state = SessionState(env=prelude_env(), tables=DeclTables())
     try:
         script = parse_script(text)
@@ -96,6 +97,10 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
             _execute_command(state, cmd, options)
         except ScriptError as e:
             state.errors.append(str(e))
+            if not options.keep_going:
+                break
+        except RecursionError:
+            state.errors.append(f"line {cmd.line}: {NESTED_TOO_DEEPLY}")
             if not options.keep_going:
                 break
         except SynthesisError as e:
@@ -204,11 +209,11 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
             proof_term, derivation = outcome
             trace_lines = derivation.lines(env)
             outcome = proof_term
-    elapsed = time.perf_counter() - started
 
     if isinstance(outcome, TransferFailure):
         state.results.append(TheoremResult(cmd.name, engine, "failed",
-                                           elapsed, failure=outcome,
+                                           time.perf_counter() - started,
+                                           failure=outcome,
                                            trace_lines=trace_lines))
         return
 
@@ -218,7 +223,8 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
         raise SynthesisError(
             f"engine {engine} produced a rejected proof for '{cmd.name}': {diag}")
     state.env = env.add_definition(cmd.name, outcome, goal)
-    state.results.append(TheoremResult(cmd.name, engine, "proved", elapsed,
+    state.results.append(TheoremResult(cmd.name, engine, "proved",
+                                       time.perf_counter() - started,
                                        proof=outcome,
                                        trace_lines=trace_lines))
 

@@ -10,11 +10,18 @@ The checker implements beta + delta conversion (no eta): definitions
 unfold lazily in head position, parameters and axioms are opaque.  There
 are no inductive types or fixpoints, so every reduction terminates.  All
 values are immutable; every operation is a pure function.
+
+Every term carries `lbr`, its loose-bound-variable range: one more than the
+largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
+construction and ignored by equality, hashing and printing.  The
+traversals below return a subterm untouched when `lbr` shows that no index
+they rewrite can occur in it, so a new term class must define `lbr` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 class KernelError(Exception):
@@ -46,6 +53,7 @@ class TypeCheckError(KernelError):
 @dataclass(frozen=True)
 class Sort:
     tag: str  # "Prop" | "Set" | "Type"
+    lbr: ClassVar[int] = 0
 
     def __repr__(self) -> str:
         return self.tag
@@ -56,9 +64,20 @@ SET = Sort("Set")
 TYPE = Sort("Type")
 
 
-@dataclass(frozen=True)
+# Var, App, Lam and Pi set their fields in a hand-written __init__: the
+# generated one plus a __post_init__ for `lbr` nearly doubles the cost of
+# building a node, the kernel's most frequent operation.
+_init = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+@dataclass(frozen=True, init=False)
 class Var:
     index: int  # de Bruijn index, 0 = innermost binder
+    lbr: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, index: int):
+        _init(self, "index", index)
+        _init(self, "lbr", index + 1)
 
     def __repr__(self) -> str:
         return f"Var({self.index})"
@@ -67,35 +86,56 @@ class Var:
 @dataclass(frozen=True)
 class Const:
     name: str
+    lbr: ClassVar[int] = 0
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lam:
     name: str = field(compare=False)
     ty: "Term"
     body: "Term"
+    lbr: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, name: str, ty: "Term", body: "Term"):
+        _init(self, "name", name)
+        _init(self, "ty", ty)
+        _init(self, "body", body)
+        _init(self, "lbr", max(ty.lbr, body.lbr - 1))
 
     def __repr__(self) -> str:
         return f"(fun {self.name} : {self.ty!r} => {self.body!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class App:
     fn: "Term"
     arg: "Term"
+    lbr: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, fn: "Term", arg: "Term"):
+        _init(self, "fn", fn)
+        _init(self, "arg", arg)
+        _init(self, "lbr", max(fn.lbr, arg.lbr))
 
     def __repr__(self) -> str:
         return f"({self.fn!r} {self.arg!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pi:
     name: str = field(compare=False)
     ty: "Term"
     body: "Term"
+    lbr: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, name: str, ty: "Term", body: "Term"):
+        _init(self, "name", name)
+        _init(self, "ty", ty)
+        _init(self, "body", body)
+        _init(self, "lbr", max(ty.lbr, body.lbr - 1))
 
     def __repr__(self) -> str:
         return f"(forall {self.name} : {self.ty!r}, {self.body!r})"
@@ -133,9 +173,11 @@ def arrow(a: Term, b: Term) -> Pi:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index >= cutoff."""
+    if t.lbr <= cutoff or by == 0:
+        return t
     match t:
         case Var(i):
-            return Var(i + by) if i >= cutoff else t
+            return Var(i + by)
         case App(f, a):
             return App(shift(f, by, cutoff), shift(a, by, cutoff))
         case Lam(x, ty, body):
@@ -153,13 +195,46 @@ def substitute(body: Term, target: int, replacement: Term) -> Term:
     decremented, so the result lives one binder shallower.
     """
     def go(t: Term, depth: int) -> Term:
+        if t.lbr <= target + depth:
+            return t
         match t:
             case Var(i):
                 if i == target + depth:
                     return shift(replacement, depth)
-                if i > target + depth:
-                    return Var(i - 1)
+                return Var(i - 1)
+            case App(f, a):
+                return App(go(f, depth), go(a, depth))
+            case Lam(x, ty, b):
+                return Lam(x, go(ty, depth), go(b, depth + 1))
+            case Pi(x, ty, b):
+                return Pi(x, go(ty, depth), go(b, depth + 1))
+            case _:
                 return t
+
+    return go(body, 0)
+
+
+def instantiate(body: Term, args: list[Term]) -> Term:
+    """Discharge the len(args) innermost binders of `body` in one pass.
+
+    `args` are in application order: the outermost of the discharged
+    binders, Var(len(args) - 1), becomes args[0] and Var(0) becomes
+    args[-1]; indices above them drop by len(args).  Equal to substituting
+    the arguments one at a time, as `whnf` does for `(fun x1 .. xk => body)
+    a1 .. ak`.
+    """
+    k = len(args)
+    if body.lbr == 0 or k == 0:
+        return body
+    rev = args[::-1]
+
+    def go(t: Term, depth: int) -> Term:
+        if t.lbr <= depth:
+            return t
+        match t:
+            case Var(i):
+                j = i - depth
+                return shift(rev[j], depth) if j < k else Var(i - k)
             case App(f, a):
                 return App(go(f, depth), go(a, depth))
             case Lam(x, ty, b):
@@ -175,6 +250,8 @@ def substitute(body: Term, target: int, replacement: Term) -> Term:
 def replace_var(t: Term, target: int, replacement: Term) -> Term:
     """Replace Var(target) without discharging the binder (indices keep)."""
     def go(t: Term, depth: int) -> Term:
+        if t.lbr <= target + depth:
+            return t
         match t:
             case Var(i):
                 if i == target + depth:
@@ -193,6 +270,8 @@ def replace_var(t: Term, target: int, replacement: Term) -> Term:
 
 
 def occurs_free(t: Term, target: int) -> bool:
+    if t.lbr <= target:
+        return False
     match t:
         case Var(i):
             return i == target
@@ -206,15 +285,7 @@ def occurs_free(t: Term, target: int) -> bool:
 
 def max_free_index(t: Term) -> int:
     """Largest free index in t, or -1 if closed."""
-    match t:
-        case Var(i):
-            return i
-        case App(f, a):
-            return max(max_free_index(f), max_free_index(a))
-        case Lam(_, ty, b) | Pi(_, ty, b):
-            return max(max_free_index(ty), max_free_index(b) - 1)
-        case _:
-            return -1
+    return t.lbr - 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +407,12 @@ def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
     while True:
         head, args = spine(t)
         if isinstance(head, Lam) and args:
-            t = app(substitute(head.body, 0, args[0]), *args[1:])
+            # Peel every leading binder that has an argument; one pass.
+            k = 0
+            while k < len(args) and isinstance(head, Lam):
+                head = head.body
+                k += 1
+            t = app(instantiate(head, args[:k]), *args[k:])
         elif delta and isinstance(head, Const) and env.is_definition(head.name):
             body = env.body_of(head.name)
             assert body is not None
@@ -420,17 +496,32 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term,
                     f"binder type {ty!r} is not a type", _path + ("binder-type",))
             body_ty = infer_type(env, ctx.push(x, ty), body, _path + ("body",))
             return Pi(x, ty, body_ty)
-        case App(f, a):
-            fn_ty = whnf(env, infer_type(env, ctx, f, _path + ("fn",)))
-            if not isinstance(fn_ty, Pi):
-                raise TypeCheckError(
-                    f"applied term has non-function type {fn_ty!r}", _path + ("fn",))
-            arg_ty = infer_type(env, ctx, a, _path + ("arg",))
-            if not subsumes(env, ctx, arg_ty, fn_ty.ty):
-                raise TypeCheckError(
-                    f"argument type {arg_ty!r} does not match domain {fn_ty.ty!r}",
-                    _path + ("arg",))
-            return substitute(fn_ty.body, 0, a)
+        case App():
+            # Walk the spine h a1 .. an once.  `ty` is the pending type under
+            # the binders of the arguments in `done`, which are instantiated
+            # only where a domain or the result is needed.
+            head, args = spine(t)
+            n = len(args)
+            ty = infer_type(env, ctx, head, _path + ("fn",) * n)
+            done: list[Term] = []
+            for i, a in enumerate(args):
+                node_path = _path + ("fn",) * (n - 1 - i)  # the App applying a
+                if not isinstance(ty, Pi):
+                    ty = whnf(env, instantiate(ty, done))
+                    done = []
+                    if not isinstance(ty, Pi):
+                        raise TypeCheckError(
+                            f"applied term has non-function type {ty!r}",
+                            node_path + ("fn",))
+                arg_ty = infer_type(env, ctx, a, node_path + ("arg",))
+                dom = instantiate(ty.ty, done)
+                if not subsumes(env, ctx, arg_ty, dom):
+                    raise TypeCheckError(
+                        f"argument type {arg_ty!r} does not match domain {dom!r}",
+                        node_path + ("arg",))
+                done.append(a)
+                ty = ty.body
+            return instantiate(ty, done)
         case Pi(x, ty, body):
             s1 = whnf(env, infer_type(env, ctx, ty, _path + ("domain",)))
             if not isinstance(s1, Sort):

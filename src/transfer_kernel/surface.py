@@ -16,6 +16,7 @@ an elaboration error rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
@@ -498,11 +499,18 @@ def _parse_command(ts: _TokenStream) -> Command:
     raise ParseError(f"unknown command '{head.value}'", head.line, head.col)
 
 
+NESTED_TOO_DEEPLY = "input nested too deeply"
+
+
 def parse_script(text: str) -> Script:
     ts = _TokenStream(tokenize(text))
     commands: list[Command] = []
     while ts.peek().kind != "eof":
-        commands.append(_parse_command(ts))
+        start = ts.peek()
+        try:
+            commands.append(_parse_command(ts))
+        except RecursionError:
+            raise ParseError(NESTED_TOO_DEEPLY, start.line, start.col) from None
     return Script(tuple(commands))
 
 
@@ -514,6 +522,7 @@ def parse_script(text: str) -> Script:
 class Meta:
     """Placeholder for an implicit type argument; never escapes elaboration."""
     id: int
+    lbr: ClassVar[int] = 0  # solutions are closed (see `unify`)
 
     def __repr__(self) -> str:
         return f"?{self.id}"

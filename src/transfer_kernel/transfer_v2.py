@@ -273,17 +273,6 @@ class _Synth:
         self.metas = result
         return True
 
-    def describe(self, expect: RelExpectation, ctx: LocalContext) -> str:
-        match expect:
-            case Known(rel):
-                return print_term(rel, self.env, ctx)
-            case Unknown(i):
-                sol = self.metas.get(i)
-                return print_term(sol, self.env, ctx) if sol is not None else "?"
-            case RelArrow(dom, cod):
-                return f"{self.describe(dom, ctx)} ##> {self.describe(cod, ctx)}"
-        return "?"
-
     def record_failure(self, depth: int, ctx: LocalContext, lhs: Term,
                        rhs: Term, attempts: list[tuple[str, str]]) -> None:
         if self.deepest_failure is None or depth >= self.deepest_failure.depth:

@@ -1,6 +1,7 @@
 """End-to-end script execution, reporting and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -65,6 +66,48 @@ def test_duplicate_declaration_gives_exit_two():
     code, state = run_text(text)
     assert code == EXIT_SCRIPT_ERROR
     assert any("already declared" in e for e in state.errors)
+
+
+def test_deeply_nested_input_is_a_script_error(tmp_path, capsys):
+    text = "Parameter P : Prop.\nAxiom deep : " + "P -> " * 2000 + "P.\n"
+    code, state = run_text(text)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["2:1: input nested too deeply"]
+    path = tmp_path / "deep.tk"
+    path.write_text(text, encoding="utf-8")
+    from transfer_kernel.cli import main
+    assert main(["run", str(path)]) == EXIT_SCRIPT_ERROR
+    assert "error: 2:1: input nested too deeply" in capsys.readouterr().out
+
+
+def test_nesting_that_parses_but_overflows_later_is_a_script_error():
+    # The parser spends one frame per binder; elaboration and checking
+    # spend more, so this depth parses and then overflows.
+    depth = sys.getrecursionlimit() * 3 // 5
+    text = ("Parameter P : Prop.\nAxiom deep : "
+            + "forall x : Prop, " * depth + "P.\nAxiom after : P.\n")
+    code, state = run_text(text)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 2: input nested too deeply"]
+    assert "after" not in state.env
+    _, state = run_text(text, keep_going=True)
+    assert state.errors == ["line 2: input nested too deeply"]
+    assert "after" in state.env
+
+
+def test_seconds_covers_recheck_and_admission(monkeypatch):
+    import time
+    from transfer_kernel.kernel import GlobalEnv
+    admit = GlobalEnv.add_definition
+
+    def slow_admit(self, *args, **kwargs):
+        time.sleep(0.05)
+        return admit(self, *args, **kwargs)
+
+    monkeypatch.setattr(GlobalEnv, "add_definition", slow_admit)
+    _, state = run_text(script_text("example1.tk"))
+    assert state.results[0].status == "proved"
+    assert state.results[0].seconds >= 0.05
 
 
 def test_keep_going_continues_past_failures():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from transfer_kernel.kernel import (
-    ALL, EQ, EQ_REFL, IMPL, PROP, SET, TYPE,
+    ALL, EQ, EQ_IND, EQ_REFL, IMPL, PROP, SET, TYPE,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError,
     Var, app, arrow, check_proof, check_proof_report, convertible, infer_type,
     normalize, prelude_env, shift, substitute, whnf,
@@ -213,6 +213,52 @@ def test_infer_domain_mismatch_fails_with_path():
     with pytest.raises(TypeCheckError) as err:
         infer_type(env, ctx, App(Const("f"), Var(0)))
     assert "arg" in err.value.path
+
+
+@pytest.fixture
+def spine_env():
+    env = prelude_env().add_parameter("N", SET)
+    env = env.add_parameter("n", Const("N")).add_parameter("m", Const("N"))
+    env = env.add_parameter("P", arrow(Const("N"), PROP))
+    env = env.add_axiom("px", App(Const("P"), Const("n")))
+    env = env.add_axiom("e", app(Const(EQ), Const("N"), Const("n"), Const("m")))
+    # h's type unfolds to a product only after its first argument
+    return env.add_parameter("h", arrow(Const("N"), app(
+        Const(IMPL), App(Const("P"), Const("n")), App(Const("P"), Const("m")))))
+
+
+N_, n_, m_, P_, px_, e_, h_ = map(Const, ["N", "n", "m", "P", "px", "e", "h"])
+EQ_IND_GOOD = (N_, n_, P_, px_, m_, e_)
+
+
+@pytest.mark.parametrize("term, message, path", [
+    (app(Const(EQ_IND), n_, *EQ_IND_GOOD[1:]),
+     "argument type N does not match domain Type",
+     ("fn", "fn", "fn", "fn", "fn", "arg")),
+    (app(Const(EQ_IND), N_, n_, P_, e_, m_, e_),
+     "argument type (((eq N) n) m) does not match domain (P n)",
+     ("fn", "fn", "arg")),
+    (app(Const(EQ_IND), *EQ_IND_GOOD[:5], px_),
+     "argument type (P n) does not match domain (((eq N) n) m)",
+     ("arg",)),
+    (app(Const(EQ_IND), *EQ_IND_GOOD, n_),
+     "applied term has non-function type (P m)", ("fn",)),
+    (app(Const(EQ_IND), *EQ_IND_GOOD, n_, n_),
+     "applied term has non-function type (P m)", ("fn", "fn")),
+    (app(n_, m_, m_), "applied term has non-function type N", ("fn", "fn")),
+    (app(h_, n_, e_),
+     "argument type (((eq N) n) m) does not match domain (P n)", ("arg",)),
+    (app(h_, n_, px_, px_), "applied term has non-function type (P m)",
+     ("fn",)),
+])
+def test_infer_spine_errors_keep_message_and_path(spine_env, term, message, path):
+    assert infer_type(spine_env, LocalContext(), app(Const(EQ_IND), *EQ_IND_GOOD)) \
+        == App(P_, m_)
+    for prefix, t in (((), term), (("body",), Lam("z", N_, term))):
+        with pytest.raises(TypeCheckError) as err:
+            infer_type(spine_env, LocalContext(), t)
+        assert err.value.message == message
+        assert err.value.path == prefix + path
 
 
 def test_infer_unbound_constant():
