@@ -2,9 +2,9 @@
 
 Commands run in order against an evolving environment and set of tables.
 Theorem commands dispatch one of the two engines (`exact modulo` runs the
-recursive product/atom engine, `transfer modulo` the judgment synthesizer)
-and every emitted proof is re-checked by the kernel before the theorem is
-admitted, independently of any checking the engines do themselves.
+recursive product/atom engine, `transfer modulo` the judgment synthesizer).
+The engines are untrusted: an emitted proof is kernel-checked once, by
+`GlobalEnv.add_definition` when the theorem is admitted.
 
 Exit codes: 0 all theorems proved, 1 a transfer failed, 2 parse or
 semantic error, 3 an engine produced a proof the kernel rejected.
@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 
 from .kernel import (
-    PROP, Const, GlobalEnv, KernelError, LocalContext, Term,
-    check_proof_report, infer_type, prelude_env, whnf,
+    PROP, Const, GlobalEnv, KernelError, LocalContext, Term, TypeCheckError,
+    infer_type, prelude_env, whnf,
 )
 from .surface import (
     CmdAxiom, CmdDeclareRelation, CmdDeclareSurjection, CmdDeclareTransfer,
@@ -46,7 +46,7 @@ class TheoremResult:
     name: str
     engine: str  # "v1" | "v2"
     status: str  # "proved" | "failed"
-    seconds: float  # engine run, re-check and admission; see README
+    seconds: float  # engine run and checked admission; see README
     proof: Term | None = None
     failure: TransferFailure | None = None
     trace_lines: list[str] = field(default_factory=list)
@@ -217,12 +217,15 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
                                            trace_lines=trace_lines))
         return
 
-    # Mandatory independent re-check before the theorem is admitted.
-    ok, diag = check_proof_report(env, LocalContext(), outcome, goal)
-    if not ok:
+    # Admission is the one kernel check of the emitted proof.
+    try:
+        state.env = env.add_definition(cmd.name, outcome, goal)
+    except TypeCheckError as e:
         raise SynthesisError(
-            f"engine {engine} produced a rejected proof for '{cmd.name}': {diag}")
-    state.env = env.add_definition(cmd.name, outcome, goal)
+            f"engine {engine} produced a rejected proof for '{cmd.name}': {e}"
+        ) from None
+    except KernelError as e:
+        raise _fail(cmd, str(e)) from None
     state.results.append(TheoremResult(cmd.name, engine, "proved",
                                        time.perf_counter() - started,
                                        proof=outcome,
@@ -304,7 +307,12 @@ def run_script(path: str, options: RunOptions = RunOptions(),
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCRIPT_ERROR
     state = execute_script(text, options)
-    print(report(state, options.fmt, options), file=out)
+    try:
+        rendered = report(state, options.fmt, options)
+    except RecursionError:
+        print(f"error: {NESTED_TOO_DEEPLY}", file=out)
+        return EXIT_SCRIPT_ERROR
+    print(rendered, file=out)
     return exit_code(state)
 
 
@@ -326,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--no-prefill", action="store_true",
                      help="start with empty tables (no implication entry)")
     run.add_argument("--diagnostics", action="store_true",
-                     help="kernel-check every intermediate judgment")
+                     help="kernel-check every intermediate v2 judgment")
     run.add_argument("--format", choices=["human", "machine"],
                      default="human", dest="fmt")
     args = parser.parse_args(argv)

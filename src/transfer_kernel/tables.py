@@ -10,13 +10,15 @@ one untouched.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .kernel import (
     ALL, EQ, EQ_IND, EQ_REFL, IMPL, INV, PROP, RESPECTFUL,
-    App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, Var,
-    app, arrow, check_proof_report, convertible, infer_type, max_free_index,
-    normalize, occurs_free, relation_types, shift, spine, unshift, whnf,
+    App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
+    app, arrow, check_proof_report, convertible, infer_type, inv_view,
+    max_free_index, normalize, occurs_free, relation_types, respectful_view,
+    shift, spine, unshift, whnf,
 )
 from .surface import print_term
 
@@ -34,7 +36,8 @@ class ShapeError(TableError):
 
 
 class SynthesisError(TableError):
-    """A proof built by the library failed to kernel-check (internal bug)."""
+    """A proof built by the library or an engine failed to kernel-check
+    (internal bug)."""
 
 
 @dataclass(frozen=True)
@@ -273,32 +276,68 @@ def lookup_transfer_v1(tables: DeclTables, env: GlobalEnv,
     return tables.transfers_v1.get(table_key(env, source, target))
 
 
-def lookup_relation_v2(tables: DeclTables, env: GlobalEnv, lhs: Term,
-                       rhs: Term) -> tuple[RelationEntryV2, bool] | None:
-    """Direct entry for (lhs, rhs), or the inverted (rhs, lhs) entry.
-
-    Returns (entry, via_inverse).  The inverted entry carries a permuted,
-    kernel-checked proof (see transfer_v2.invert_entry).
-    """
+def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
+                     rhs: Term) -> Iterator[tuple[RelationEntryV2, bool]]:
+    """The direct entry for (lhs, rhs), then the inverted (rhs, lhs) entry,
+    each with its via_inverse flag.  Lazy: the flipped key is looked up and
+    inverted only if the caller asks for a second entry."""
     direct = tables.relations_v2.get(table_key(env, lhs, rhs))
     if direct is not None:
-        return direct, False
+        yield direct, False
     flipped = tables.relations_v2.get(table_key(env, rhs, lhs))
     if flipped is not None:
-        from .transfer_v2 import invert_entry
-        return invert_entry(env, flipped), True
-    return None
+        yield invert_entry(env, flipped), True
+
+
+def lookup_relation_v2(tables: DeclTables, env: GlobalEnv, lhs: Term,
+                       rhs: Term) -> tuple[RelationEntryV2, bool] | None:
+    """First of `relation_entries`: (entry, via_inverse), or None.  An
+    inverted entry's proof is not kernel-checked (see `invert_entry`)."""
+    return next(relation_entries(tables, env, lhs, rhs), None)
+
+
+# ---------------------------------------------------------------------------
+# Entry inversion
+# ---------------------------------------------------------------------------
+
+def _invert_component(env: GlobalEnv, rel: Term) -> Term:
+    """R -> R⁻¹, unwrapping an existing inversion instead of double-wrapping."""
+    unwrapped = inv_view(env, rel)
+    if unwrapped is not None:
+        return unwrapped[2]
+    x, y = relation_types(env, LocalContext(), rel)
+    return app(Const(INV), x, y, rel)
+
+
+def invert_entry(env: GlobalEnv, entry: RelationEntryV2) -> RelationEntryV2:
+    """Flip a stored entry: operands swap sides and each component of the
+    relator chain is inverted.  The proof is the old one with the paired
+    binders swapped, which is definitional because `inv R y x` unfolds to
+    `R x y`.  It is not kernel-checked here: whoever trusts a result built
+    from it checks that result (admission, `diagnostics`, or the caller)."""
+    levels = []  # respectful_view of each relator-arrow level
+    rel = entry.relation
+    while (view := respectful_view(env, rel)) is not None:
+        levels.append(view)
+        rel = view[5]
+    n = len(levels)
+    new_rel = _invert_component(env, rel)
+    proof = app(shift(entry.proof, 3 * n),
+                *[Var(3 * (n - i) + k) for i in range(1, n + 1)
+                  for k in (1, 2, 0)])
+    for x, y, x2, y2, r, _ in reversed(levels):
+        new_rel = app(Const(RESPECTFUL), y, x, y2, x2,
+                      _invert_component(env, r), new_rel)
+        # Binder order per level: y, x, then a proof of R x y (the
+        # unfolding of the flipped statement's `R⁻¹ y x`).
+        proof = Lam("y", y, Lam("x", shift(x, 1), Lam(
+            "h", app(shift(r, 2), Var(0), Var(1)), proof)))
+    return RelationEntryV2(entry.rhs, entry.lhs, new_rel, proof)
 
 
 # ---------------------------------------------------------------------------
 # Relational encoding of a surjection
 # ---------------------------------------------------------------------------
-
-def _check_generated(env: GlobalEnv, proof: Term, stmt: Term, what: str) -> None:
-    ok, diag = check_proof_report(env, LocalContext(), proof, stmt)
-    if not ok:
-        raise SynthesisError(f"generated {what} failed to check: {diag}")
-
 
 def surjection_to_relational(
         tables: DeclTables, env: GlobalEnv,
@@ -308,6 +347,7 @@ def surjection_to_relational(
     Defines `R x x' := f x = x'` and proves that universal quantification,
     reverse quantification and equality transport across R, inserting the
     three entries keyed (all A, all A'), (all A', all A) and (eq A, eq A').
+    Each lemma is kernel-checked once, when it is admitted as a definition.
     """
     a, a2, fn, inv_fn, surj = (entry.domain, entry.codomain, entry.fn,
                                entry.inverse, entry.proof)
@@ -344,7 +384,6 @@ def surjection_to_relational(
                             Var(0),
                             App(shift(surj, 5), Var(0)),
                             App(Var(1), App(shift(inv_fn, 5), Var(0)))))))))
-    _check_generated(env, proof_surj, stmt_surj, "right-totality lemma")
 
     # ((R⁻¹ ##> impl) ##> impl) (all A') (all A)
     rel_inv = app(Const(INV), a, a2, rel)
@@ -368,7 +407,6 @@ def surjection_to_relational(
                             app(Const(EQ_REFL), shift(a2, 5),
                                 App(shift(fn, 5), Var(0))),
                             App(Var(1), App(shift(fn, 5), Var(0)))))))))
-    _check_generated(env, proof_tot, stmt_tot, "left-totality lemma")
 
     # (R ##> R ##> impl) (eq A) (eq A')
     chain_func = app(Const(RESPECTFUL), a, a2, arrow(a, PROP), arrow(a2, PROP),
@@ -403,12 +441,16 @@ def surjection_to_relational(
                             Lam("e", app(Const(EQ), shift(a, 6),
                                          Var(5), Var(2)),
                                 step_right)))))))
-    _check_generated(env, proof_func, stmt_func, "functionality lemma")
 
     for suffix, stmt, proof in (("_surj", stmt_surj, proof_surj),
                                 ("_tot", stmt_tot, proof_tot),
                                 ("_func", stmt_func, proof_func)):
-        env = env.add_definition(env.fresh_name(rel_name + suffix), proof, stmt)
+        name = env.fresh_name(rel_name + suffix)
+        try:
+            env = env.add_definition(name, proof, stmt)
+        except TypeCheckError as e:
+            raise SynthesisError(f"generated '{name}' failed to check: {e}") \
+                from None
 
     # An existing entry (user-declared, or the flipped twin of an identity
     # surjection) keeps priority; generated entries never overwrite.
@@ -457,7 +499,10 @@ def prefill_core(tables: DeclTables, env: GlobalEnv) -> DeclTables:
                                     App(Var(2),
                                         App(Var(1),
                                             App(Var(5), Var(0))))))))))))
-    _check_generated(env, proof, stmt, "implication entry")
+    ok, diag = check_proof_report(env, LocalContext(), proof, stmt)
+    if not ok:
+        raise SynthesisError(f"generated implication entry failed to check: "
+                             f"{diag}")
     return insert_relation_v2(
         tables, env, RelationEntryV2(impl_c, impl_c, chain, proof))
 

@@ -1,8 +1,10 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from transfer_kernel import kernel
 from transfer_kernel.kernel import SET, GlobalEnv, prelude_env
 from transfer_kernel.surface import parse_and_elaborate
 
@@ -21,6 +23,33 @@ def declare(env: GlobalEnv, kind: str, name: str, text: str) -> GlobalEnv:
     if kind == "axiom":
         return env.add_axiom(name, term)
     raise ValueError(kind)
+
+
+@pytest.fixture
+def kernel_checks(monkeypatch):
+    """Record every kernel check made from now on as (entry point, proof):
+    `check_proof_report` (which `check_proof` calls) in every package
+    module that binds it, and `GlobalEnv.add_definition`."""
+    calls: list[tuple[str, object]] = []
+    report = kernel.check_proof_report
+
+    def check_proof_report(env, ctx, proof, statement):
+        calls.append(("check_proof_report", proof))
+        return report(env, ctx, proof, statement)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "transfer_kernel" \
+                and vars(module).get("check_proof_report") is report:
+            monkeypatch.setattr(module, "check_proof_report",
+                                check_proof_report)
+    admit = GlobalEnv.add_definition
+
+    def add_definition(self, name, body, ty=None):
+        calls.append(("add_definition", body))
+        return admit(self, name, body, ty)
+
+    monkeypatch.setattr(GlobalEnv, "add_definition", add_definition)
+    return calls
 
 
 @pytest.fixture

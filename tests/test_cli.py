@@ -214,18 +214,63 @@ def test_machine_report_contains_failures():
     assert thm["proof"] is None
 
 
-def test_internal_error_exit_code():
-    # simulate an engine bug by asking for a proof of a statement the
-    # engine cannot have checked: patch check to reject everything
+def test_internal_error_exit_code(monkeypatch):
+    # simulate an engine bug: each engine emits an ill-typed proof (its real
+    # proof applied to a proposition), which the admission check rejects
     import transfer_kernel.cli as cli
-    original = cli.check_proof_report
-    cli.check_proof_report = lambda *a, **k: (False, "forced rejection")
-    try:
-        code, state = run_text(script_text("example1.tk"))
-    finally:
-        cli.check_proof_report = original
-    assert code == EXIT_INTERNAL
-    assert state.internal_errors
+    from transfer_kernel.kernel import PROP, App
+    v1, v2 = cli.exact_modulo, cli.transfer_modulo
+
+    def bad_v2(*args, **kwargs):
+        proof, trace = v2(*args, **kwargs)
+        return App(proof, PROP), trace
+
+    monkeypatch.setattr(cli, "exact_modulo",
+                        lambda *a, **k: App(v1(*a, **k), PROP))
+    monkeypatch.setattr(cli, "transfer_modulo", bad_v2)
+    for engine, script in (("v1", "example1.tk"), ("v2", "v2_letrans.tk")):
+        code, state = run_text(script_text(script))
+        assert code == EXIT_INTERNAL, engine
+        assert state.internal_errors, engine
+        assert f"engine {engine} produced a rejected proof" \
+            in state.internal_errors[0]
+
+
+@pytest.mark.parametrize("name", ["example2.tk", "v2_letrans.tk"])
+def test_each_admitted_proof_is_checked_once(name, kernel_checks):
+    code, state = run_text(script_text(name))
+    assert code == EXIT_OK
+    (result,) = state.results
+    assert [entry for entry, proof in kernel_checks
+            if proof is result.proof] == ["add_definition"]
+
+
+def test_theorem_named_like_a_generated_encoding_name(tmp_path, capsys):
+    # the on-demand encoding of N.of_nat takes the name N.of_nat_rel first
+    text = script_text("v2_letrans.tk").replace("Theorem N.le_trans",
+                                                "Theorem N.of_nat_rel")
+    code, state = run_text(text)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 15: 'N.of_nat_rel' is already declared"]
+    path = tmp_path / "clash.tk"
+    path.write_text(text, encoding="utf-8")
+    from transfer_kernel.cli import main
+    assert main(["run", str(path)]) == EXIT_SCRIPT_ERROR
+    assert "error: line 15: 'N.of_nat_rel' is already declared" \
+        in capsys.readouterr().out
+
+
+def test_report_that_nests_too_deeply_is_a_script_error(monkeypatch, capsys):
+    # stands in for printing a proof too deep for the recursion limit
+    import transfer_kernel.cli as cli
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "print_term", too_deep)
+    code = run_script(str(SCRIPTS / "example1.tk"), RunOptions(fmt="machine"))
+    assert code == EXIT_SCRIPT_ERROR
+    assert capsys.readouterr().out == "error: input nested too deeply\n"
 
 
 def test_cli_main_entry(tmp_path, capsys):

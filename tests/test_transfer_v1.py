@@ -178,9 +178,8 @@ def test_build_rewrite_single_position(rewrite_env):
     from_term = App(entry.fn, App(entry.inverse, Var(0)))
     hyp_stmt = subst_polarized(goal, 0, from_term, COVARIANT)
     ctx_h = ctx.push("h", hyp_stmt)
-    proof = build_rewrite(env, ctx_h, shift(goal, 1), 1,
-                          shift(from_term, 1), App(entry.proof, Var(1)),
-                          Var(0), Const("N"))
+    proof = build_rewrite(shift(goal, 1), 1, shift(from_term, 1),
+                          App(entry.proof, Var(1)), Var(0), Const("N"))
     assert check_proof(env, ctx_h, proof, shift(goal, 1))
 
 
@@ -191,7 +190,7 @@ def test_build_rewrite_constant_motive(rewrite_env):
     goal = Const("False")  # no occurrence of the variable at all
     ctx_h = ctx.push("h", goal)
     from_term = shift(App(entry.fn, App(entry.inverse, Var(0))), 1)
-    proof = build_rewrite(env, ctx_h, Const("False"), 1, from_term,
+    proof = build_rewrite(Const("False"), 1, from_term,
                           App(entry.proof, Var(1)), Var(0), Const("N"))
     assert check_proof(env, ctx_h, proof, Const("False"))
 
@@ -204,7 +203,7 @@ def test_build_rewrite_hypothesis_position_untouched(rewrite_env):
     from_term = App(entry.fn, App(entry.inverse, Var(0)))
     inner_stmt = subst_polarized(goal, 0, from_term, COVARIANT)
     ctx_h = ctx.push("h", inner_stmt)
-    proof = build_rewrite(env, ctx_h, shift(goal, 1), 1, shift(from_term, 1),
+    proof = build_rewrite(shift(goal, 1), 1, shift(from_term, 1),
                           App(entry.proof, Var(1)), Var(0), Const("N"))
     assert check_proof(env, ctx_h, proof, shift(goal, 1))
 
@@ -261,6 +260,16 @@ def test_transitivity_transfer(example2):
     atoms = [s.detail.split()[0] for s in trace if s.case == "atom"]
     assert atoms == ["le_down", "le_down", "le_up"]
     assert cases.count("product-hypothesis") == 2
+
+
+def test_engine_makes_no_kernel_check(example2, kernel_checks):
+    # product-surjection and rewrite steps included: nothing is checked
+    # until the caller checks the result
+    env, tables, goal = example2
+    proof = exact_modulo(env, tables, LocalContext(), env.type_of("le_trans"),
+                         goal, Const("le_trans"))
+    assert kernel_checks == []
+    assert check_proof(env, LocalContext(), proof, goal)
 
 
 def test_missing_conclusion_lemma_is_named(example2):

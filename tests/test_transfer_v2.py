@@ -1,5 +1,7 @@
 """Engine tests for judgment synthesis (transfer modulo)."""
 
+import dataclasses
+
 import pytest
 
 from transfer_kernel.kernel import (
@@ -9,8 +11,9 @@ from transfer_kernel.kernel import (
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
-    DeclTables, declare_relation_v2, declare_surjection, lookup_relation_v2,
-    lookup_surjection, prefill_core, surjection_to_relational,
+    DeclTables, SynthesisError, declare_relation_v2, declare_surjection,
+    lookup_relation_v2, lookup_surjection, prefill_core,
+    surjection_to_relational, table_key,
 )
 from transfer_kernel.transfer_v1 import TransferFailure
 from transfer_kernel.transfer_v2 import (
@@ -239,6 +242,39 @@ def test_worked_derivation_hypotheses_via_inverse(worked):
     direct = [n for n in nodes if n.rule == "Table" and not n.via_inverse
               and n.lhs == Const("le")]
     assert len(direct) == 1  # the conclusion atom uses the direct entry
+
+
+def test_engine_checks_only_under_diagnostics(v2_env, kernel_checks):
+    env, tables = v2_env
+    goal = parse_and_elaborate(
+        env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
+    proof, trace = transfer_modulo(env, tables, env.type_of("le_trans"), goal,
+                                   Const("le_trans"))
+    assert "Table-inv" in trace.rules()
+    assert kernel_checks == []
+    transfer_modulo(env, tables, env.type_of("le_trans"), goal,
+                    Const("le_trans"), diagnostics=True)
+    assert kernel_checks  # one per derived judgment
+    assert check_proof(env, LocalContext(), proof, goal)
+
+
+def test_wrong_entry_proof_is_caught_by_diagnostics_or_the_check(v2_env):
+    # le_down_rel's entry now carries le_up_rel's proof; the derivation only
+    # matches relations, so it still goes through the (inverted) entry
+    env, tables = v2_env
+    key = table_key(env, Const("N.le"), Const("le"))
+    bad = dataclasses.replace(tables.relations_v2[key],
+                              proof=Const("le_up_rel"))
+    tables = dataclasses.replace(tables,
+                                 relations_v2={**tables.relations_v2, key: bad})
+    goal = parse_and_elaborate(
+        env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
+    with pytest.raises(SynthesisError, match="unsound judgment at Table:"):
+        transfer_modulo(env, tables, env.type_of("le_trans"), goal,
+                        Const("le_trans"), diagnostics=True)
+    proof, _ = transfer_modulo(env, tables, env.type_of("le_trans"), goal,
+                               Const("le_trans"))
+    assert not check_proof(env, LocalContext(), proof, goal)
 
 
 def test_determinism_and_replay(v2_env):
