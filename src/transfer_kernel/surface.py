@@ -730,9 +730,11 @@ class _Printer:
 
     def __init__(self, env: GlobalEnv | None, ctx: LocalContext | None):
         self.env = env
-        base = ctx.entries if ctx else ()
-        self.names: list[str] = [e.name for e in base]
-        self.types: list[Term] = [e.ty for e in base]
+        ctx = ctx if ctx is not None else LocalContext()
+        self.names: list[str] = [e.name for e in ctx.entries]
+        # ctxs[-1] types the term being rendered; one context per binder
+        # entered, so typing a sugar candidate rebuilds nothing.
+        self.ctxs: list[LocalContext] = [ctx]
 
     def fresh_name(self, hint: str) -> str:
         name = hint if hint and hint != "_" else "x"
@@ -741,17 +743,19 @@ class _Printer:
             name += "'"
         return name
 
-    def _ctx(self) -> LocalContext:
-        ctx = LocalContext()
-        for nm, ty in zip(self.names, self.types):
-            ctx = ctx.push(nm, ty)
-        return ctx
+    def _enter(self, name: str, ty: Term) -> None:
+        self.names.append(name)
+        self.ctxs.append(self.ctxs[-1].push(name, ty))
+
+    def _leave(self) -> None:
+        self.names.pop()
+        self.ctxs.pop()
 
     def _type_of(self, t: Term) -> Term | None:
         if self.env is None:
             return None
         try:
-            return infer_type(self.env, self._ctx(), t)
+            return infer_type(self.env, self.ctxs[-1], t)
         except TypeCheckError:
             return None
 
@@ -779,11 +783,9 @@ class _Printer:
     def _render_pi(self, t: Pi, level: int) -> str:
         if not occurs_free(t.body, 0) and not self._quantifier_preferred(t):
             lhs = self.render(t.ty, _LVL_EQ)
-            self.names.append("_")
-            self.types.append(t.ty)
+            self._enter("_", t.ty)
             rhs = self.render(t.body, _LVL_TERM)
-            self.names.pop()
-            self.types.pop()
+            self._leave()
             return self._paren(f"{lhs} → {rhs}", level, _LVL_ARROW)
         return self._render_binders(t, level, is_pi=True)
 
@@ -795,11 +797,9 @@ class _Printer:
         dom_sort = self._type_of(t.ty)
         if dom_sort is None or whnf(self.env, dom_sort) == PROP:
             return False
-        self.names.append("_")
-        self.types.append(t.ty)
+        self._enter("_", t.ty)
         body_sort = self._type_of(t.body)
-        self.names.pop()
-        self.types.pop()
+        self._leave()
         return body_sort is not None and whnf(self.env, body_sort) == PROP
 
     def _render_binders(self, t: Term, level: int, is_pi: bool) -> str:
@@ -814,14 +814,12 @@ class _Printer:
             ty_str = self.render(t.ty, _LVL_TERM)
             name = self.fresh_name(t.name)
             groups.append((name, ty_str))
-            self.names.append(name)
-            self.types.append(t.ty)
+            self._enter(name, t.ty)
             depth += 1
             t = t.body
         body = self.render(t, _LVL_TERM)
         for _ in range(depth):
-            self.names.pop()
-            self.types.pop()
+            self._leave()
         if len(groups) == 1:
             binder = f"{groups[0][0]} : {groups[0][1]}"
         else:
@@ -870,7 +868,7 @@ class _Printer:
     def _domains_match(self, rel: Term, x: Term, y: Term) -> bool:
         assert self.env is not None
         try:
-            dx, dy = relation_types(self.env, self._ctx(), rel)
+            dx, dy = relation_types(self.env, self.ctxs[-1], rel)
         except TypeCheckError:
             return False
         return dx == x and dy == y

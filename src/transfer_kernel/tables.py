@@ -6,6 +6,18 @@ relation declared through a definitional alias and looked up through its
 unfolding hit the same entry.  Declaration functions validate the shape of
 the lemma against the kernel and return a new table value, leaving the old
 one untouched.
+
+A lookup does not normalize its query.  It takes the query's weak head
+normal form, picks the stored keys with the same head shape, and accepts
+the key pair each of whose components the query is convertible with.
+Conversion is beta-delta without eta and every reduction terminates, so
+`convertible(q, k)` holds exactly when `normalize(q) == k` for a normal
+form `k`: the result is the entry a dict lookup of the normalized query
+would find, at a cost bounded by the small key rather than the large
+query.  The shape index and the inverted form of each flipped relation
+entry are built on first use and kept on the table value they derive from,
+so each is computed at most once per table state.  A table value is used
+with the environment it was built in, or an extension of it.
 """
 
 from __future__ import annotations
@@ -15,8 +27,8 @@ from dataclasses import dataclass, field
 
 from .kernel import (
     ALL, EQ, EQ_IND, EQ_REFL, IMPL, INV, PROP, RESPECTFUL,
-    App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
-    app, arrow, check_proof_report, convertible, infer_type, inv_view,
+    App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
+    Var, app, arrow, check_proof_report, convertible, infer_type, inv_view,
     max_free_index, normalize, occurs_free, relation_types, respectful_view,
     shift, spine, unshift, whnf,
 )
@@ -67,6 +79,9 @@ class RelationEntryV2:
 
 
 Key = tuple[Term, Term]
+# What `convertible` compares first on a weak head normal form: the spine
+# head's constructor and its name, index or tag, and the argument count.
+Shape = tuple[type, object, int]
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,14 @@ class DeclTables:
     surjections: dict[Key, SurjectionEntry] = field(default_factory=dict)
     transfers_v1: dict[Key, TransferEntryV1] = field(default_factory=dict)
     relations_v2: dict[Key, RelationEntryV2] = field(default_factory=dict)
+    # Derived from the stores above on first use and private to this value;
+    # a new value (an insert, `dataclasses.replace`) starts with none.
+    # Store name -> key shapes -> (key, entry) in store order.
+    _index: dict[str, dict[tuple[Shape, Shape], list[tuple[Key, object]]]] \
+        = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Key of a relation entry -> its inverted form (`invert_entry`).
+    _inverted: dict[Key, RelationEntryV2] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def _with(self, **kwargs) -> "DeclTables":
         data = {
@@ -266,27 +289,72 @@ def insert_relation_v2(tables: DeclTables, env: GlobalEnv,
 # Lookups
 # ---------------------------------------------------------------------------
 
+def _shape(t: Term) -> Shape:
+    n = 0
+    while isinstance(t, App):
+        t = t.fn
+        n += 1
+    if isinstance(t, Const):
+        return Const, t.name, n
+    if isinstance(t, Var):
+        return Var, t.index, n
+    if isinstance(t, Sort):
+        return Sort, t.tag, n
+    return type(t), None, n
+
+
+def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
+          b: Term) -> tuple[Key, object] | None:
+    """The (key, entry) of `store` whose key pair is convertible with
+    (a, b), or None; a and b are in weak head normal form.  Keys are
+    distinct normal forms, so at most one pair is convertible with (a, b)."""
+    index = tables._index.get(store)
+    if index is None:
+        index = {}
+        for key, entry in getattr(tables, store).items():
+            index.setdefault((_shape(key[0]), _shape(key[1])), []) \
+                .append((key, entry))
+        # Published only when complete: a concurrent lookup on this value
+        # sees no index (and builds its own) or all of it.
+        tables._index[store] = index
+    for key, entry in index.get((_shape(a), _shape(b)), ()):
+        ctx = LocalContext()
+        if convertible(env, ctx, a, key[0]) and convertible(env, ctx, b, key[1]):
+            return key, entry
+    return None
+
+
 def lookup_surjection(tables: DeclTables, env: GlobalEnv,
                       domain: Term, codomain: Term) -> SurjectionEntry | None:
-    return tables.surjections.get(table_key(env, domain, codomain))
+    found = _find(tables, "surjections", env, whnf(env, domain),
+                  whnf(env, codomain))
+    return None if found is None else found[1]
 
 
 def lookup_transfer_v1(tables: DeclTables, env: GlobalEnv,
                        source: Term, target: Term) -> TransferEntryV1 | None:
-    return tables.transfers_v1.get(table_key(env, source, target))
+    found = _find(tables, "transfers_v1", env, whnf(env, source),
+                  whnf(env, target))
+    return None if found is None else found[1]
 
 
 def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
                      rhs: Term) -> Iterator[tuple[RelationEntryV2, bool]]:
     """The direct entry for (lhs, rhs), then the inverted (rhs, lhs) entry,
-    each with its via_inverse flag.  Lazy: the flipped key is looked up and
-    inverted only if the caller asks for a second entry."""
-    direct = tables.relations_v2.get(table_key(env, lhs, rhs))
+    each with its via_inverse flag.  Lazy: the flipped key is looked up
+    only if the caller asks for a second entry, and its entry is inverted
+    once per table state, then reused."""
+    lhs, rhs = whnf(env, lhs), whnf(env, rhs)
+    direct = _find(tables, "relations_v2", env, lhs, rhs)
     if direct is not None:
-        yield direct, False
-    flipped = tables.relations_v2.get(table_key(env, rhs, lhs))
+        yield direct[1], False
+    flipped = _find(tables, "relations_v2", env, rhs, lhs)
     if flipped is not None:
-        yield invert_entry(env, flipped), True
+        key, entry = flipped
+        inverted = tables._inverted.get(key)
+        if inverted is None:
+            inverted = tables._inverted[key] = invert_entry(env, entry)
+        yield inverted, True
 
 
 def lookup_relation_v2(tables: DeclTables, env: GlobalEnv, lhs: Term,
@@ -314,7 +382,9 @@ def invert_entry(env: GlobalEnv, entry: RelationEntryV2) -> RelationEntryV2:
     relator chain is inverted.  The proof is the old one with the paired
     binders swapped, which is definitional because `inv R y x` unfolds to
     `R x y`.  It is not kernel-checked here: whoever trusts a result built
-    from it checks that result (admission, `diagnostics`, or the caller)."""
+    from it checks that result (admission, `diagnostics`, or the caller).
+    `relation_entries` calls it once per flipped key per table state and
+    keeps the result on that state."""
     levels = []  # respectful_view of each relator-arrow level
     rel = entry.relation
     while (view := respectful_view(env, rel)) is not None:
@@ -467,8 +537,9 @@ def surjection_to_relational(
 
 def has_relational_encoding(tables: DeclTables, env: GlobalEnv,
                             entry: SurjectionEntry) -> bool:
-    key = table_key(env, App(Const(ALL), entry.domain), App(Const(ALL), entry.codomain))
-    return key in tables.relations_v2
+    return _find(tables, "relations_v2", env,
+                 whnf(env, App(Const(ALL), entry.domain)),
+                 whnf(env, App(Const(ALL), entry.codomain))) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ admits the theorem).  Failures are returned as values, never raised.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,6 +113,16 @@ def build_rewrite(goal: Term, var_index: int, from_term: Term,
                Var(var_index), eq_proof)
 
 
+@dataclass(frozen=True)
+class _Failed:
+    """A failure inside the recursion: its kind, and its message as a thunk.
+    The outermost call renders it into a `TransferFailure`; a failure the
+    engine discards (a hypothesis direction that does not go through) is
+    never printed."""
+    kind: str
+    message: Callable[[], str]
+
+
 def exact_modulo(env: GlobalEnv, tables: DeclTables, ctx: LocalContext,
                  source: Term, target: Term, proof: Term,
                  trace: list[V1TraceStep] | None = None,
@@ -120,29 +131,36 @@ def exact_modulo(env: GlobalEnv, tables: DeclTables, ctx: LocalContext,
 
     Case order: conversion short-circuit, then matching dependent products
     (hypothesis direction first, surjection second), then matching atoms
-    through the transfer-lemma table.
+    through the transfer-lemma table.  Trace details are printed only when
+    `trace` is given.  `_depth` is the engine's own: a recursive call
+    (`_depth > 0`) returns an unrendered failure.
     """
-    def note(case: str, detail: str) -> None:
-        if trace is not None:
-            trace.append(V1TraceStep(case, detail, _depth))
-
     if convertible(env, ctx, source, target):
-        note("identity", "")
+        if trace is not None:
+            trace.append(V1TraceStep("identity", "", _depth))
         return proof
 
     ws = whnf(env, source)
     wt = whnf(env, target)
     if isinstance(ws, Pi) or isinstance(wt, Pi):
         if not (isinstance(ws, Pi) and isinstance(wt, Pi)):
-            return TransferFailure(
+            result = _Failed(
                 "shape-mismatch",
-                f"{print_term(source, env, ctx)} and "
-                f"{print_term(target, env, ctx)} do not have the same shape")
-        return _product_case(env, tables, ctx, ws, wt, proof, trace, _depth, note)
-    return _atom_case(env, tables, ctx, source, target, proof, note)
+                lambda: f"{print_term(source, env, ctx)} and "
+                        f"{print_term(target, env, ctx)} do not have the same "
+                        "shape")
+        else:
+            result = _product_case(env, tables, ctx, ws, wt, proof, trace,
+                                   _depth)
+    else:
+        result = _atom_case(env, tables, ctx, source, target, proof, trace,
+                            _depth)
+    if _depth == 0 and isinstance(result, _Failed):
+        return TransferFailure(result.kind, result.message())
+    return result
 
 
-def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth, note):
+def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth):
     dom_s, body_s = ws.ty, ws.body
     dom_t, body_t = wt.ty, wt.body
     binder = wt.name if wt.name != "_" else ws.name
@@ -154,69 +172,78 @@ def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth, note):
     sub_trace: list[V1TraceStep] | None = [] if trace is not None else None
     witness = exact_modulo(env, tables, ctx2, shift(dom_t, 1), shift(dom_s, 1),
                            Var(0), sub_trace, depth + 2)
-    if not isinstance(witness, TransferFailure):
-        note("product-hypothesis", f"{binder} : {print_term(dom_t, env, ctx)}")
+    if not isinstance(witness, _Failed):
         if trace is not None:
+            trace.append(V1TraceStep(
+                "product-hypothesis",
+                f"{binder} : {print_term(dom_t, env, ctx)}", depth))
             trace.extend(sub_trace or [])
         inst_body = replace_var(body_s, 0, witness)
         rec = exact_modulo(env, tables, ctx2, inst_body, body_t,
                            App(lifted_proof, witness), trace, depth + 1)
-        if isinstance(rec, TransferFailure):
+        if isinstance(rec, _Failed):
             return rec
         return Lam(binder, dom_t, rec)
 
     entry = lookup_surjection(tables, env, dom_s, dom_t)
     if entry is None:
-        return TransferFailure(
+        return _Failed(
             "no-table-entry",
-            f"no surjection declared for ({print_term(dom_s, env, ctx)}, "
-            f"{print_term(dom_t, env, ctx)})")
-    note("product-surjection",
-         f"{binder} via {print_term(entry.fn, env)}")
+            lambda: f"no surjection declared for ({print_term(dom_s, env, ctx)}, "
+                    f"{print_term(dom_t, env, ctx)})")
+    if trace is not None:
+        trace.append(V1TraceStep(
+            "product-surjection", f"{binder} via {print_term(entry.fn, env)}",
+            depth))
     g_var = App(shift(entry.inverse, 1), Var(0))
     fg_var = App(shift(entry.fn, 1), g_var)
     inst_body = replace_var(body_s, 0, g_var)
     subst_goal = subst_polarized(body_t, 0, fg_var, COVARIANT)
     rec = exact_modulo(env, tables, ctx2, inst_body, subst_goal,
                        App(lifted_proof, g_var), trace, depth + 1)
-    if isinstance(rec, TransferFailure):
+    if isinstance(rec, _Failed):
         return rec
-    note("rewrite", f"restore {binder} from {print_term(fg_var, env, ctx2)}")
+    if trace is not None:
+        trace.append(V1TraceStep(
+            "rewrite", f"restore {binder} from {print_term(fg_var, env, ctx2)}",
+            depth))
     eq_proof = App(shift(entry.proof, 1), Var(0))
     wrapped = build_rewrite(body_t, 0, fg_var, eq_proof, rec,
                             shift(entry.codomain, 1))
     return Lam(binder, dom_t, wrapped)
 
 
-def _atom_case(env, tables, ctx, source, target, proof, note):
+def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
     vs = atom_view(env, source)
     vt = atom_view(env, target)
     if len(vs.args) != len(vt.args):
-        return TransferFailure(
+        return _Failed(
             "shape-mismatch",
-            f"atoms {print_term(source, env, ctx)} and "
-            f"{print_term(target, env, ctx)} have arities "
-            f"{len(vs.args)} and {len(vt.args)}")
+            lambda: f"atoms {print_term(source, env, ctx)} and "
+                    f"{print_term(target, env, ctx)} have arities "
+                    f"{len(vs.args)} and {len(vt.args)}")
     entry = lookup_transfer_v1(tables, env, vs.head, vt.head)
     if entry is None:
-        return TransferFailure(
+        return _Failed(
             "no-table-entry",
-            f"no transfer lemma for ({print_term(vs.head, env, ctx)}, "
-            f"{print_term(vt.head, env, ctx)})")
+            lambda: f"no transfer lemma for ({print_term(vs.head, env, ctx)}, "
+                    f"{print_term(vt.head, env, ctx)})")
     if entry.arity != len(vs.args):
-        return TransferFailure(
+        return _Failed(
             "shape-mismatch",
-            f"transfer lemma for ({print_term(vs.head, env, ctx)}, "
-            f"{print_term(vt.head, env, ctx)}) expects {entry.arity} "
-            f"arguments, atoms have {len(vs.args)}")
+            lambda: f"transfer lemma for ({print_term(vs.head, env, ctx)}, "
+                    f"{print_term(vt.head, env, ctx)}) expects {entry.arity} "
+                    f"arguments, atoms have {len(vs.args)}")
     for i, (arg_s, arg_t) in enumerate(zip(vs.args, vt.args), start=1):
         image = App(entry.transfer_fn, arg_s)
         if not convertible(env, ctx, arg_t, image):
-            return TransferFailure(
+            return _Failed(
                 "argument-mismatch",
-                f"argument {i}: {print_term(arg_t, env, ctx)} is not "
-                f"{print_term(image, env, ctx)}")
-    lemma_name = print_term(entry.proof, env)
-    note("atom", f"{lemma_name} : {print_term(vs.head, env, ctx)} to "
-                 f"{print_term(vt.head, env, ctx)}")
+                lambda: f"argument {i}: {print_term(arg_t, env, ctx)} is not "
+                        f"{print_term(image, env, ctx)}")
+    if trace is not None:
+        trace.append(V1TraceStep(
+            "atom", f"{print_term(entry.proof, env)} : "
+                    f"{print_term(vs.head, env, ctx)} to "
+                    f"{print_term(vt.head, env, ctx)}", depth))
     return app(entry.proof, *vs.args, proof)

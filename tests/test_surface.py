@@ -239,3 +239,36 @@ def test_comments_are_ignored():
     script = parse_script(
         "(* header (* nested *) still comment *)\nParameter A : Set.")
     assert len(script.commands) == 1
+
+
+def test_deep_report_keeps_one_context_per_binder(monkeypatch):
+    # The machine report of an 80-binder `exact modulo` transfer.  Typing a
+    # sugar candidate used to rebuild the whole context, one push per
+    # enclosing binder (436,238 pushes); the digest pins the text printed
+    # then.
+    import hashlib
+
+    from transfer_kernel import kernel
+    from transfer_kernel.cli import RunOptions, execute_script, report
+    xs = " ".join(f"x{i}" for i in range(80))
+    ys = " ".join(f"y{i}" for i in range(80))
+    text = (f"Parameter A A' : Set.\nAxiom emptyA : ∀ {xs} : A, False.\n"
+            "Parameter f : A → A'.\nParameter g : A' → A.\n"
+            "Axiom surjf : ∀ x' : A', f (g x') = x'.\n"
+            "Declare Surjection f by (g, surjf).\n"
+            f"Theorem t : ∀ {ys} : A', False.\n  exact modulo emptyA.\nQed.\n")
+    options = RunOptions(trace=True, fmt="machine")
+    state = execute_script(text, options)
+    assert [r.status for r in state.results] == ["proved"]
+    pushes = []
+    push = kernel.LocalContext.push
+
+    def counting_push(self, *args, **kwargs):
+        pushes.append(1)
+        return push(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.LocalContext, "push", counting_push)
+    out = report(state, "machine", options)
+    assert len(pushes) <= 100_000
+    assert hashlib.sha1(out.encode()).hexdigest() \
+        == "aa85c8a8c4d226c8609f45061cede8b5a4aa98b9"

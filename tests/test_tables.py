@@ -1,21 +1,28 @@
 """Table tests: declaration validation, lookups, encodings, audit."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from transfer_kernel import tables as tables_module
 from transfer_kernel.kernel import (
-    ALL, EQ, IMPL, PROP,
-    App, Const, LocalContext, app, check_proof, convertible, normalize,
-    prelude_env,
+    ALL, EQ, IMPL, INV, PROP, SET,
+    App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
+    convertible, normalize, prelude_env, shift, whnf,
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
-    DeclTables, DuplicateEntry, ShapeError, audit,
-    declare_relation_v2, declare_surjection, declare_transfer_v1,
-    lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
-    surjection_to_relational, transfer_v1_statement,
+    DeclTables, DuplicateEntry, RelationEntryV2, ShapeError, SurjectionEntry,
+    TransferEntryV1, audit, declare_relation_v2, declare_surjection,
+    declare_transfer_v1, has_relational_encoding, insert_relation_v2,
+    invert_entry, lookup_relation_v2, lookup_surjection, lookup_transfer_v1,
+    prefill_core, relation_entries, surjection_to_relational, table_key,
+    transfer_v1_statement,
 )
 
 from conftest import declare
+from test_kernel_fastpath import decode
 
 
 @pytest.fixture
@@ -231,6 +238,13 @@ def test_surjection_to_relational_statements(nat_env, nat_tables):
     assert not audit(tables, env)
 
 
+def test_relational_encoding_is_found_once_made(nat_env, nat_tables):
+    entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
+    assert not has_relational_encoding(nat_tables, nat_env, entry)
+    tables, env = surjection_to_relational(nat_tables, nat_env, entry)
+    assert has_relational_encoding(tables, env, entry)
+
+
 def test_generated_relation_unfolds_to_graph(nat_env, nat_tables):
     entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
     tables, env = surjection_to_relational(nat_tables, nat_env, entry)
@@ -268,3 +282,209 @@ def test_tables_are_values(nat_env):
     extended = declare_surjection(empty, nat_env, "N.of_nat", "N.to_nat", "of_to")
     assert not empty.surjections
     assert len(extended.surjections) == 1
+
+
+# --- lookup by conversion against normal-form keys --------------------------------
+#
+# The reference is the dict lookup of the normalized query, `store.get(
+# table_key(...))`.  Queries are the fastpath generator's lambda-free terms
+# with their constant leaves drawn from POOL, or stored key pairs as written
+# at insertion (some through aliases) wrapped in redexes that reduce back
+# to them.  Every definition involved uses each of its parameters at most
+# once and the wrapping redexes are identities or constant functions, so
+# every query normalizes.
+
+def _lookup_env():
+    env = prelude_env().add_parameter("nat", SET).add_parameter("N", SET)
+    nat, n = Const("nat"), Const("N")
+    env = env.add_parameter("le", arrow(nat, arrow(nat, PROP)))
+    env = env.add_parameter("N.le", arrow(n, arrow(n, PROP)))
+    env = env.add_parameter("rel", arrow(nat, arrow(n, PROP)))
+    return env.add_definition("nat_alias", nat) \
+        .add_definition("le_alias", Const("le"))
+
+
+LOOKUP_ENV = _lookup_env()
+# Key pairs as written at insertion; their normal forms are distinct.
+SPELLINGS = [
+    (Const("le_alias"), Const("N.le")),
+    (Const("N.le"), Const("le")),
+    (App(Const(ALL), Const("nat_alias")), App(Const(ALL), Const("N"))),
+    (App(Const(ALL), Const("N")), App(Const(ALL), Const("nat"))),
+    (App(Const(EQ), Const("nat")), App(Const(EQ), Const("N"))),
+    (Const(IMPL), Const(IMPL)),
+    (PROP, SET),
+    (arrow(Const("nat_alias"), PROP), arrow(Const("N"), PROP)),
+    (App(Var(1), Const("nat")), Var(0)),  # open; no declaration makes one
+]
+POOL = [SET] + [Const(name) for name in (
+    "nat", "N", "le", "N.le", "rel", "nat_alias", "le_alias", IMPL, ALL, EQ,
+    INV)]
+
+
+def _lookup_tables(env) -> DeclTables:
+    tables = DeclTables()
+    surjections, transfers = {}, {}
+    for i, (a, b) in enumerate(SPELLINGS):
+        key = table_key(env, a, b)
+        surjections[key] = SurjectionEntry(a, b, Const("f"), Const("g"),
+                                           Const(f"s{i}"))
+        transfers[key] = TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}"))
+        tables = insert_relation_v2(
+            tables, env, RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")))
+    return dataclasses.replace(tables, surjections=surjections,
+                               transfers_v1=transfers)
+
+
+def _relabel(t: Term, picks: list[int]) -> Term:
+    """Replace the fastpath generator's `a` leaves by POOL constants."""
+    leaves = iter(picks)
+
+    def go(t: Term) -> Term:
+        if t == Const("a"):
+            return POOL[next(leaves, 0) % len(POOL)]
+        if isinstance(t, App):
+            return App(go(t.fn), go(t.arg))
+        if isinstance(t, Pi):
+            return Pi(t.name, go(t.ty), go(t.body))
+        return t
+
+    return go(t)
+
+
+def _disguise(t: Term, codes) -> Term:
+    """t wrapped, here and in its applications, in redexes that reduce back
+    to it: 1 is an identity, 2 a constant function applied to a variable,
+    which makes the query open; 3 unfolds t's head and renames the binder
+    it exposes, if any."""
+    code = next(codes, 0)
+    if isinstance(t, App):
+        t = App(_disguise(t.fn, codes), _disguise(t.arg, codes))
+    if code == 1:
+        return App(Lam("x", PROP, Var(0)), t)
+    if code == 2:
+        return App(Lam("x", SET, shift(t, 1)), Var(2))
+    if code == 3:
+        head = whnf(LOOKUP_ENV, t)
+        if isinstance(head, (Lam, Pi)):
+            return type(head)("renamed", head.ty, head.body)
+    return t
+
+
+RANDOM_QUERIES = st.builds(
+    lambda codes, picks: _relabel(decode(codes, lam=False), picks),
+    st.lists(st.integers(0, 15), max_size=8),
+    st.lists(st.integers(0, len(POOL) - 1), max_size=6))
+SPELLED_PAIRS = st.builds(
+    lambda pair, flip, codes: tuple(
+        _disguise(t, iter(codes))
+        for t in (pair[::-1] if flip else pair)),
+    st.sampled_from(SPELLINGS), st.booleans(),
+    st.lists(st.integers(0, 3), max_size=8))
+QUERIES = st.one_of(RANDOM_QUERIES,
+                    SPELLED_PAIRS.map(lambda pair: pair[0]),
+                    SPELLED_PAIRS.map(lambda pair: pair[1]))
+QUERY_PAIRS = st.one_of(SPELLED_PAIRS, st.tuples(QUERIES, QUERIES))
+
+
+def _expected_relation_entries(tables, env, a, b):
+    direct = tables.relations_v2.get(table_key(env, a, b))
+    flipped = tables.relations_v2.get(table_key(env, b, a))
+    return ([(direct, False)] if direct is not None else []) \
+        + ([(invert_entry(env, flipped), True)] if flipped is not None else [])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(QUERY_PAIRS)
+def test_lookups_match_the_normal_form_key_lookup(pair):
+    a, b = pair
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    assert lookup_surjection(tables, env, a, b) \
+        is tables.surjections.get(table_key(env, a, b))
+    assert lookup_transfer_v1(tables, env, a, b) \
+        is tables.transfers_v1.get(table_key(env, a, b))
+    expected = _expected_relation_entries(tables, env, a, b)
+    found = list(relation_entries(tables, env, a, b))
+    assert found == expected
+    if expected and not expected[0][1]:
+        assert found[0][0] is expected[0][0]
+    assert lookup_relation_v2(tables, env, a, b) \
+        == (expected[0] if expected else None)
+
+
+def test_disguised_spellings_find_their_entries():
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    for a, b in SPELLINGS:
+        key = table_key(env, a, b)
+        for codes in ([], [1], [2], [3], [2, 1, 2, 1, 3, 1, 2, 1]):
+            qa, qb = _disguise(a, iter(codes)), _disguise(b, iter(codes))
+            assert lookup_surjection(tables, env, qa, qb) \
+                is tables.surjections[key]
+            assert lookup_transfer_v1(tables, env, qa, qb) \
+                is tables.transfers_v1[key]
+            assert lookup_relation_v2(tables, env, qa, qb) \
+                == (tables.relations_v2[key], False)
+            inverted, via_inverse = list(
+                relation_entries(tables, env, qb, qa))[-1]
+            assert via_inverse
+            assert inverted == invert_entry(env, tables.relations_v2[key])
+
+
+def test_each_flipped_entry_is_inverted_once_per_table_state(monkeypatch):
+    inverted = []
+    invert = tables_module.invert_entry
+
+    def counting_invert_entry(env, entry):
+        inverted.append(entry)
+        return invert(env, entry)
+
+    monkeypatch.setattr(tables_module, "invert_entry", counting_invert_entry)
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    seen = {}
+    for _ in range(3):
+        for a, b in SPELLINGS:
+            for entry, via_inverse in relation_entries(tables, env, b, a):
+                if via_inverse:
+                    assert seen.setdefault((a, b), entry) is entry
+    assert len(inverted) == len(SPELLINGS)
+    assert len({id(e) for e in inverted}) == len(SPELLINGS)
+    # A new table state inverts its flipped entries again, once each.
+    grown = insert_relation_v2(tables, env, RelationEntryV2(
+        Const("nat"), Const("N"), Const("rel"), Const("r")))
+    for _ in range(2):
+        for a, b in SPELLINGS:
+            list(relation_entries(grown, env, b, a))
+    assert len(inverted) == 2 * len(SPELLINGS)
+
+
+def test_a_new_table_state_never_sees_a_stale_index():
+    env = LOOKUP_ENV
+    le, n_le = Const("le"), Const("N.le")
+    first = insert_relation_v2(DeclTables(), env, RelationEntryV2(
+        le, n_le, Const("rel"), Const("p1")))
+    assert lookup_relation_v2(first, env, n_le, n_le) is None
+    first_inverted, via_inverse = lookup_relation_v2(first, env, n_le, le)
+    assert via_inverse and first_inverted.proof == Const("p1")
+    # An insert: the new state finds its entry, the old one still does not.
+    second = insert_relation_v2(first, env, RelationEntryV2(
+        n_le, n_le, Const("rel"), Const("p2")))
+    assert lookup_relation_v2(second, env, n_le, n_le)[0].proof == Const("p2")
+    assert lookup_relation_v2(first, env, n_le, n_le) is None
+    # A replaced store: its own entry, and that entry's own inversion.
+    key = table_key(env, le, n_le)
+    changed = dataclasses.replace(first.relations_v2[key], proof=Const("p3"))
+    third = dataclasses.replace(
+        first, relations_v2={**first.relations_v2, key: changed})
+    assert lookup_relation_v2(third, env, le, n_le) == (changed, False)
+    assert lookup_relation_v2(third, env, le, n_le)[0] is changed
+    third_inverted, via_inverse = lookup_relation_v2(third, env, n_le, le)
+    assert via_inverse and third_inverted.proof == Const("p3")
+    assert lookup_relation_v2(first, env, n_le, le) == (first_inverted, True)
+    surjection = SurjectionEntry(le, n_le, Const("f"), Const("g"), Const("s"))
+    transfer = TransferEntryV1(le, n_le, 2, Const("f"), Const("t"))
+    assert lookup_surjection(first, env, le, n_le) is None
+    assert lookup_transfer_v1(first, env, le, n_le) is None
+    fourth = dataclasses.replace(first, surjections={key: surjection},
+                                 transfers_v1={key: transfer})
+    assert lookup_surjection(fourth, env, le, n_le) is surjection
+    assert lookup_transfer_v1(fourth, env, le, n_le) is transfer

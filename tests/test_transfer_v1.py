@@ -236,6 +236,27 @@ def test_empty_set_transfer(empty_set_env):
                                        "rewrite"]
 
 
+def test_untraced_transfer_prints_nothing(empty_set_env, monkeypatch):
+    import transfer_kernel.transfer_v1 as v1
+    printed = []
+
+    def counting_print_term(*args, **kwargs):
+        printed.append(args[0])
+        return print_term(*args, **kwargs)
+
+    monkeypatch.setattr(v1, "print_term", counting_print_term)
+    env = empty_set_env
+    tables = declare_surjection(DeclTables(), env, "f", "g", "surjf")
+    goal = parse_and_elaborate(env, "∀ x' : A', False")
+    proof = exact_modulo(env, tables, LocalContext(), env.type_of("emptyA"),
+                         goal, Const("emptyA"))
+    assert check_proof(env, LocalContext(), proof, goal)
+    assert printed == []
+    exact_modulo(env, tables, LocalContext(), env.type_of("emptyA"), goal,
+                 Const("emptyA"), [])
+    assert printed  # the trace details are still printed when asked for
+
+
 @pytest.fixture
 def example2(nat_env):
     tables = DeclTables()
