@@ -3,8 +3,9 @@
 The package has three layers: a dependent-type-theory kernel that acts as
 the trusted checker (`kernel`), a vernacular script language with parser,
 elaborator and printer (`surface`), and two proof-transfer engines driven
-by user-declared tables (`tables`, `transfer_v1`, `transfer_v2`), all tied
-together by a batch CLI (`cli`).
+by user-declared tables (`tables`, `transfer_v1`, `transfer_v2`) that share
+one failure type and one trace type (`outcome`), all tied together by a
+batch CLI (`cli`).
 """
 
 from .kernel import (
@@ -24,13 +25,14 @@ from .tables import (
     lookup_surjection, lookup_transfer_v1, prefill_core,
     surjection_to_relational,
 )
+from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .transfer_v1 import (
-    COVARIANT, CONTRAVARIANT, Polarity, TransferFailure, build_rewrite,
-    exact_modulo, subst_polarized,
+    COVARIANT, CONTRAVARIANT, Polarity, build_rewrite, exact_modulo,
+    subst_polarized,
 )
 from .transfer_v2 import (
-    DerivationTrace, Judgment, Known, RelArrow, Unknown, invert_entry,
-    match_relation, synth, transfer_modulo,
+    Judgment, Known, RelArrow, Unknown, invert_entry, match_relation, synth,
+    transfer_modulo,
 )
 from .cli import RunOptions, SessionState, execute_script, report, run_script
 
@@ -46,9 +48,10 @@ __all__ = [
     "declare_relation_v2", "declare_surjection", "declare_transfer_v1",
     "lookup_relation_v2", "lookup_surjection", "lookup_transfer_v1",
     "prefill_core", "surjection_to_relational",
-    "COVARIANT", "CONTRAVARIANT", "Polarity", "TransferFailure",
-    "build_rewrite", "exact_modulo", "subst_polarized",
-    "DerivationTrace", "Judgment", "Known", "RelArrow", "Unknown",
-    "invert_entry", "match_relation", "synth", "transfer_modulo",
+    "DerivationTrace", "TraceStep", "TransferFailure",
+    "COVARIANT", "CONTRAVARIANT", "Polarity", "build_rewrite", "exact_modulo",
+    "subst_polarized",
+    "Judgment", "Known", "RelArrow", "Unknown", "invert_entry",
+    "match_relation", "synth", "transfer_modulo",
     "RunOptions", "SessionState", "execute_script", "report", "run_script",
 ]

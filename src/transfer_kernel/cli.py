@@ -4,7 +4,9 @@ Commands run in order against an evolving environment and set of tables.
 Theorem commands dispatch one of the two engines (`exact modulo` runs the
 recursive product/atom engine, `transfer modulo` the judgment synthesizer).
 The engines are untrusted: an emitted proof is kernel-checked once, by
-`GlobalEnv.add_definition` when the theorem is admitted.
+`GlobalEnv.add_definition` when the theorem is admitted.  A theorem's
+trace is kept unprinted and printed only when a report reads it (the
+machine format, or `--trace`).
 
 Exit codes: 0 all theorems proved, 1 a transfer failed, 2 parse or
 semantic error, 3 an engine produced a proof the kernel rejected.
@@ -32,7 +34,8 @@ from .tables import (
     declare_surjection, declare_transfer_v1, has_relational_encoding,
     prefill_core, surjection_to_relational,
 )
-from .transfer_v1 import TransferFailure, V1TraceStep, exact_modulo
+from .outcome import DerivationTrace, TraceStep, TransferFailure
+from .transfer_v1 import exact_modulo
 from .transfer_v2 import transfer_modulo
 
 EXIT_OK = 0
@@ -49,7 +52,12 @@ class TheoremResult:
     seconds: float  # engine run and checked admission; see README
     proof: Term | None = None
     failure: TransferFailure | None = None
-    trace_lines: list[str] = field(default_factory=list)
+    trace: DerivationTrace | None = None
+
+    @property
+    def trace_lines(self) -> list[str]:
+        """The trace, printed anew on each read."""
+        return self.trace.lines() if self.trace is not None else []
 
 
 @dataclass
@@ -187,14 +195,14 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
 
     engine = options.engine or ("v1" if cmd.tactic == EXACT_MODULO else "v2")
     started = time.perf_counter()
-    trace_lines: list[str] = []
+    trace: DerivationTrace | None = None
 
     if engine == "v1":
-        steps: list[V1TraceStep] | None = [] if options.trace else None
+        steps: list[TraceStep] | None = [] if options.trace else None
         outcome = exact_modulo(env, state.tables, LocalContext(), source_stmt,
                                goal, source_proof, steps)
         if steps:
-            trace_lines = [s.line() for s in steps]
+            trace = DerivationTrace(tuple(steps), env)
     else:
         # Surjections are given their relational encoding on demand.
         for entry in list(state.tables.surjections.values()):
@@ -206,15 +214,12 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
                                   source_proof,
                                   diagnostics=options.diagnostics)
         if not isinstance(outcome, TransferFailure):
-            proof_term, derivation = outcome
-            trace_lines = derivation.lines(env)
-            outcome = proof_term
+            outcome, trace = outcome
 
     if isinstance(outcome, TransferFailure):
         state.results.append(TheoremResult(cmd.name, engine, "failed",
                                            time.perf_counter() - started,
-                                           failure=outcome,
-                                           trace_lines=trace_lines))
+                                           failure=outcome, trace=trace))
         return
 
     # Admission is the one kernel check of the emitted proof.
@@ -228,8 +233,7 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
         raise _fail(cmd, str(e)) from None
     state.results.append(TheoremResult(cmd.name, engine, "proved",
                                        time.perf_counter() - started,
-                                       proof=outcome,
-                                       trace_lines=trace_lines))
+                                       proof=outcome, trace=trace))
 
 
 def exit_code(state: SessionState) -> int:
@@ -263,7 +267,7 @@ def _human_report(state: SessionState, options: RunOptions) -> str:
             lines.append(f"{r.name} : failed ({r.failure})")
         if options.print_proofs and r.proof is not None:
             lines.append(f"  proof: {print_term(r.proof, state.env)}")
-        if options.trace and r.trace_lines:
+        if options.trace:
             lines.extend(f"  | {t}" for t in r.trace_lines)
     for e in state.errors:
         lines.append(f"error: {e}")

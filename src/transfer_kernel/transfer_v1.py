@@ -10,12 +10,13 @@ positions so the atoms line up with the transfer-lemma shape.
 
 Produced proofs are meant to kernel-check, but the engine checks none of
 them: the caller checks a proof before trusting it (the CLI does so when it
-admits the theorem).  Failures are returned as values, never raised.
+admits the theorem).  Failures are returned as `TransferFailure` values,
+never raised; given a list, the engine appends its `TraceStep`s to it.
+Neither is printed here (see `outcome`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,7 @@ from .kernel import (
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, Var,
     app, convertible, replace_var, shift, spine, whnf,
 )
+from .outcome import TraceStep, TransferFailure
 from .surface import print_term
 from .tables import DeclTables, lookup_surjection, lookup_transfer_v1
 
@@ -43,18 +45,6 @@ CONTRAVARIANT = Polarity.CONTRAVARIANT
 
 
 @dataclass(frozen=True)
-class TransferFailure:
-    """Structured failure of either engine.  `kind` is no-table-entry,
-    argument-mismatch or shape-mismatch (first engine) or no-derivation
-    (second engine)."""
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.message}"
-
-
-@dataclass(frozen=True)
 class AtomView:
     head: Term
     args: tuple[Term, ...]
@@ -65,16 +55,6 @@ def atom_view(env: GlobalEnv, formula: Term) -> AtomView:
     are kept folded so declared relations stay recognizable."""
     head, args = spine(whnf(env, formula, delta=False))
     return AtomView(head, tuple(args))
-
-
-@dataclass(frozen=True)
-class V1TraceStep:
-    case: str  # identity | atom | product-hypothesis | product-surjection | rewrite
-    detail: str
-    depth: int
-
-    def line(self) -> str:
-        return f"{'  ' * self.depth}{self.case} {self.detail}".rstrip()
 
 
 def subst_polarized(formula: Term, target: int, replacement: Term,
@@ -113,51 +93,33 @@ def build_rewrite(goal: Term, var_index: int, from_term: Term,
                Var(var_index), eq_proof)
 
 
-@dataclass(frozen=True)
-class _Failed:
-    """A failure inside the recursion: its kind, and its message as a thunk.
-    The outermost call renders it into a `TransferFailure`; a failure the
-    engine discards (a hypothesis direction that does not go through) is
-    never printed."""
-    kind: str
-    message: Callable[[], str]
-
-
 def exact_modulo(env: GlobalEnv, tables: DeclTables, ctx: LocalContext,
                  source: Term, target: Term, proof: Term,
-                 trace: list[V1TraceStep] | None = None,
+                 trace: list[TraceStep] | None = None,
                  _depth: int = 0) -> Term | TransferFailure:
     """Transfer `proof : source` into a proof of `target`, or fail.
 
     Case order: conversion short-circuit, then matching dependent products
     (hypothesis direction first, surjection second), then matching atoms
-    through the transfer-lemma table.  Trace details are printed only when
-    `trace` is given.  `_depth` is the engine's own: a recursive call
-    (`_depth > 0`) returns an unrendered failure.
+    through the transfer-lemma table.  `_depth` is the engine's own: the
+    nesting of the steps it appends to `trace`.
     """
     if convertible(env, ctx, source, target):
         if trace is not None:
-            trace.append(V1TraceStep("identity", "", _depth))
+            trace.append(TraceStep(_depth, "identity", ctx))
         return proof
 
     ws = whnf(env, source)
     wt = whnf(env, target)
+    if isinstance(ws, Pi) and isinstance(wt, Pi):
+        return _product_case(env, tables, ctx, ws, wt, proof, trace, _depth)
     if isinstance(ws, Pi) or isinstance(wt, Pi):
-        if not (isinstance(ws, Pi) and isinstance(wt, Pi)):
-            result = _Failed(
-                "shape-mismatch",
-                lambda: f"{print_term(source, env, ctx)} and "
-                        f"{print_term(target, env, ctx)} do not have the same "
-                        "shape")
-        else:
-            result = _product_case(env, tables, ctx, ws, wt, proof, trace,
-                                   _depth)
-    else:
-        result = _atom_case(env, tables, ctx, source, target, proof, trace,
-                            _depth)
-    if _depth == 0 and isinstance(result, _Failed):
-        return TransferFailure(result.kind, result.message())
-    return result
+        return TransferFailure(
+            "shape-mismatch",
+            lambda: f"{print_term(source, env, ctx)} and "
+                    f"{print_term(target, env, ctx)} do not have the same "
+                    "shape")
+    return _atom_case(env, tables, ctx, source, target, proof, trace, _depth)
 
 
 def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth):
@@ -169,44 +131,41 @@ def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth):
 
     # Hypothesis direction: turn the new variable (a proof of the target
     # domain) into a proof of the source domain.
-    sub_trace: list[V1TraceStep] | None = [] if trace is not None else None
+    sub_trace: list[TraceStep] | None = [] if trace is not None else None
     witness = exact_modulo(env, tables, ctx2, shift(dom_t, 1), shift(dom_s, 1),
                            Var(0), sub_trace, depth + 2)
-    if not isinstance(witness, _Failed):
+    if not isinstance(witness, TransferFailure):
         if trace is not None:
-            trace.append(V1TraceStep(
-                "product-hypothesis",
-                f"{binder} : {print_term(dom_t, env, ctx)}", depth))
+            trace.append(TraceStep(depth, "product-hypothesis", ctx,
+                                   (binder, " : ", dom_t)))
             trace.extend(sub_trace or [])
         inst_body = replace_var(body_s, 0, witness)
         rec = exact_modulo(env, tables, ctx2, inst_body, body_t,
                            App(lifted_proof, witness), trace, depth + 1)
-        if isinstance(rec, _Failed):
+        if isinstance(rec, TransferFailure):
             return rec
         return Lam(binder, dom_t, rec)
 
     entry = lookup_surjection(tables, env, dom_s, dom_t)
     if entry is None:
-        return _Failed(
+        return TransferFailure(
             "no-table-entry",
             lambda: f"no surjection declared for ({print_term(dom_s, env, ctx)}, "
                     f"{print_term(dom_t, env, ctx)})")
     if trace is not None:
-        trace.append(V1TraceStep(
-            "product-surjection", f"{binder} via {print_term(entry.fn, env)}",
-            depth))
+        trace.append(TraceStep(depth, "product-surjection", ctx,
+                               (binder, " via ", entry.fn)))
     g_var = App(shift(entry.inverse, 1), Var(0))
     fg_var = App(shift(entry.fn, 1), g_var)
     inst_body = replace_var(body_s, 0, g_var)
     subst_goal = subst_polarized(body_t, 0, fg_var, COVARIANT)
     rec = exact_modulo(env, tables, ctx2, inst_body, subst_goal,
                        App(lifted_proof, g_var), trace, depth + 1)
-    if isinstance(rec, _Failed):
+    if isinstance(rec, TransferFailure):
         return rec
     if trace is not None:
-        trace.append(V1TraceStep(
-            "rewrite", f"restore {binder} from {print_term(fg_var, env, ctx2)}",
-            depth))
+        trace.append(TraceStep(depth, "rewrite", ctx2,
+                               ("restore ", binder, " from ", fg_var)))
     eq_proof = App(shift(entry.proof, 1), Var(0))
     wrapped = build_rewrite(body_t, 0, fg_var, eq_proof, rec,
                             shift(entry.codomain, 1))
@@ -217,19 +176,19 @@ def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
     vs = atom_view(env, source)
     vt = atom_view(env, target)
     if len(vs.args) != len(vt.args):
-        return _Failed(
+        return TransferFailure(
             "shape-mismatch",
             lambda: f"atoms {print_term(source, env, ctx)} and "
                     f"{print_term(target, env, ctx)} have arities "
                     f"{len(vs.args)} and {len(vt.args)}")
     entry = lookup_transfer_v1(tables, env, vs.head, vt.head)
     if entry is None:
-        return _Failed(
+        return TransferFailure(
             "no-table-entry",
             lambda: f"no transfer lemma for ({print_term(vs.head, env, ctx)}, "
                     f"{print_term(vt.head, env, ctx)})")
     if entry.arity != len(vs.args):
-        return _Failed(
+        return TransferFailure(
             "shape-mismatch",
             lambda: f"transfer lemma for ({print_term(vs.head, env, ctx)}, "
                     f"{print_term(vt.head, env, ctx)}) expects {entry.arity} "
@@ -237,13 +196,11 @@ def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
     for i, (arg_s, arg_t) in enumerate(zip(vs.args, vt.args), start=1):
         image = App(entry.transfer_fn, arg_s)
         if not convertible(env, ctx, arg_t, image):
-            return _Failed(
+            return TransferFailure(
                 "argument-mismatch",
                 lambda: f"argument {i}: {print_term(arg_t, env, ctx)} is not "
                         f"{print_term(image, env, ctx)}")
     if trace is not None:
-        trace.append(V1TraceStep(
-            "atom", f"{print_term(entry.proof, env)} : "
-                    f"{print_term(vs.head, env, ctx)} to "
-                    f"{print_term(vt.head, env, ctx)}", depth))
+        trace.append(TraceStep(depth, "atom", ctx,
+                               (entry.proof, " : ", vs.head, " to ", vt.head)))
     return app(entry.proof, *vs.args, proof)

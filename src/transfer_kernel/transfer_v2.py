@@ -17,6 +17,9 @@ derivations, traces and proofs.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
+Each derived judgment is recorded as a `TraceStep` (rule, side terms,
+relation) and a failure as a `TransferFailure`; neither is printed here
+(see `outcome`).
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .kernel import (
     occurs_free, relation_types, replace_var, respectful_view, shift, spine,
     unshift, whnf,
 )
+from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
 from .tables import (  # invert_entry is also public API of this module
     DeclTables, SynthesisError, invert_entry, relation_entries,
 )
-from .transfer_v1 import TransferFailure
 
 
 # ---------------------------------------------------------------------------
@@ -70,48 +73,8 @@ class Judgment:
     proof: Term
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    rule: str  # Env | Table | Lambda | App | Forall | Arrow
-    ctx: LocalContext
-    lhs: Term
-    rhs: Term
-    relation: Term
-    via_inverse: bool = False
-    children: tuple["TraceNode", ...] = ()
-
-    def rule_label(self) -> str:
-        return f"{self.rule}-inv" if self.via_inverse else self.rule
-
-
-@dataclass(frozen=True)
-class DerivationTrace:
-    root: TraceNode
-
-    def lines(self, env: GlobalEnv) -> list[str]:
-        out: list[str] = []
-
-        def walk(node: TraceNode, depth: int) -> None:
-            lhs = print_term(node.lhs, env, node.ctx)
-            rhs = print_term(node.rhs, env, node.ctx)
-            rel = print_term(node.relation, env, node.ctx)
-            out.append(f"{'  ' * depth}{node.rule_label()} {lhs} ⇝[{rel}] {rhs}")
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
-        return out
-
-    def rules(self) -> list[str]:
-        out: list[str] = []
-
-        def walk(node: TraceNode) -> None:
-            out.append(node.rule_label())
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return out
+# A judgment and its derivation's steps, in pre-order.
+Derived = tuple[Judgment, tuple[TraceStep, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +205,7 @@ class _Synth:
 
     def synth(self, ctx: LocalContext, lhs: Term, rhs: Term,
               expect: RelExpectation,
-              depth: int = 0) -> tuple[Judgment, TraceNode] | None:
+              depth: int = 0) -> Derived | None:
         attempts: list[tuple[str, str]] = []
 
         def attempt(rule):
@@ -259,14 +222,16 @@ class _Synth:
         if normalized is not None:
             return normalized
 
-        env_result = attempt(lambda: self._rule_env(ctx, lhs, rhs, expect))
+        env_result = attempt(
+            lambda: self._rule_env(ctx, lhs, rhs, expect, depth))
         if env_result is not None:
-            return self._finish(env_result, depth)
+            return env_result
         attempts.append(("Env", "no hypothesis relates the two sides"))
 
-        table_result = attempt(lambda: self._rule_table(ctx, lhs, rhs, expect))
+        table_result = attempt(
+            lambda: self._rule_table(ctx, lhs, rhs, expect, depth))
         if table_result is not None:
-            return self._finish(table_result, depth)
+            return table_result
         attempts.append(("Table", "no matching entry (direct or inverted)"))
 
         app_result = attempt(
@@ -282,17 +247,21 @@ class _Synth:
         self.record_failure(depth, ctx, lhs, rhs, attempts)
         return None
 
-    def _finish(self, result: tuple[Judgment, TraceNode],
-                depth: int) -> tuple[Judgment, TraceNode]:
-        judgment, node = result
+    def _finish(self, judgment: Judgment, rule: str, depth: int,
+                below: tuple[TraceStep, ...] = (),
+                inverse: bool = False) -> Derived:
+        """The judgment with its step, followed by the steps of the
+        judgments it rests on (`below`)."""
         if self.diagnostics:
             stmt = app(judgment.relation, judgment.lhs, judgment.rhs)
             ok, diag = check_proof_report(self.env, judgment.ctx,
                                           judgment.proof, stmt)
             if not ok:
-                raise SynthesisError(
-                    f"unsound judgment at {node.rule}: {diag}")
-        return judgment, node
+                raise SynthesisError(f"unsound judgment at {rule}: {diag}")
+        step = TraceStep(depth, f"{rule}-inv" if inverse else rule,
+                         judgment.ctx, (judgment.lhs, " ⇝[", judgment.relation,
+                                        "] ", judgment.rhs))
+        return judgment, (step, *below)
 
     # Forall / Arrow -----------------------------------------------------------
 
@@ -313,11 +282,9 @@ class _Synth:
             sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
             if sub is None:
                 return None
-            judgment, node = sub
+            judgment, steps = sub
             wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
-            return self._finish(
-                (wrapped, TraceNode("Arrow", ctx, lhs, rhs, judgment.relation,
-                                    children=(node,))), depth)
+            return self._finish(wrapped, "Arrow", depth, steps)
         body_sort_l = self._sort_of(ctx.push(wl.name, wl.ty), wl.body)
         body_sort_r = self._sort_of(ctx.push(wr.name, wr.ty), wr.body)
         if body_sort_l == PROP and body_sort_r == PROP:
@@ -326,16 +293,14 @@ class _Synth:
             sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
             if sub is None:
                 return None
-            judgment, node = sub
+            judgment, steps = sub
             wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
-            return self._finish(
-                (wrapped, TraceNode("Forall", ctx, lhs, rhs, judgment.relation,
-                                    children=(node,))), depth)
+            return self._finish(wrapped, "Forall", depth, steps)
         return None
 
     # Env ----------------------------------------------------------------------
 
-    def _rule_env(self, ctx, lhs, rhs, expect):
+    def _rule_env(self, ctx, lhs, rhs, expect, depth):
         for i in range(len(ctx)):
             ty = ctx.type_of(i)
             head, args = spine(whnf(self.env, ty, delta=False))
@@ -348,20 +313,19 @@ class _Synth:
                 continue
             if not self.match(ctx, rel, expect):
                 continue
-            judgment = Judgment(ctx, lhs, rhs, rel, Var(i))
-            return judgment, TraceNode("Env", ctx, lhs, rhs, rel)
+            return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
+                                depth)
         return None
 
     # Table ----------------------------------------------------------------------
 
-    def _rule_table(self, ctx, lhs, rhs, expect):
+    def _rule_table(self, ctx, lhs, rhs, expect, depth):
         for entry, via_inverse in relation_entries(self.tables, self.env,
                                                    lhs, rhs):
             if self.match(ctx, entry.relation, expect):
                 judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
-                return judgment, TraceNode("Table", ctx, lhs, rhs,
-                                           entry.relation,
-                                           via_inverse=via_inverse)
+                return self._finish(judgment, "Table", depth,
+                                    inverse=via_inverse)
         return None
 
     # App ------------------------------------------------------------------------
@@ -383,21 +347,21 @@ class _Synth:
             if arg_sub is None:
                 attempts.append(("App", "argument pair is unrelatable"))
                 return None
-            arg_j, arg_node = arg_sub
+            arg_j, arg_steps = arg_sub
             fn_expect = RelArrow(Known(arg_j.relation), expect)
             fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
             if fn_sub is None:
                 attempts.append(("App", "function pair is unrelatable"))
                 return None
-            fn_j, fn_node = fn_sub
-            children = (arg_node, fn_node)
+            fn_j, fn_steps = fn_sub
+            steps = arg_steps + fn_steps
         else:
             fn_expect = RelArrow(self.fresh(), expect)
             fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
             if fn_sub is None:
                 attempts.append(("App", "function pair is unrelatable"))
                 return None
-            fn_j, fn_node = fn_sub
+            fn_j, fn_steps = fn_sub
             view = respectful_view(self.env, fn_j.relation)
             if view is None:
                 attempts.append(("App", "function relation is not a relator "
@@ -408,8 +372,8 @@ class _Synth:
             if arg_sub is None:
                 attempts.append(("App", "argument pair is unrelatable"))
                 return None
-            arg_j, arg_node = arg_sub
-            children = (fn_node, arg_node)
+            arg_j, arg_steps = arg_sub
+            steps = fn_steps + arg_steps
 
         view = respectful_view(self.env, fn_j.relation)
         if view is None:
@@ -418,9 +382,7 @@ class _Synth:
         result_rel = view[5]
         proof = app(fn_j.proof, arg_l, arg_r, arg_j.proof)
         judgment = Judgment(ctx, lhs, rhs, result_rel, proof)
-        return self._finish(
-            (judgment, TraceNode("App", ctx, lhs, rhs, result_rel,
-                                 children=children)), depth)
+        return self._finish(judgment, "App", depth, steps)
 
     # Lambda -----------------------------------------------------------------------
 
@@ -455,16 +417,14 @@ class _Synth:
         if sub is None:
             attempts.append(("Lambda", "bodies are unrelatable"))
             return None
-        body_j, body_node = sub
+        body_j, body_steps = sub
         proof = Lam(wl.name, wl.ty,
                     Lam(wr.name, shift(wr.ty, 1),
                         Lam(hyp_name,
                             app(shift(rel_dom, 2), Var(1), Var(0)),
                             body_j.proof)))
         judgment = Judgment(ctx, lhs, rhs, resolved, proof)
-        return self._finish(
-            (judgment, TraceNode("Lambda", ctx, lhs, rhs, resolved,
-                                 children=(body_node,))), depth)
+        return self._finish(judgment, "Lambda", depth, body_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +440,9 @@ def synth(env: GlobalEnv, tables: DeclTables, ctx: LocalContext, lhs: Term,
     result = engine.synth(ctx, lhs, rhs,
                           expect if expect is not None else engine.fresh())
     if result is None:
-        return TransferFailure("no-derivation", engine.failure_message())
-    judgment, node = result
-    return judgment, DerivationTrace(node)
+        return TransferFailure("no-derivation", engine.failure_message)
+    judgment, steps = result
+    return judgment, DerivationTrace(steps, env)
 
 
 def transfer_modulo(env: GlobalEnv, tables: DeclTables, thm_statement: Term,
@@ -501,6 +461,6 @@ def transfer_modulo(env: GlobalEnv, tables: DeclTables, thm_statement: Term,
     result = engine.synth(LocalContext(), thm_statement, goal,
                           Known(Const(IMPL)))
     if result is None:
-        return TransferFailure("no-derivation", engine.failure_message())
-    judgment, node = result
-    return App(judgment.proof, thm_proof), DerivationTrace(node)
+        return TransferFailure("no-derivation", engine.failure_message)
+    judgment, steps = result
+    return App(judgment.proof, thm_proof), DerivationTrace(steps, env)

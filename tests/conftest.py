@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from transfer_kernel import kernel
+from transfer_kernel import kernel, surface
 from transfer_kernel.kernel import SET, GlobalEnv, prelude_env
 from transfer_kernel.surface import parse_and_elaborate
 
@@ -49,6 +49,24 @@ def kernel_checks(monkeypatch):
         return admit(self, name, body, ty)
 
     monkeypatch.setattr(GlobalEnv, "add_definition", add_definition)
+    return calls
+
+
+@pytest.fixture
+def printer_calls(monkeypatch):
+    """Record the term of every `print_term` call made from now on, in
+    every package module that binds it."""
+    calls: list[object] = []
+    original = surface.print_term
+
+    def print_term(term, *args, **kwargs):
+        calls.append(term)
+        return original(term, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "transfer_kernel" \
+                and vars(module).get("print_term") is original:
+            monkeypatch.setattr(module, "print_term", print_term)
     return calls
 
 

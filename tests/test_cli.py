@@ -12,7 +12,7 @@ from transfer_kernel.cli import (
 from transfer_kernel.kernel import LocalContext, check_proof
 from transfer_kernel.surface import parse_and_elaborate
 
-from conftest import SCRIPTS, script_text
+from conftest import GOLDEN, SCRIPTS, script_text
 
 
 def run_text(text: str, **kwargs) -> tuple[int, object]:
@@ -243,6 +243,31 @@ def test_each_admitted_proof_is_checked_once(name, kernel_checks):
     (result,) = state.results
     assert [entry for entry, proof in kernel_checks
             if proof is result.proof] == ["add_definition"]
+
+
+def machine_trace(text: str) -> list[str]:
+    options = RunOptions(trace=True, fmt="machine")
+    state = execute_script(text, options)
+    (thm,) = json.loads(report(state, "machine", options))["theorems"]
+    return thm["trace"]
+
+
+def test_trace_is_printed_in_the_engine_environment():
+    # a later declaration of `z` must not rename the trace's binder `z`
+    golden = (GOLDEN / "v2_letrans_trace.txt").read_text(
+        encoding="utf-8").splitlines()
+    text = script_text("v2_letrans.tk") + "Parameter z : Prop.\n"
+    assert machine_trace(text) == golden
+
+
+def test_trace_is_printed_only_when_a_report_reads_it(printer_calls):
+    state = execute_script(script_text("v2_letrans.tk"))
+    report(state, "human")
+    assert printer_calls == []
+    golden = (GOLDEN / "v2_letrans_trace.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert machine_trace(script_text("v2_letrans.tk")) == golden
+    assert printer_calls
 
 
 def test_theorem_named_like_a_generated_encoding_name(tmp_path, capsys):

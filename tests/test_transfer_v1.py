@@ -8,13 +8,13 @@ from transfer_kernel.kernel import (
     App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
     convertible, shift,
 )
+from transfer_kernel.outcome import DerivationTrace, TransferFailure
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
     DeclTables, declare_surjection, declare_transfer_v1, lookup_surjection,
 )
 from transfer_kernel.transfer_v1 import (
-    COVARIANT, CONTRAVARIANT, TransferFailure, build_rewrite, exact_modulo,
-    subst_polarized,
+    COVARIANT, CONTRAVARIANT, build_rewrite, exact_modulo, subst_polarized,
 )
 
 from conftest import declare
@@ -232,29 +232,26 @@ def test_empty_set_transfer(empty_set_env):
     # the transported fact is applied at the section of the surjection
     assert isinstance(proof, Lam)
     assert "emptyA (g x')" in print_term(proof, env)
-    assert [s.case for s in trace] == ["product-surjection", "identity",
+    assert [s.rule for s in trace] == ["product-surjection", "identity",
                                        "rewrite"]
 
 
-def test_untraced_transfer_prints_nothing(empty_set_env, monkeypatch):
-    import transfer_kernel.transfer_v1 as v1
-    printed = []
-
-    def counting_print_term(*args, **kwargs):
-        printed.append(args[0])
-        return print_term(*args, **kwargs)
-
-    monkeypatch.setattr(v1, "print_term", counting_print_term)
+def test_untraced_transfer_prints_nothing(empty_set_env, printer_calls):
     env = empty_set_env
     tables = declare_surjection(DeclTables(), env, "f", "g", "surjf")
     goal = parse_and_elaborate(env, "∀ x' : A', False")
     proof = exact_modulo(env, tables, LocalContext(), env.type_of("emptyA"),
                          goal, Const("emptyA"))
     assert check_proof(env, LocalContext(), proof, goal)
-    assert printed == []
+    assert printer_calls == []
+    steps = []
     exact_modulo(env, tables, LocalContext(), env.type_of("emptyA"), goal,
-                 Const("emptyA"), [])
-    assert printed  # the trace details are still printed when asked for
+                 Const("emptyA"), steps)
+    assert steps and printer_calls == []  # recording a trace prints nothing
+    lines = DerivationTrace(tuple(steps), env).lines()
+    assert printer_calls  # reading it does
+    assert lines == ["product-surjection x' via f", "  identity",
+                     "rewrite restore x' from f (g x')"]
 
 
 @pytest.fixture
@@ -275,10 +272,10 @@ def test_transitivity_transfer(example2):
                          goal, Const("le_trans"), trace)
     assert not isinstance(proof, TransferFailure)
     assert check_proof(env, LocalContext(), proof, goal)
-    cases = [s.case for s in trace]
+    cases = [s.rule for s in trace]
     assert cases.count("product-surjection") == 3
     assert cases.count("rewrite") == 3
-    atoms = [s.detail.split()[0] for s in trace if s.case == "atom"]
+    atoms = [s.parts[0].name for s in trace if s.rule == "atom"]
     assert atoms == ["le_down", "le_down", "le_up"]
     assert cases.count("product-hypothesis") == 2
 

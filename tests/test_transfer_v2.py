@@ -15,13 +15,17 @@ from transfer_kernel.tables import (
     lookup_relation_v2, lookup_surjection, prefill_core,
     surjection_to_relational, table_key,
 )
-from transfer_kernel.transfer_v1 import TransferFailure
+from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.transfer_v2 import (
     Known, RelArrow, Unknown, invert_entry,
     match_relation, synth, transfer_modulo,
 )
 
 from conftest import declare
+
+
+def rules(trace):
+    return [step.rule for step in trace.steps]
 
 
 @pytest.fixture
@@ -146,7 +150,7 @@ def test_synth_env_rule(v2_env):
     result = synth(env, tables, ctx, Var(2), Var(1))
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
-    assert trace.root.rule == "Env"
+    assert trace.steps[0].rule == "Env"
     assert judgment.proof == Var(0)
     assert convertible(env, ctx, judgment.relation, Const("natN"))
 
@@ -159,7 +163,7 @@ def test_synth_all_table_rule(v2_env):
                    expect)
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
-    assert trace.root.rule == "Table"
+    assert trace.steps[0].rule == "Table"
     assert convertible(env, LocalContext(), judgment.relation,
                        parse_and_elaborate(env, "(natN ##> impl) ##> impl"))
 
@@ -170,7 +174,7 @@ def test_synth_impl_prefill_solves_both_holes(v2_env):
     result = synth(env, tables, LocalContext(), Const(IMPL), Const(IMPL), expect)
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
-    assert trace.root.rule == "Table"
+    assert trace.steps[0].rule == "Table"
     assert print_term(judgment.relation, env) == "impl⁻¹ ##> impl ##> impl"
 
 
@@ -212,35 +216,28 @@ def test_worked_derivation_proof_checks(worked):
 
 def test_worked_derivation_rule_sequence(worked):
     env, _, _, (_, trace) = worked
-    rules = trace.rules()
+    names = rules(trace)
     # the showcased subsequence appears in order
-    it = iter(rules)
+    it = iter(names)
     assert all(any(r == want for r in it) for want in WORKED_DERIVATION_RULES)
     # per-quantifier structure: three Forall/App/Table/Lambda rounds
-    assert rules[:4] == ["Forall", "App", "Table", "Lambda"]
-    assert rules.count("Forall") == 3
-    assert rules.count("Lambda") == 3
-    assert rules.count("Table-inv") == 2
-    assert rules.count("Arrow") == 2
+    assert names[:4] == ["Forall", "App", "Table", "Lambda"]
+    assert names.count("Forall") == 3
+    assert names.count("Lambda") == 3
+    assert names.count("Table-inv") == 2
+    assert names.count("Arrow") == 2
 
 
 def test_worked_derivation_hypotheses_via_inverse(worked):
     env, _, _, (_, trace) = worked
-
-    def collect(node, acc):
-        acc.append(node)
-        for c in node.children:
-            collect(c, acc)
-        return acc
-
-    nodes = collect(trace.root, [])
-    inv_nodes = [n for n in nodes if n.via_inverse]
-    assert len(inv_nodes) == 2
-    for n in inv_nodes:
-        assert n.lhs == Const("le") and n.rhs == Const("N.le")
-        assert print_term(n.relation, env, n.ctx) == "natN ##> natN ##> impl⁻¹"
-    direct = [n for n in nodes if n.rule == "Table" and not n.via_inverse
-              and n.lhs == Const("le")]
+    inv_steps = [s for s in trace.steps if s.rule == "Table-inv"]
+    assert len(inv_steps) == 2
+    for s in inv_steps:
+        lhs, _, relation, _, rhs = s.parts
+        assert lhs == Const("le") and rhs == Const("N.le")
+        assert print_term(relation, env, s.ctx) == "natN ##> natN ##> impl⁻¹"
+    direct = [s for s in trace.steps
+              if s.rule == "Table" and s.parts[0] == Const("le")]
     assert len(direct) == 1  # the conclusion atom uses the direct entry
 
 
@@ -250,7 +247,7 @@ def test_engine_checks_only_under_diagnostics(v2_env, kernel_checks):
         env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
     proof, trace = transfer_modulo(env, tables, env.type_of("le_trans"), goal,
                                    Const("le_trans"))
-    assert "Table-inv" in trace.rules()
+    assert "Table-inv" in rules(trace)
     assert kernel_checks == []
     transfer_modulo(env, tables, env.type_of("le_trans"), goal,
                     Const("le_trans"), diagnostics=True)
@@ -289,8 +286,8 @@ def test_determinism_and_replay(v2_env):
     proof1, trace1 = first
     proof2, trace2 = second
     assert proof1 == proof2
-    assert trace1.lines(env) == trace2.lines(env)
-    assert trace1.rules() == trace2.rules()
+    assert trace1.lines() == trace2.lines()
+    assert rules(trace1) == rules(trace2)
 
 
 def test_v1_v2_agreement(v2_env):
@@ -313,18 +310,13 @@ def test_v1_v2_agreement(v2_env):
 
 
 def test_every_trace_relation_is_meta_free(worked):
+    from transfer_kernel.kernel import infer_type
     env, _, _, (_, trace) = worked
-
-    def walk(node):
+    assert trace.steps
+    for step in trace.steps:
         # relations and judgments contain only kernel terms; inferring their
         # type would fail on any leftover metavariable marker
-        from transfer_kernel.kernel import infer_type
-        infer_type(env, node.ctx, node.relation)
-        yield node
-        for c in node.children:
-            yield from walk(c)
-
-    assert sum(1 for _ in walk(trace.root)) == len(trace.rules())
+        infer_type(env, step.ctx, step.parts[2])
 
 
 def test_identity_judgment_from_env_hypotheses():
@@ -345,7 +337,7 @@ def test_identity_judgment_from_env_hypotheses():
                    diagnostics=True)
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
-    assert trace.rules() == ["App", "Env", "Table"]
+    assert rules(trace) == ["App", "Env", "Table"]
     assert check_proof(env, ctx, judgment.proof,
                        app(judgment.relation, lhs, rhs))
 
@@ -360,15 +352,30 @@ def test_lambda_rule_requires_syntactic_functions(v2_env):
     assert isinstance(result, TransferFailure)
 
 
-def test_failed_attempts_do_not_leak_solutions():
-    # a dead-end table match must not pin metavariables for later rules,
-    # and an underivable identity goal must fail finitely
+def underivable_identity():
     env = prelude_env()
     env = env.add_parameter("nat", SET)
     env = declare(env, "parameter", "P", "nat → Prop")
     env = declare(env, "axiom", "thm", "∀ x : nat, P x → P x")
     tables = prefill_core(DeclTables(), env)
     goal = parse_and_elaborate(env, "∀ x : nat, P x → P x")
-    result = transfer_modulo(env, tables, env.type_of("thm"), goal,
-                             Const("thm"))
+    return transfer_modulo(env, tables, env.type_of("thm"), goal,
+                           Const("thm"))
+
+
+def test_failed_attempts_do_not_leak_solutions():
+    # a dead-end table match must not pin metavariables for later rules,
+    # and an underivable identity goal must fail finitely
+    assert isinstance(underivable_identity(), TransferFailure)
+
+
+def test_failure_message_is_printed_once_when_first_read(printer_calls):
+    result = underivable_identity()
     assert isinstance(result, TransferFailure)
+    assert printer_calls == []
+    message = result.message
+    printed = len(printer_calls)
+    assert printed > 0 and "cannot relate" in message
+    assert result.message == message
+    assert len(printer_calls) == printed
+
