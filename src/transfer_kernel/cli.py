@@ -305,10 +305,14 @@ def run_script(path: str, options: RunOptions = RunOptions(),
     """Execute the script at path and print a report; returns the exit code."""
     out = out if out is not None else sys.stdout
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_SCRIPT_ERROR
+    except UnicodeDecodeError as e:
+        print(f"error: {path}: not valid UTF-8 (byte 0x{e.object[e.start]:02x} "
+              f"at offset {e.start}: {e.reason})", file=sys.stderr)
         return EXIT_SCRIPT_ERROR
     state = execute_script(text, options)
     try:

@@ -15,8 +15,9 @@ an elaboration error rather than guessed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
@@ -51,8 +52,7 @@ class ElabError(SurfaceError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "sym" | "eof"
     value: str
     line: int
@@ -69,66 +69,69 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in ("_", "'")
+# One match per token: the whitespace before it, then a comment opening, a
+# symbol (longest first, and before names, since λ is alphabetic) or a name.
+# `\s` is `str.isspace` and `[\w']` is a name character (`str.isalnum`, `_`
+# or `'`).  `[^\W\d]` also admits numerals such as `²` that `str.isalpha`
+# rejects, so `tokenize` checks where each name segment starts.
+_TOKEN = re.compile(
+    r"\s*(?:(\(\*)|(" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|([^\W\d][\w']*(?:\.(?!λ)[^\W\d][\w']*)*))?")
+_COMMENT, _SYMBOL, _NAME = 1, 2, 3
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+
+
+def _qualified_prefix(name: str) -> str:
+    """The longest prefix of name whose `.`-segments all start a name: a
+    qualified name such as N.le, but `a` from `a.²`."""
+    head, *segments = name.split(".")
+    for segment in segments:
+        if not _is_ident_start(segment[0]):
+            break
+        head += "." + segment
+    return head
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based positions, ending in one "eof" token.  Columns
+    count code points, and only a line feed ends a line."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance(1)
-            continue
-        if text.startswith("(*", i):
-            depth, start_line, start_col = 1, line, col
-            advance(2)
-            while i < n and depth:
-                if text.startswith("(*", i):
-                    depth += 1
-                    advance(2)
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    advance(2)
-                else:
-                    advance(1)
-            if depth:
-                raise ParseError("unterminated comment", start_line, start_col)
-            continue
-        # symbols first: λ counts as alphabetic, so it must not start a name
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                advance(len(sym))
-                break
+    match = _TOKEN.match
+    pos = counted = 0  # line ends are counted in text[:counted]
+    line, line_start = 1, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastindex
+        start = m.start(kind) if kind else m.end()
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted, col = start, start - line_start + 1
+        if kind == _SYMBOL:
+            toks.append(Token("sym", m.group(kind), line, col))
+            pos = m.end()
+        elif kind == _NAME:
+            name = m.group(kind)
+            if not _is_ident_start(name[0]):
+                raise ParseError(f"unknown character {name[0]!r}", line, col)
+            if "." in name:
+                name = _qualified_prefix(name)
+            toks.append(Token("ident", name, line, col))
+            pos = start + len(name)
+        elif kind == _COMMENT:
+            depth, pos = 1, m.end()
+            while depth:
+                mark = _COMMENT_MARK.search(text, pos)
+                if mark is None:
+                    raise ParseError("unterminated comment", line, col)
+                depth += 1 if mark.group() == "(*" else -1
+                pos = mark.end()
+        elif start < len(text):
+            raise ParseError(f"unknown character {text[start]!r}", line, col)
         else:
-            if not _is_ident_start(c):
-                raise ParseError(f"unknown character {c!r}", line, col)
-            start, sl, sc = i, line, col
-            while i < n:
-                if _is_ident_char(text[i]):
-                    advance(1)
-                elif text[i] == "." and i + 1 < n and _is_ident_start(text[i + 1]) \
-                        and text[i + 1] != "λ":
-                    advance(1)  # qualified-looking name such as N.le
-                else:
-                    break
-            toks.append(Token("ident", text[start:i], sl, sc))
-    toks.append(Token("eof", "", line, col))
-    return toks
+            toks.append(Token("eof", "", line, col))
+            return toks
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +203,46 @@ PreTerm = PRef | PSort | PApp | PLam | PPi | PArrow | PEq | PResp | PInv
 
 
 class _TokenStream:
+    """The parser's cursor: `pos` indexes `toks` and never passes the final
+    "eof" token, so `peek` needs no bounds check."""
+
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at_sym(self, *values: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "sym" and t.value in values
 
     def at_ident(self, *values: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "ident" and (not values or t.value in values)
 
     def expect_sym(self, value: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "sym" or t.value != value:
             raise ParseError(f"expected '{value}', found '{t.value or 'end of input'}'",
                              t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_ident(self, *values: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "ident" or (values and t.value not in values):
             what = " or ".join(f"'{v}'" for v in values) if values else "identifier"
             raise ParseError(f"expected {what}, found '{t.value or 'end of input'}'",
                              t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t
 
 
 def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], ...]:
@@ -541,17 +549,20 @@ class _Elaborator:
     # -- metavariable bookkeeping ------------------------------------------
 
     def resolve(self, t: Term) -> Term:
-        """Replace solved metas, leaving unsolved ones in place."""
+        """Replace solved metas, leaving unsolved ones in place.  A subterm
+        in which nothing is replaced is returned as it is, not copied."""
+        if not self.solutions:
+            return t
         match t:
             case Meta(i):
                 sol = self.solutions.get(i)
                 return self.resolve(sol) if sol is not None else t
             case App(f, a):
-                return App(self.resolve(f), self.resolve(a))
-            case Lam(x, ty, b):
-                return Lam(x, self.resolve(ty), self.resolve(b))
-            case Pi(x, ty, b):
-                return Pi(x, self.resolve(ty), self.resolve(b))
+                f2, a2 = self.resolve(f), self.resolve(a)
+                return t if f2 is f and a2 is a else App(f2, a2)
+            case Lam(x, ty, b) | Pi(x, ty, b):
+                ty2, b2 = self.resolve(ty), self.resolve(b)
+                return t if ty2 is ty and b2 is b else type(t)(x, ty2, b2)
             case _:
                 return t
 

@@ -40,6 +40,25 @@ def test_missing_file_is_script_error(capsys):
     assert run_script("does_not_exist.tk") == EXIT_SCRIPT_ERROR
 
 
+def test_script_that_is_not_utf8_is_script_error(tmp_path, capsys):
+    from transfer_kernel.cli import main
+    path = tmp_path / "latin1.tk"
+    path.write_bytes(b"Parameter A : Set.\n(* caf\xe9 *)\n")
+    assert main(["run", str(path)]) == EXIT_SCRIPT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: not valid UTF-8 (byte 0xe9 at "
+                            "offset 25: invalid continuation byte)\n")
+
+
+def test_script_with_byte_order_mark_runs(tmp_path, capsys):
+    from transfer_kernel.cli import main
+    path = tmp_path / "bom.tk"
+    path.write_bytes(b"\xef\xbb\xbf" + (SCRIPTS / "example1.tk").read_bytes())
+    assert main(["run", str(path)]) == EXIT_OK
+    assert "emptyA' : proved" in capsys.readouterr().out
+
+
 def test_failed_transfer_gives_exit_one():
     code, state = run_text(script_text("zn_missing.tk"))
     assert code == EXIT_PROOF_FAILURE

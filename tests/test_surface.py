@@ -9,8 +9,8 @@ from transfer_kernel.kernel import (
 )
 from transfer_kernel.surface import (
     CmdAxiom, CmdDeclareSurjection, CmdDefinition, CmdParameter, CmdTheorem,
-    EXACT_MODULO, ElabError, ParseError, parse_and_elaborate,
-    parse_script, parse_term, print_term,
+    EXACT_MODULO, ElabError, ParseError, _Elaborator,
+    parse_and_elaborate, parse_script, parse_term, print_term, tokenize,
 )
 
 from conftest import script_text
@@ -97,9 +97,37 @@ def test_at_prefix_gives_explicit_constant(env):
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_term("∀ x : A, (False")
-    assert err.value.line == 1 and err.value.col > 0
-    with pytest.raises(ParseError, match="unknown character"):
+    assert (err.value.line, err.value.col) == (1, 16)
+    with pytest.raises(ParseError, match="unknown character") as err:
         parse_term("a % b")
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("(* outer (* inner\n  *) still\n*)  %", "unknown character '%'", 3, 5),
+    ("x\n  (* (* *)\n", "unterminated comment", 2, 3),
+    ("A\r\n %", "unknown character '%'", 2, 2),
+    ("a\t%", "unknown character '%'", 1, 3),
+    ("a.²", "unknown character '²'", 1, 3),
+    ("a.b.½", "unknown character '½'", 1, 5),
+])
+def test_lexer_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("A\r\n\r\n  B", [("ident", "A", 1, 1), ("ident", "B", 3, 3),
+                     ("eof", "", 3, 4)]),
+    ("\tx", [("ident", "x", 1, 2), ("eof", "", 1, 3)]),
+    ("x.λ", [("ident", "x", 1, 1), ("sym", ".", 1, 2), ("sym", "λ", 1, 3),
+             ("eof", "", 1, 4)]),
+])
+def test_token_positions(text, tokens):
+    """Only a line feed ends a line; a carriage return or a tab is one
+    column; a qualified name never resumes at λ."""
+    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(text)] == tokens
 
 
 def test_unknown_identifier_is_elab_error(env):
@@ -117,6 +145,34 @@ def test_binder_type_inference_in_definitions(env):
 def test_uninferable_binder_is_an_error(env):
     with pytest.raises(ElabError):
         parse_and_elaborate(env, "fun a => a")
+
+
+def test_resolution_returns_meta_free_terms_as_they_are(env):
+    el = _Elaborator(env)
+    t = parse_and_elaborate(env, "∀ x : nat, le x x → fun y : N => N.le y y")
+    assert el.resolve(t) is t
+    assert el.zonk(t) is t
+    el.solutions[el.fresh().id] = Const("nat")  # a meta that t does not hold
+    assert el.resolve(t) is t
+    assert el.zonk(t) is t
+    assert el.head_normal(t) is t
+
+
+def test_resolution_substitutes_solved_metas_only(env):
+    el = _Elaborator(env)
+    m1, m2, m3 = el.fresh(), el.fresh(), el.fresh()
+    closed = App(Const("le"), Const("x0"))
+    t = Pi("x", m1, App(App(Const("le"), Var(0)), m3))
+    tail = Lam("y", m3, closed)
+    el.solutions[m1.id] = m2  # solved through a chain
+    el.solutions[m2.id] = Const("nat")
+    got = el.resolve(App(t, tail))
+    assert got == App(Pi("x", Const("nat"), App(App(Const("le"), Var(0)), m3)),
+                      tail)
+    assert got.arg is tail and got.fn.body.arg is m3
+    assert el.resolve(m3) is m3
+    with pytest.raises(ElabError, match="cannot infer"):
+        el.zonk(t)
 
 
 # --- script parsing -------------------------------------------------------------
