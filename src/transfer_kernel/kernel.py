@@ -16,6 +16,14 @@ largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
 construction and ignored by equality, hashing and printing.  The
 traversals below return a subterm untouched when `lbr` shows that no index
 they rewrite can occur in it, so a new term class must define `lbr` too.
+
+The hot traversals dispatch on the exact class, `type(t) is App`, most
+frequent class first, rather than with `match`, which costs an
+`isinstance` test and attribute reads per case tried.  So the term classes
+must stay final: an instance of a subclass would take the default branch,
+as the elaborator's `Meta` does.  `infer_type` reports where a term is ill
+typed by a path from the root; each node adds its component while the
+error unwinds, so a check that succeeds builds no path.
 """
 
 from __future__ import annotations
@@ -175,17 +183,14 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index >= cutoff."""
     if t.lbr <= cutoff or by == 0:
         return t
-    match t:
-        case Var(i):
-            return Var(i + by)
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Lam(x, ty, body):
-            return Lam(x, shift(ty, by, cutoff), shift(body, by, cutoff + 1))
-        case Pi(x, ty, body):
-            return Pi(x, shift(ty, by, cutoff), shift(body, by, cutoff + 1))
-        case _:
-            return t
+    cls = type(t)
+    if cls is Var:
+        return Var(t.index + by)
+    if cls is App:
+        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
+    if cls is Pi or cls is Lam:
+        return cls(t.name, shift(t.ty, by, cutoff), shift(t.body, by, cutoff + 1))
+    return t
 
 
 def substitute(body: Term, target: int, replacement: Term) -> Term:
@@ -197,19 +202,16 @@ def substitute(body: Term, target: int, replacement: Term) -> Term:
     def go(t: Term, depth: int) -> Term:
         if t.lbr <= target + depth:
             return t
-        match t:
-            case Var(i):
-                if i == target + depth:
-                    return shift(replacement, depth)
-                return Var(i - 1)
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Lam(x, ty, b):
-                return Lam(x, go(ty, depth), go(b, depth + 1))
-            case Pi(x, ty, b):
-                return Pi(x, go(ty, depth), go(b, depth + 1))
-            case _:
-                return t
+        cls = type(t)
+        if cls is Var:
+            if t.index == target + depth:
+                return shift(replacement, depth)
+            return Var(t.index - 1)
+        if cls is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if cls is Pi or cls is Lam:
+            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
+        return t
 
     return go(body, 0)
 
@@ -231,18 +233,15 @@ def instantiate(body: Term, args: list[Term]) -> Term:
     def go(t: Term, depth: int) -> Term:
         if t.lbr <= depth:
             return t
-        match t:
-            case Var(i):
-                j = i - depth
-                return shift(rev[j], depth) if j < k else Var(i - k)
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Lam(x, ty, b):
-                return Lam(x, go(ty, depth), go(b, depth + 1))
-            case Pi(x, ty, b):
-                return Pi(x, go(ty, depth), go(b, depth + 1))
-            case _:
-                return t
+        cls = type(t)
+        if cls is Var:
+            j = t.index - depth
+            return shift(rev[j], depth) if j < k else Var(t.index - k)
+        if cls is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if cls is Pi or cls is Lam:
+            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
+        return t
 
     return go(body, 0)
 
@@ -252,19 +251,16 @@ def replace_var(t: Term, target: int, replacement: Term) -> Term:
     def go(t: Term, depth: int) -> Term:
         if t.lbr <= target + depth:
             return t
-        match t:
-            case Var(i):
-                if i == target + depth:
-                    return shift(replacement, depth)
-                return t
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Lam(x, ty, b):
-                return Lam(x, go(ty, depth), go(b, depth + 1))
-            case Pi(x, ty, b):
-                return Pi(x, go(ty, depth), go(b, depth + 1))
-            case _:
-                return t
+        cls = type(t)
+        if cls is Var:
+            if t.index == target + depth:
+                return shift(replacement, depth)
+            return t
+        if cls is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if cls is Pi or cls is Lam:
+            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
+        return t
 
     return go(t, 0)
 
@@ -272,15 +268,14 @@ def replace_var(t: Term, target: int, replacement: Term) -> Term:
 def occurs_free(t: Term, target: int) -> bool:
     if t.lbr <= target:
         return False
-    match t:
-        case Var(i):
-            return i == target
-        case App(f, a):
-            return occurs_free(f, target) or occurs_free(a, target)
-        case Lam(_, ty, b) | Pi(_, ty, b):
-            return occurs_free(ty, target) or occurs_free(b, target + 1)
-        case _:
-            return False
+    cls = type(t)
+    if cls is App:
+        return occurs_free(t.fn, target) or occurs_free(t.arg, target)
+    if cls is Var:
+        return t.index == target
+    if cls is Pi or cls is Lam:
+        return occurs_free(t.ty, target) or occurs_free(t.body, target + 1)
+    return False
 
 
 def max_free_index(t: Term) -> int:
@@ -405,18 +400,21 @@ def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
     """Weak head normal form: beta steps plus (if delta) head unfolding
     of definitions.  Parameters and axioms never unfold."""
     while True:
-        head, args = spine(t)
-        if isinstance(head, Lam) and args:
+        head = t
+        while type(head) is App:
+            head = head.fn
+        if type(head) is Lam and head is not t:
             # Peel every leading binder that has an argument; one pass.
+            head, args = spine(t)
             k = 0
-            while k < len(args) and isinstance(head, Lam):
+            while k < len(args) and type(head) is Lam:
                 head = head.body
                 k += 1
             t = app(instantiate(head, args[:k]), *args[k:])
-        elif delta and isinstance(head, Const) and env.is_definition(head.name):
+        elif delta and type(head) is Const and env.is_definition(head.name):
             body = env.body_of(head.name)
             assert body is not None
-            t = app(body, *args)
+            t = app(body, *spine(t)[1])
         else:
             return t
 
@@ -424,15 +422,12 @@ def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
 def normalize(env: GlobalEnv, t: Term) -> Term:
     """Full beta-delta normal form.  Used for table keys."""
     t = whnf(env, t)
-    match t:
-        case App(f, a):
-            return App(normalize(env, f), normalize(env, a))
-        case Lam(x, ty, b):
-            return Lam(x, normalize(env, ty), normalize(env, b))
-        case Pi(x, ty, b):
-            return Pi(x, normalize(env, ty), normalize(env, b))
-        case _:
-            return t
+    cls = type(t)
+    if cls is App:
+        return App(normalize(env, t.fn), normalize(env, t.arg))
+    if cls is Pi or cls is Lam:
+        return cls(t.name, normalize(env, t.ty), normalize(env, t.body))
+    return t
 
 
 def subsumes(env: GlobalEnv, ctx: LocalContext, have: Term, want: Term) -> bool:
@@ -440,7 +435,7 @@ def subsumes(env: GlobalEnv, ctx: LocalContext, have: Term, want: Term) -> bool:
     accepted where Type is expected (so `eq A'` checks when A' : Set)."""
     if convertible(env, ctx, have, want):
         return True
-    return isinstance(whnf(env, have), Sort) and whnf(env, want) == TYPE
+    return type(whnf(env, have)) is Sort and whnf(env, want) == TYPE
 
 
 def convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
@@ -449,90 +444,120 @@ def convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
         return True
     a = whnf(env, a)
     b = whnf(env, b)
-    match a, b:
-        case Sort(sa), Sort(sb):
-            return sa == sb
-        case Var(i), Var(j):
-            return i == j
-        case Const(m), Const(n):
-            return m == n
-        case App(f, x), App(g, y):
-            return convertible(env, ctx, f, g) and convertible(env, ctx, x, y)
-        case Lam(_, ta, ba), Lam(_, tb, bb):
-            return convertible(env, ctx, ta, tb) and convertible(env, ctx, ba, bb)
-        case Pi(_, ta, ba), Pi(_, tb, bb):
-            return convertible(env, ctx, ta, tb) and convertible(env, ctx, ba, bb)
-        case _:
-            return False
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Pi or cls is Lam:
+        return (convertible(env, ctx, a.ty, b.ty)
+                and convertible(env, ctx, a.body, b.body))
+    if cls is App:
+        return (convertible(env, ctx, a.fn, b.fn)
+                and convertible(env, ctx, a.arg, b.arg))
+    if cls is Const:
+        return a.name == b.name
+    if cls is Var:
+        return a.index == b.index
+    if cls is Sort:
+        return a.tag == b.tag
+    return False
 
 
 # ---------------------------------------------------------------------------
 # Type inference
 # ---------------------------------------------------------------------------
 
-def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term,
-               _path: tuple[str, ...] = ()) -> Term:
+def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
     """Type of t, or TypeCheckError with a path to the failing subterm.
 
     Sorts: Prop : Type, Set : Type, Type : Type.  Products take the sort
-    of the codomain, which makes Prop impredicative.
+    of the codomain, which makes Prop impredicative.  An error's `path` is
+    relative to the node that raised it; each enclosing node prepends its
+    own component as the error passes, so a check that succeeds builds no
+    path at all.
     """
-    match t:
-        case Sort(_):
-            return TYPE
-        case Var(i):
-            if i >= len(ctx):
-                raise TypeCheckError(f"unbound variable index {i}", _path)
-            return ctx.type_of(i)
-        case Const(name):
-            try:
-                return env.type_of(name)
-            except UnboundName as e:
-                raise TypeCheckError(str(e), _path) from None
-        case Lam(x, ty, body):
-            s = whnf(env, infer_type(env, ctx, ty, _path + ("binder-type",)))
-            if not isinstance(s, Sort):
-                raise TypeCheckError(
-                    f"binder type {ty!r} is not a type", _path + ("binder-type",))
-            body_ty = infer_type(env, ctx.push(x, ty), body, _path + ("body",))
-            return Pi(x, ty, body_ty)
-        case App():
-            # Walk the spine h a1 .. an once.  `ty` is the pending type under
-            # the binders of the arguments in `done`, which are instantiated
-            # only where a domain or the result is needed.
-            head, args = spine(t)
-            n = len(args)
-            ty = infer_type(env, ctx, head, _path + ("fn",) * n)
-            done: list[Term] = []
-            for i, a in enumerate(args):
-                node_path = _path + ("fn",) * (n - 1 - i)  # the App applying a
-                if not isinstance(ty, Pi):
-                    ty = whnf(env, instantiate(ty, done))
-                    done = []
-                    if not isinstance(ty, Pi):
-                        raise TypeCheckError(
-                            f"applied term has non-function type {ty!r}",
-                            node_path + ("fn",))
-                arg_ty = infer_type(env, ctx, a, node_path + ("arg",))
-                dom = instantiate(ty.ty, done)
-                if not subsumes(env, ctx, arg_ty, dom):
+    cls = type(t)
+    if cls is Var:
+        i = t.index
+        if i >= len(ctx):
+            raise TypeCheckError(f"unbound variable index {i}")
+        return ctx.type_of(i)
+    if cls is Const:
+        try:
+            return env.type_of(t.name)
+        except UnboundName as e:
+            raise TypeCheckError(str(e)) from None
+    if cls is App:
+        # Walk the spine h a1 .. an once.  `ty` is the pending type under
+        # the binders of the arguments in `done`, which are instantiated
+        # only where a domain or the result is needed.
+        head, args = spine(t)
+        n = len(args)
+        try:
+            ty = infer_type(env, ctx, head)
+        except TypeCheckError as e:
+            e.path = ("fn",) * n + e.path
+            raise
+        done: list[Term] = []
+        for i, a in enumerate(args):
+            # ("fn",) * (n - 1 - i) leads from t to the App applying a.
+            if type(ty) is not Pi:
+                ty = whnf(env, instantiate(ty, done))
+                done = []
+                if type(ty) is not Pi:
                     raise TypeCheckError(
-                        f"argument type {arg_ty!r} does not match domain {dom!r}",
-                        node_path + ("arg",))
-                done.append(a)
-                ty = ty.body
-            return instantiate(ty, done)
-        case Pi(x, ty, body):
-            s1 = whnf(env, infer_type(env, ctx, ty, _path + ("domain",)))
-            if not isinstance(s1, Sort):
+                        f"applied term has non-function type {ty!r}",
+                        ("fn",) * (n - i))
+            try:
+                arg_ty = infer_type(env, ctx, a)
+            except TypeCheckError as e:
+                e.path = ("fn",) * (n - 1 - i) + ("arg",) + e.path
+                raise
+            dom = instantiate(ty.ty, done)
+            if not subsumes(env, ctx, arg_ty, dom):
                 raise TypeCheckError(
-                    f"product domain {ty!r} is not a type", _path + ("domain",))
-            s2 = whnf(env, infer_type(env, ctx.push(x, ty), body, _path + ("codomain",)))
-            if not isinstance(s2, Sort):
-                raise TypeCheckError(
-                    f"product codomain {body!r} is not a type", _path + ("codomain",))
-            return s2
-    raise TypeCheckError(f"unrecognized term {t!r}", _path)
+                    f"argument type {arg_ty!r} does not match domain {dom!r}",
+                    ("fn",) * (n - 1 - i) + ("arg",))
+            done.append(a)
+            ty = ty.body
+        return instantiate(ty, done)
+    if cls is Pi:
+        ty, body = t.ty, t.body
+        try:
+            s1 = whnf(env, infer_type(env, ctx, ty))
+        except TypeCheckError as e:
+            e.path = ("domain",) + e.path
+            raise
+        if type(s1) is not Sort:
+            raise TypeCheckError(
+                f"product domain {ty!r} is not a type", ("domain",))
+        try:
+            s2 = whnf(env, infer_type(env, ctx.push(t.name, ty), body))
+        except TypeCheckError as e:
+            e.path = ("codomain",) + e.path
+            raise
+        if type(s2) is not Sort:
+            raise TypeCheckError(
+                f"product codomain {body!r} is not a type", ("codomain",))
+        return s2
+    if cls is Lam:
+        x, ty = t.name, t.ty
+        try:
+            s = whnf(env, infer_type(env, ctx, ty))
+        except TypeCheckError as e:
+            e.path = ("binder-type",) + e.path
+            raise
+        if type(s) is not Sort:
+            raise TypeCheckError(
+                f"binder type {ty!r} is not a type", ("binder-type",))
+        try:
+            body_ty = infer_type(env, ctx.push(x, ty), t.body)
+        except TypeCheckError as e:
+            e.path = ("body",) + e.path
+            raise
+        return Pi(x, ty, body_ty)
+    if cls is Sort:
+        return TYPE
+    raise TypeCheckError(f"unrecognized term {t!r}")
 
 
 def check_proof_report(env: GlobalEnv, ctx: LocalContext, proof: Term,

@@ -568,7 +568,8 @@ class _Elaborator:
 
     def zonk(self, t: Term, line: int = 0, col: int = 0) -> Term:
         t = self.resolve(t)
-        if self._has_meta(t):
+        # Only `fresh` makes a Meta, so without one there is nothing to find.
+        if self._next and self._has_meta(t):
             raise ElabError("cannot infer an implicit argument or binder type",
                             line, col)
         return t

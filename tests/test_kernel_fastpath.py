@@ -1,19 +1,40 @@
-"""The kernel's de Bruijn fast paths against naive full traversals.
+"""The kernel's fast paths against reference implementations.
 
 Every term caches its loose-bound-variable range (`lbr`), which lets the
 kernel skip closed subterms, and `instantiate` discharges several binders
-in one pass.  The references below visit every node and discharge one
-binder at a time, as the kernel did before either shortcut existed.
+in one pass.  The naive references below visit every node and discharge
+one binder at a time, as the kernel did before either shortcut existed.
+
+The kernel also dispatches on the exact class of a term (`type(t) is App`)
+instead of structural pattern matching, and `infer_type` builds an error's
+path only while the error unwinds.  The `ref_*` references are the
+`match`-based reduction, conversion and inference the kernel used before,
+with the path passed down to every node; they discharge binders with
+`naive_instantiate`.
 """
 
-from hypothesis import given, settings, strategies as st
+import importlib
+import pkgutil
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import transfer_kernel
+from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
-    PROP, SET, App, Const, Lam, Pi, Sort, Term, Var, app, instantiate,
-    max_free_index, occurs_free, prelude_env, replace_var, shift, substitute,
-    whnf,
+    PROP, SET, TYPE, App, Const, GlobalEnv, KernelError, Lam, LocalContext,
+    Pi, Sort, Term, TypeCheckError, UnboundName, Var, app, convertible,
+    infer_type, instantiate, max_free_index, normalize, occurs_free,
+    prelude_env, replace_var, shift, subsumes, substitute, whnf,
 )
+from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import Meta
+from transfer_kernel.transfer_v1 import exact_modulo
+from transfer_kernel.transfer_v2 import transfer_modulo
+
+from conftest import SCRIPTS
+from fuzz_helpers import v1_fixture, v1_problem, v2_fixture, v2_problem
 
 settings.register_profile("fastpath", derandomize=True, database=None,
                           deadline=None, max_examples=60)
@@ -184,3 +205,251 @@ def test_every_term_class_defines_lbr():
     assert Lam("x", PROP, Var(3)).lbr == 3
     assert Pi("x", Var(2), Var(0)).lbr == 3
     assert App(Var(1), Const("c")).lbr == 2
+
+
+# --- match-based references -----------------------------------------------------
+
+def ref_whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
+    while True:
+        head, args = _spine(t)
+        if isinstance(head, Lam) and args:
+            k = 0
+            while k < len(args) and isinstance(head, Lam):
+                head = head.body
+                k += 1
+            t = app(naive_instantiate(head, args[:k]), *args[k:])
+        elif delta and isinstance(head, Const) and env.is_definition(head.name):
+            t = app(env.body_of(head.name), *args)
+        else:
+            return t
+
+
+def ref_normalize(env: GlobalEnv, t: Term) -> Term:
+    t = ref_whnf(env, t)
+    match t:
+        case App(f, a):
+            return App(ref_normalize(env, f), ref_normalize(env, a))
+        case Lam(x, ty, b):
+            return Lam(x, ref_normalize(env, ty), ref_normalize(env, b))
+        case Pi(x, ty, b):
+            return Pi(x, ref_normalize(env, ty), ref_normalize(env, b))
+        case _:
+            return t
+
+
+def ref_subsumes(env: GlobalEnv, ctx: LocalContext, have: Term, want: Term) -> bool:
+    if ref_convertible(env, ctx, have, want):
+        return True
+    return isinstance(ref_whnf(env, have), Sort) and ref_whnf(env, want) == TYPE
+
+
+def ref_convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
+    if a == b:
+        return True
+    a = ref_whnf(env, a)
+    b = ref_whnf(env, b)
+    match a, b:
+        case Sort(sa), Sort(sb):
+            return sa == sb
+        case Var(i), Var(j):
+            return i == j
+        case Const(m), Const(n):
+            return m == n
+        case App(f, x), App(g, y):
+            return ref_convertible(env, ctx, f, g) and ref_convertible(env, ctx, x, y)
+        case Lam(_, ta, ba), Lam(_, tb, bb):
+            return ref_convertible(env, ctx, ta, tb) and ref_convertible(env, ctx, ba, bb)
+        case Pi(_, ta, ba), Pi(_, tb, bb):
+            return ref_convertible(env, ctx, ta, tb) and ref_convertible(env, ctx, ba, bb)
+        case _:
+            return False
+
+
+def ref_infer_type(env: GlobalEnv, ctx: LocalContext, t: Term,
+                   _path: tuple[str, ...] = ()) -> Term:
+    match t:
+        case Sort(_):
+            return TYPE
+        case Var(i):
+            if i >= len(ctx):
+                raise TypeCheckError(f"unbound variable index {i}", _path)
+            return ctx.type_of(i)
+        case Const(name):
+            try:
+                return env.type_of(name)
+            except UnboundName as e:
+                raise TypeCheckError(str(e), _path) from None
+        case Lam(x, ty, body):
+            s = ref_whnf(env, ref_infer_type(env, ctx, ty, _path + ("binder-type",)))
+            if not isinstance(s, Sort):
+                raise TypeCheckError(
+                    f"binder type {ty!r} is not a type", _path + ("binder-type",))
+            body_ty = ref_infer_type(env, ctx.push(x, ty), body, _path + ("body",))
+            return Pi(x, ty, body_ty)
+        case App():
+            head, args = _spine(t)
+            n = len(args)
+            ty = ref_infer_type(env, ctx, head, _path + ("fn",) * n)
+            done: list[Term] = []
+            for i, a in enumerate(args):
+                node_path = _path + ("fn",) * (n - 1 - i)
+                if not isinstance(ty, Pi):
+                    ty = ref_whnf(env, naive_instantiate(ty, done))
+                    done = []
+                    if not isinstance(ty, Pi):
+                        raise TypeCheckError(
+                            f"applied term has non-function type {ty!r}",
+                            node_path + ("fn",))
+                arg_ty = ref_infer_type(env, ctx, a, node_path + ("arg",))
+                dom = naive_instantiate(ty.ty, done)
+                if not ref_subsumes(env, ctx, arg_ty, dom):
+                    raise TypeCheckError(
+                        f"argument type {arg_ty!r} does not match domain {dom!r}",
+                        node_path + ("arg",))
+                done.append(a)
+                ty = ty.body
+            return naive_instantiate(ty, done)
+        case Pi(x, ty, body):
+            s1 = ref_whnf(env, ref_infer_type(env, ctx, ty, _path + ("domain",)))
+            if not isinstance(s1, Sort):
+                raise TypeCheckError(
+                    f"product domain {ty!r} is not a type", _path + ("domain",))
+            s2 = ref_whnf(env, ref_infer_type(env, ctx.push(x, ty), body,
+                                              _path + ("codomain",)))
+            if not isinstance(s2, Sort):
+                raise TypeCheckError(
+                    f"product codomain {body!r} is not a type", _path + ("codomain",))
+            return s2
+    raise TypeCheckError(f"unrecognized term {t!r}", _path)
+
+
+def typing(infer, env: GlobalEnv, ctx: LocalContext, t: Term):
+    """The type, or the error's class, message and path."""
+    try:
+        return infer(env, ctx, t)
+    except KernelError as e:
+        return type(e), str(e), getattr(e, "message", None), getattr(e, "path", None)
+
+
+# `a` unfolds (delta) to a binder that beta then discharges.  In CTX, Var(0)
+# is h : a p, whose type is a Pi only after unfolding, Var(1) is p : Prop,
+# Var(2) is A : Set and Var(3) is unbound.
+DELTA_ENV = prelude_env().add_definition(
+    "a", Lam("X", PROP, Pi("_", Var(0), Var(1))))
+CTX = LocalContext().push("A", SET).push("p", PROP).push("h", App(Const("a"), Var(0)))
+
+# Lam-free terms need not be well typed: `a`'s one binder is their only
+# redex, so every reduction stops.
+REDUCIBLE = st.lists(st.integers(0, 15), max_size=10).map(
+    lambda codes: decode(codes, lam=False))
+
+
+@FASTPATH
+@given(REDUCIBLE, REDUCIBLE)
+def test_reduction_and_conversion_match_the_match_based_references(t, u):
+    env, ctx = DELTA_ENV, CTX
+    for delta in (True, False):
+        assert whnf(env, t, delta) == ref_whnf(env, t, delta)
+    nf = normalize(env, t)
+    assert nf == ref_normalize(env, t)
+    for binder in (Lam("x", u, t), Pi("x", u, t)):
+        assert normalize(env, binder) == ref_normalize(env, binder)
+    for other in (u, nf, whnf(env, t), App(Const("a"), t)):
+        assert convertible(env, ctx, t, other) == ref_convertible(env, ctx, t, other)
+        assert subsumes(env, ctx, t, other) == ref_subsumes(env, ctx, t, other)
+        assert subsumes(env, ctx, other, TYPE) == ref_subsumes(env, ctx, other, TYPE)
+
+
+@settings(FASTPATH, max_examples=300)
+@given(TERMS, TERMS)
+# Errors below a binder body and a product codomain, where a mislabelled
+# path component would show.
+@example(Lam("x", PROP, Pi("y", Var(0), Var(0))), PROP)
+@example(App(Lam("x", Var(1), App(Var(1), Var(2))), Var(0)), PROP)
+@example(Pi("x", PROP, Lam("y", Var(0), Pi("z", Var(0), App(Var(2), Var(0))))), PROP)
+def test_inference_matches_the_match_based_reference(t, u):
+    env, ctx = DELTA_ENV, CTX
+    ty = typing(infer_type, env, ctx, t)
+    assert ty == typing(ref_infer_type, env, ctx, t)
+    if isinstance(ty, tuple):
+        return
+    # Well-typed terms normalize, so reduce and convert them too.
+    assert whnf(env, t) == ref_whnf(env, t)
+    assert normalize(env, t) == ref_normalize(env, t)
+    assert normalize(env, ty) == ref_normalize(env, ty)
+    if not isinstance(typing(ref_infer_type, env, ctx, u), tuple):
+        assert convertible(env, ctx, t, u) == ref_convertible(env, ctx, t, u)
+        assert subsumes(env, ctx, ty, u) == ref_subsumes(env, ctx, ty, u)
+
+
+def test_emitted_proofs_type_as_in_the_reference(monkeypatch):
+    """Every proof admitted by the corpus scripts, and every proof of 200
+    v1 and 200 v2 fuzz problems, gets the reference's type."""
+    admitted: list[tuple[GlobalEnv, Term]] = []
+    add_definition = GlobalEnv.add_definition
+
+    def recording(self, name, body, ty=None):
+        admitted.append((self, body))
+        return add_definition(self, name, body, ty)
+
+    monkeypatch.setattr(GlobalEnv, "add_definition", recording)
+    for path in sorted(SCRIPTS.glob("*.tk")):
+        execute_script(path.read_text(encoding="utf-8"), RunOptions())
+    monkeypatch.undo()
+    assert len(admitted) > 20
+    checked = [(env, LocalContext(), proof) for env, proof in admitted]
+
+    rng = random.Random(8)
+    env1, tables1 = v1_fixture()
+    env2, tables2 = v2_fixture()
+    for i in range(200):
+        mutate = rng.choice([None, None, None, "head", "drop"])
+        src, tgt = v1_problem(rng, rng.randint(3, 6), mutate)
+        hyp_env = env1.add_axiom(f"h{i}", src)
+        out = exact_modulo(hyp_env, tables1, LocalContext(), src, tgt, Const(f"h{i}"))
+        if not isinstance(out, TransferFailure):
+            checked.append((hyp_env, LocalContext(), out))
+        src, tgt = v2_problem(rng, rng.randint(3, 6), mutate)
+        hyp_env = env2.add_axiom(f"h{i}", src)
+        out = transfer_modulo(hyp_env, tables2, src, tgt, Const(f"h{i}"))
+        if not isinstance(out, TransferFailure):
+            checked.append((hyp_env, LocalContext(), out[0]))
+    assert len(checked) > len(admitted) + 200
+    for env, ctx, proof in checked:
+        assert typing(infer_type, env, ctx, proof) \
+            == typing(ref_infer_type, env, ctx, proof)
+
+
+# --- exact-class dispatch --------------------------------------------------------
+
+KERNEL_CLASSES = (Sort, Var, Const, Lam, App, Pi)
+
+
+def test_term_classes_have_no_subclasses():
+    """The kernel dispatches on `type(t) is C`: an instance of a subclass
+    would silently take the default branch, so the classes stay final."""
+    for info in pkgutil.walk_packages(transfer_kernel.__path__, "transfer_kernel."):
+        importlib.import_module(info.name)
+    for cls in KERNEL_CLASSES:
+        assert cls.__subclasses__() == [], cls
+
+
+def test_a_meta_takes_the_default_branch():
+    env, m = DELTA_ENV, Meta(1)
+    t = App(Var(0), m)
+    assert shift(m, 2) is m and shift(t, 2) == App(Var(2), m)
+    assert substitute(m, 0, PROP) is m and substitute(t, 0, PROP) == App(PROP, m)
+    assert instantiate(m, [PROP]) is m and instantiate(t, [SET]) == App(SET, m)
+    assert replace_var(m, 0, PROP) is m and replace_var(t, 0, PROP) == App(PROP, m)
+    assert not occurs_free(m, 0)
+    assert whnf(env, m) is m and whnf(env, t) is t
+    assert normalize(env, m) is m and normalize(env, t) == t
+    assert not convertible(env, CTX, m, Meta(2))
+    with pytest.raises(TypeCheckError, match=r"^unrecognized term \?1$") as err:
+        infer_type(env, LocalContext(), m)
+    assert err.value.path == ()
+    with pytest.raises(TypeCheckError) as err:
+        infer_type(env, CTX, Lam("x", PROP, App(m, Var(0))))
+    assert (err.value.message, err.value.path) == ("unrecognized term ?1", ("body", "fn"))
+    assert typing(infer_type, env, CTX, Pi("x", m, PROP)) \
+        == typing(ref_infer_type, env, CTX, Pi("x", m, PROP))

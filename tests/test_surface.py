@@ -147,6 +147,23 @@ def test_uninferable_binder_is_an_error(env):
         parse_and_elaborate(env, "fun a => a")
 
 
+def test_meta_free_elaboration_skips_the_meta_walk(env, monkeypatch):
+    walks = []
+    has_meta = _Elaborator._has_meta
+
+    def counting(self, t):
+        walks.append(t)
+        return has_meta(self, t)
+
+    monkeypatch.setattr(_Elaborator, "_has_meta", counting)
+    t = parse_and_elaborate(env, "∀ x : nat, le x x → fun y : N => N.le y y")
+    assert walks == [] and isinstance(t, Pi)
+    # An unannotated binder's type is a metavariable, so the walk runs.
+    assert parse_and_elaborate(env, "fun x => le x x") \
+        == parse_and_elaborate(env, "fun x : nat => le x x")
+    assert walks
+
+
 def test_resolution_returns_meta_free_terms_as_they_are(env):
     el = _Elaborator(env)
     t = parse_and_elaborate(env, "∀ x : nat, le x x → fun y : N => N.le y y")
