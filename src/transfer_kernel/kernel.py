@@ -16,6 +16,13 @@ largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
 construction and ignored by equality, hashing and printing.  The
 traversals below return a subterm untouched when `lbr` shows that no index
 they rewrite can occur in it, so a new term class must define `lbr` too.
+The term classes are frozen, slotted dataclasses; Var, App, Lam and Pi
+store their fields through the slot descriptors' setters in a hand-written
+`__init__` (see the comment above them).
+
+`whnf` reduces a redex, beta and delta alike, against one argument list
+collected once, and rebuilds the term only at the end; a term with nothing
+to reduce is returned as it is.
 
 The hot traversals dispatch on the exact class, `type(t) is App`, most
 frequent class first, rather than with `match`, which costs an
@@ -58,7 +65,7 @@ class TypeCheckError(KernelError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sort:
     tag: str  # "Prop" | "Set" | "Type"
     lbr: ClassVar[int] = 0
@@ -72,26 +79,33 @@ SET = Sort("Set")
 TYPE = Sort("Type")
 
 
-# Var, App, Lam and Pi set their fields in a hand-written __init__: the
-# generated one plus a __post_init__ for `lbr` nearly doubles the cost of
-# building a node, the kernel's most frequent operation.
-_init = object.__setattr__  # how a frozen dataclass sets its own fields
+# Building a node is the kernel's most frequent operation, so the term
+# classes are slotted (no per-instance `__dict__`), and Var, App, Lam and Pi
+# have a hand-written __init__ that stores each field through its slot
+# descriptor's setter, bound once below the class (`_app_fn = App.fn.__set__`),
+# and computes `lbr` with a conditional rather than `max()`.  The generated
+# frozen __init__ goes through `object.__setattr__` by name, and a
+# `__post_init__` for `lbr` would add a call per node.  Assigning to a field
+# afterwards still raises FrozenInstanceError.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     index: int  # de Bruijn index, 0 = innermost binder
     lbr: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int):
-        _init(self, "index", index)
-        _init(self, "lbr", index + 1)
+        _var_index(self, index)
+        _var_lbr(self, index + 1)
 
     def __repr__(self) -> str:
         return f"Var({self.index})"
 
 
-@dataclass(frozen=True)
+_var_index, _var_lbr = Var.index.__set__, Var.lbr.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
     lbr: ClassVar[int] = 0
@@ -100,7 +114,7 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Lam:
     name: str = field(compare=False)
     ty: "Term"
@@ -108,31 +122,40 @@ class Lam:
     lbr: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, ty: "Term", body: "Term"):
-        _init(self, "name", name)
-        _init(self, "ty", ty)
-        _init(self, "body", body)
-        _init(self, "lbr", max(ty.lbr, body.lbr - 1))
+        _lam_name(self, name)
+        _lam_ty(self, ty)
+        _lam_body(self, body)
+        lbr = body.lbr - 1
+        _lam_lbr(self, lbr if lbr > ty.lbr else ty.lbr)
 
     def __repr__(self) -> str:
         return f"(fun {self.name} : {self.ty!r} => {self.body!r})"
 
 
-@dataclass(frozen=True, init=False)
+_lam_name, _lam_ty, _lam_body, _lam_lbr = (
+    Lam.name.__set__, Lam.ty.__set__, Lam.body.__set__, Lam.lbr.__set__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     fn: "Term"
     arg: "Term"
     lbr: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, fn: "Term", arg: "Term"):
-        _init(self, "fn", fn)
-        _init(self, "arg", arg)
-        _init(self, "lbr", max(fn.lbr, arg.lbr))
+        _app_fn(self, fn)
+        _app_arg(self, arg)
+        lbr = fn.lbr
+        _app_lbr(self, lbr if lbr > arg.lbr else arg.lbr)
 
     def __repr__(self) -> str:
         return f"({self.fn!r} {self.arg!r})"
 
 
-@dataclass(frozen=True, init=False)
+_app_fn, _app_arg, _app_lbr = App.fn.__set__, App.arg.__set__, App.lbr.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Pi:
     name: str = field(compare=False)
     ty: "Term"
@@ -140,13 +163,18 @@ class Pi:
     lbr: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, ty: "Term", body: "Term"):
-        _init(self, "name", name)
-        _init(self, "ty", ty)
-        _init(self, "body", body)
-        _init(self, "lbr", max(ty.lbr, body.lbr - 1))
+        _pi_name(self, name)
+        _pi_ty(self, ty)
+        _pi_body(self, body)
+        lbr = body.lbr - 1
+        _pi_lbr(self, lbr if lbr > ty.lbr else ty.lbr)
 
     def __repr__(self) -> str:
         return f"(forall {self.name} : {self.ty!r}, {self.body!r})"
+
+
+_pi_name, _pi_ty, _pi_body, _pi_lbr = (
+    Pi.name.__set__, Pi.ty.__set__, Pi.body.__set__, Pi.lbr.__set__)
 
 
 Term = Sort | Var | Const | Lam | App | Pi
@@ -399,24 +427,44 @@ def _check_is_type(env: GlobalEnv, ty: Term) -> None:
 def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
     """Weak head normal form: beta steps plus (if delta) head unfolding
     of definitions.  Parameters and axioms never unfold."""
+    head = t
+    while type(head) is App:
+        head = head.fn
+    cls = type(head)
+    if cls is Const:
+        decl = env._decls.get(head.name) if delta else None
+        if decl is None or decl.body is None:
+            return t
+    elif cls is not Lam or head is t:
+        return t
+    # `head` reduces.  Collect the arguments once and reduce against them:
+    # a beta step peels every leading binder that has an argument in one
+    # `instantiate`, a delta step replaces the head by the definition's
+    # body, and a new head that is an application splices its arguments
+    # in front.  The term is rebuilt once, at the end.
+    decls = env._decls
+    head, args = spine(t)
     while True:
-        head = t
-        while type(head) is App:
-            head = head.fn
-        if type(head) is Lam and head is not t:
-            # Peel every leading binder that has an argument; one pass.
-            head, args = spine(t)
+        if cls is Lam:
             k = 0
             while k < len(args) and type(head) is Lam:
                 head = head.body
                 k += 1
-            t = app(instantiate(head, args[:k]), *args[k:])
-        elif delta and type(head) is Const and env.is_definition(head.name):
-            body = env.body_of(head.name)
-            assert body is not None
-            t = app(body, *spine(t)[1])
+            head = instantiate(head, args[:k])
+            del args[:k]
         else:
-            return t
+            head = decl.body
+        if type(head) is App:
+            head, front = spine(head)
+            args[:0] = front
+        cls = type(head)
+        if cls is Const:
+            decl = decls.get(head.name) if delta else None
+            if decl is None or decl.body is None:
+                break
+        elif cls is not Lam or not args:
+            break
+    return app(head, *args)
 
 
 def normalize(env: GlobalEnv, t: Term) -> Term:

@@ -9,6 +9,11 @@ flips a stored entry), and structure is decomposed one application at a
 time (App) or through binders when the expected relation is a relator
 arrow (Lambda).
 
+Env reads a per-context index: the candidate hypotheses `Var(i) : R a b` of
+a context are found once per engine run, since a context changes only when
+the Lambda rule pushes a new one, and Env then tests them in the order a
+scan from the innermost entry would.
+
 Relation expectations may contain metavariables; they are solved by
 one-way matching against hypothesis and table relations, and solutions are
 restricted to closed terms so they can move across binders.  The rule
@@ -141,6 +146,8 @@ class _Synth:
         self.metas: dict[int, Term] = {}
         self._next_meta = 0
         self.deepest_failure: _FailurePoint | None = None
+        # id(ctx) -> (ctx, its hypotheses); see `_hypotheses`.
+        self._hyp_index: dict[int, tuple[LocalContext, list]] = {}
 
     def fresh(self) -> Unknown:
         self._next_meta += 1
@@ -301,13 +308,7 @@ class _Synth:
     # Env ----------------------------------------------------------------------
 
     def _rule_env(self, ctx, lhs, rhs, expect, depth):
-        for i in range(len(ctx)):
-            ty = ctx.type_of(i)
-            head, args = spine(whnf(self.env, ty, delta=False))
-            if len(args) < 2:
-                continue
-            rel = app(head, *args[:-2])
-            a, b = args[-2], args[-1]
+        for i, rel, a, b in self._hypotheses(ctx):
             if not (convertible(self.env, ctx, a, lhs)
                     and convertible(self.env, ctx, b, rhs)):
                 continue
@@ -316,6 +317,24 @@ class _Synth:
             return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                                 depth)
         return None
+
+    def _hypotheses(self, ctx):
+        """`(i, R, a, b)` for each entry `Var(i) : R a b` of the context
+        (its type's beta-whnf has at least two arguments), innermost first.
+
+        A context changes only when the Lambda rule pushes a new one, so
+        the list is computed once per context object.  The memo holds the
+        context itself, so its id cannot be reused by another one.
+        """
+        memo = self._hyp_index.get(id(ctx))
+        if memo is None:
+            found = []
+            for i in range(len(ctx)):
+                head, args = spine(whnf(self.env, ctx.type_of(i), delta=False))
+                if len(args) >= 2:
+                    found.append((i, app(head, *args[:-2]), args[-2], args[-1]))
+            memo = self._hyp_index[id(ctx)] = (ctx, found)
+        return memo[1]
 
     # Table ----------------------------------------------------------------------
 

@@ -10,9 +10,16 @@ instead of structural pattern matching, and `infer_type` builds an error's
 path only while the error unwinds.  The `ref_*` references are the
 `match`-based reduction, conversion and inference the kernel used before,
 with the path passed down to every node; they discharge binders with
-`naive_instantiate`.
+`naive_instantiate`.  `ref_whnf` also rebuilds the term after every step,
+where `whnf` reduces against one argument list and splices the arguments
+of a head that becomes an application.
+
+The term classes are frozen, slotted dataclasses with a hand-written
+`__init__`; the tests at the end check that they stay immutable and
+compare, hash and print as before.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 import random
@@ -23,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 import transfer_kernel
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
-    PROP, SET, TYPE, App, Const, GlobalEnv, KernelError, Lam, LocalContext,
+    FALSE, IMPL, PROP, SET, TYPE, App, Const, GlobalEnv, KernelError, Lam, LocalContext,
     Pi, Sort, Term, TypeCheckError, UnboundName, Var, app, convertible,
     infer_type, instantiate, max_free_index, normalize, occurs_free,
     prelude_env, replace_var, shift, subsumes, substitute, whnf,
@@ -137,8 +144,9 @@ def _spine(t: Term) -> tuple[Term, list[Term]]:
 
 def decode(codes: list[int], lam: bool = True) -> Term:
     """Read a term from `codes` in prefix order.  Codes 0-9 pick a node
-    (App, Lam, Pi), 10-15 a leaf; missing codes read as Var(0), so every
-    term is finite and free variables are common.  A flat list of small
+    (App, Lam, Pi), 10-17 a leaf (16 and 17 are the definitions `b` and
+    `c` of DELTA_ENV); missing codes read as Var(0), so every term is
+    finite and free variables are common.  A flat list of small
     integers is far cheaper for hypothesis to draw and shrink than a
     recursive strategy."""
     pos = 0
@@ -157,6 +165,8 @@ def decode(codes: list[int], lam: bool = True) -> Term:
             return PROP
         if c == 11:
             return Const("a")
+        if c >= 16:
+            return Const("bc"[c - 16])
         return Var(c - 12)
 
     return go()
@@ -331,11 +341,16 @@ def typing(infer, env: GlobalEnv, ctx: LocalContext, t: Term):
         return type(e), str(e), getattr(e, "message", None), getattr(e, "path", None)
 
 
-# `a` unfolds (delta) to a binder that beta then discharges.  In CTX, Var(0)
-# is h : a p, whose type is a Pi only after unfolding, Var(1) is p : Prop,
-# Var(2) is A : Set and Var(3) is unbound.
-DELTA_ENV = prelude_env().add_definition(
-    "a", Lam("X", PROP, Pi("_", Var(0), Var(1))))
+# `a` unfolds (delta) to a binder that beta then discharges.  `b` unfolds to
+# an application headed by the definition `impl`, whose arguments `whnf`
+# splices in front of the remaining ones, and the alias `c` unfolds to `a`,
+# a second delta step before any beta.  In CTX, Var(0) is h : a p, whose
+# type is a Pi only after unfolding, Var(1) is p : Prop, Var(2) is A : Set
+# and Var(3) is unbound.
+DELTA_ENV = (prelude_env()
+             .add_definition("a", Lam("X", PROP, Pi("_", Var(0), Var(1))))
+             .add_definition("b", App(Const(IMPL), Const(FALSE)))
+             .add_definition("c", Const("a")))
 CTX = LocalContext().push("A", SET).push("p", PROP).push("h", App(Const("a"), Var(0)))
 
 # Lam-free terms need not be well typed: `a`'s one binder is their only
@@ -358,6 +373,64 @@ def test_reduction_and_conversion_match_the_match_based_references(t, u):
         assert convertible(env, ctx, t, other) == ref_convertible(env, ctx, t, other)
         assert subsumes(env, ctx, t, other) == ref_subsumes(env, ctx, t, other)
         assert subsumes(env, ctx, other, TYPE) == ref_subsumes(env, ctx, other, TYPE)
+
+
+# Lam-free terms over `b` and `c` as well: each definition's binders are
+# discharged by arguments, never re-created, so every reduction stops.
+SPLICING = st.lists(st.integers(0, 17), max_size=10).map(
+    lambda codes: decode(codes, lam=False))
+
+
+@FASTPATH
+@given(SPLICING, SPLICING)
+@example(App(App(Const("b"), PROP), SET), Var(1))
+@example(App(Const("c"), Var(1)), App(Const("b"), Var(1)))
+def test_whnf_splice_path_matches_the_reference(t, u):
+    """Unfold-then-splice (`b` unfolds to `impl False`, whose arguments go
+    in front of the rest) and beta-then-unfold (a redex whose body is headed
+    by a definition) reduce and convert as in the reference, and `whnf` of
+    a head-normal result returns that very object."""
+    env, ctx = DELTA_ENV, CTX
+    for term in (t,
+                 app(Lam("x", SET, Const("b")), t, u),
+                 app(Lam("x", SET, App(Const("c"), Var(0))), t, u)):
+        for delta in (True, False):
+            w = whnf(env, term, delta)
+            assert w == ref_whnf(env, term, delta)
+            assert whnf(env, w, delta) is w
+        nf = normalize(env, term)
+        assert nf == ref_normalize(env, term)
+        for other in (u, nf, App(Const("b"), u), App(Const("c"), u)):
+            assert convertible(env, ctx, term, other) \
+                == ref_convertible(env, ctx, term, other)
+            assert subsumes(env, ctx, term, other) \
+                == ref_subsumes(env, ctx, term, other)
+
+
+def test_whnf_splices_the_unfolded_spine():
+    env = DELTA_ENV
+    # b P S: unfold b, splice `impl False`, peel impl's two binders.
+    assert whnf(env, app(Const("b"), PROP, SET)) \
+        == App(Pi("_", Const(FALSE), PROP), SET)
+    # c p: two delta steps (c, then a), then beta.
+    assert whnf(env, App(Const("c"), Var(1))) == Pi("_", Var(1), Var(2))
+    # Beta leaves `b` at the head, which then unfolds.
+    assert whnf(env, app(Lam("x", SET, Const("b")), Var(0), PROP)) \
+        == Pi("_", Const(FALSE), PROP)
+    assert whnf(env, Const("c")) == env.body_of("a")
+
+
+def test_whnf_returns_a_head_normal_input_itself():
+    env = DELTA_ENV
+    for t in (PROP, Var(0), Const(FALSE), Lam("x", PROP, App(Const("b"), Var(0))),
+              Pi("x", Const("b"), Var(0)), App(Var(0), Const("b")),
+              app(Const("eq"), SET, Var(0), Var(1)),
+              App(Pi("x", PROP, Var(0)), PROP)):
+        assert whnf(env, t) is t
+        assert whnf(env, t, delta=False) is t
+    for t in (Const("b"), App(Const("c"), PROP), App(Const("a"), PROP)):
+        assert whnf(env, t, delta=False) is t
+        assert whnf(env, t) != t
 
 
 @settings(FASTPATH, max_examples=300)
@@ -432,6 +505,55 @@ def test_term_classes_have_no_subclasses():
         importlib.import_module(info.name)
     for cls in KERNEL_CLASSES:
         assert cls.__subclasses__() == [], cls
+
+
+# --- slotted, frozen nodes --------------------------------------------------------
+
+NODES = (PROP, Var(2), Const("c"), Lam("x", SET, Var(1)),
+         App(Var(0), Const("c")), Pi("x", Var(3), Var(0)))
+
+
+def test_term_nodes_are_slotted_and_frozen():
+    assert tuple(type(t) for t in NODES) == KERNEL_CLASSES
+    for t in NODES:
+        assert not hasattr(t, "__dict__"), t
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, PROP)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, f.name)
+        # Nor can a name that is not a field be set (`lbr` of Sort and Const
+        # is a class constant).  The slotted frozen dataclass of CPython 3.11
+        # raises TypeError for it, from its `super()` call.
+        for name in ("lbr", "extra"):
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                setattr(t, name, 7)
+    assert [repr(t) for t in NODES] == [
+        "Prop", "Var(2)", "c", "(fun x : Set => Var(1))", "(Var(0) c)",
+        "(forall x : Var(3), Var(0))"]
+
+
+def test_equality_and_hashing_ignore_binder_names():
+    ty, body = app(Const("eq"), SET, Var(0), Var(2)), App(Var(0), Var(1))
+    for cls in (Lam, Pi):
+        x, y = cls("x", ty, body), cls("y", ty, body)
+        assert x == y and hash(x) == hash(y)
+        assert (x.name, y.name) == ("x", "y")
+        assert x != cls("x", body, ty)
+    assert App(Var(0), PROP) == App(Var(0), PROP) != App(PROP, Var(0))
+    assert hash(App(Var(0), PROP)) == hash(App(Var(0), PROP))
+
+
+def test_lbr_is_set_at_construction():
+    assert (PROP.lbr, Const("c").lbr, Var(0).lbr, Var(4).lbr) == (0, 0, 1, 5)
+    # Each side of the conditional, and a tie.
+    assert App(Var(5), Var(2)).lbr == App(Var(2), Var(5)).lbr == 6
+    assert App(Var(1), Var(1)).lbr == 2
+    for cls in (Lam, Pi):
+        assert cls("x", Var(4), Var(0)).lbr == 5
+        assert cls("x", PROP, Var(4)).lbr == 4
+        assert cls("x", Var(2), Var(3)).lbr == 3
+        assert cls("x", PROP, Var(0)).lbr == 0
 
 
 def test_a_meta_takes_the_default_branch():
