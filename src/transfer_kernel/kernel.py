@@ -8,8 +8,10 @@ alpha-equivalence.
 
 The checker implements beta + delta conversion (no eta): definitions
 unfold lazily in head position, parameters and axioms are opaque.  There
-are no inductive types or fixpoints, so every reduction terminates.  All
-values are immutable; every operation is a pure function.
+are no inductive types or fixpoints, but under `Type : Type` some
+well-typed terms have no normal form, so reduction is not bounded on every
+input.  Terms, contexts and declarations are immutable; a `GlobalEnv` only
+adds to its memo of the types inferred for closed terms.
 
 Every term carries `lbr`, its loose-bound-variable range: one more than the
 largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
@@ -354,10 +356,15 @@ class Decl:
 
 
 class GlobalEnv:
-    """Ordered global declarations.  Adding returns a new environment."""
+    """Ordered global declarations.  Adding returns a new environment.
+
+    `_types` maps `id(t)` to `(t, type)` for each closed term typed here or
+    in an ancestor; by weakening, the type is what inference would return.
+    """
 
     def __init__(self, decls: dict[str, Decl] | None = None):
         self._decls: dict[str, Decl] = dict(decls) if decls else {}
+        self._types: dict[int, tuple[Term, Term]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -394,7 +401,9 @@ class GlobalEnv:
             raise KernelError(f"'{name}' is already declared")
         new = dict(self._decls)
         new[name] = decl
-        return GlobalEnv(new)
+        env = GlobalEnv(new)
+        env._types = dict(self._types)
+        return env
 
     def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
         _check_is_type(self, ty)
@@ -411,7 +420,9 @@ class GlobalEnv:
         elif not convertible(self, LocalContext(), inferred, ty):
             raise TypeCheckError(
                 f"definition '{name}' has type {inferred!r}, expected {ty!r}")
-        return self._extended(name, Decl("definition", ty, body))
+        env = self._extended(name, Decl("definition", ty, body))
+        env._types[id(body)] = (body, inferred)
+        return env
 
 
 def _check_is_type(env: GlobalEnv, ty: Term) -> None:
@@ -588,6 +599,9 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
                 f"product codomain {body!r} is not a type", ("codomain",))
         return s2
     if cls is Lam:
+        hit = env._types.get(id(t))
+        if hit is not None and hit[0] is t:
+            return hit[1]
         x, ty = t.name, t.ty
         try:
             s = whnf(env, infer_type(env, ctx, ty))
@@ -615,6 +629,8 @@ def check_proof_report(env: GlobalEnv, ctx: LocalContext, proof: Term,
         ty = infer_type(env, ctx, proof)
     except TypeCheckError as e:
         return False, f"proof is ill-typed: {e}"
+    if proof.lbr == 0:
+        env._types[id(proof)] = (proof, ty)
     if convertible(env, ctx, ty, statement):
         return True, None
     return False, f"proof has type {ty!r}, statement is {statement!r}"

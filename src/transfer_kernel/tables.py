@@ -10,14 +10,17 @@ one untouched.
 A lookup does not normalize its query.  It takes the query's weak head
 normal form, picks the stored keys with the same head shape, and accepts
 the key pair each of whose components the query is convertible with.
-Conversion is beta-delta without eta and every reduction terminates, so
-`convertible(q, k)` holds exactly when `normalize(q) == k` for a normal
-form `k`: the result is the entry a dict lookup of the normalized query
-would find, at a cost bounded by the small key rather than the large
-query.  The shape index and the inverted form of each flipped relation
-entry are built on first use and kept on the table value they derive from,
-so each is computed at most once per table state.  A table value is used
-with the environment it was built in, or an extension of it.
+Conversion is beta-delta without eta, so for a query that has a normal
+form `convertible(q, k)` holds exactly when `normalize(q) == k` for a
+normal form `k`: the result is the entry a dict lookup of the normalized
+query would find, at a cost bounded by the small key rather than the large
+query.  Under `Type : Type` a well-typed term need not have a normal form,
+and on such a term neither `normalize` nor `convertible` is bounded; only
+a reduction budget would bound them.  The shape index and the inverted
+form of each flipped relation entry are built on first use and kept on the
+table value they derive from, so each is computed at most once per table
+state.  A table value is used with the environment it was built in, or an
+extension of it.
 """
 
 from __future__ import annotations

@@ -366,38 +366,29 @@ class _Synth:
             if arg_sub is None:
                 attempts.append(("App", "argument pair is unrelatable"))
                 return None
-            arg_j, arg_steps = arg_sub
-            fn_expect = RelArrow(Known(arg_j.relation), expect)
-            fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
-            if fn_sub is None:
-                attempts.append(("App", "function pair is unrelatable"))
-                return None
-            fn_j, fn_steps = fn_sub
-            steps = arg_steps + fn_steps
+            fn_expect = RelArrow(Known(arg_sub[0].relation), expect)
         else:
             fn_expect = RelArrow(self.fresh(), expect)
-            fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
-            if fn_sub is None:
-                attempts.append(("App", "function pair is unrelatable"))
-                return None
-            fn_j, fn_steps = fn_sub
-            view = respectful_view(self.env, fn_j.relation)
-            if view is None:
-                attempts.append(("App", "function relation is not a relator "
-                                        "arrow"))
-                return None
-            domain = view[4]
-            arg_sub = self.synth(ctx, arg_l, arg_r, Known(domain), depth + 1)
+        fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
+        if fn_sub is None:
+            attempts.append(("App", "function pair is unrelatable"))
+            return None
+        fn_j, fn_steps = fn_sub
+        view = respectful_view(self.env, fn_j.relation)
+        if view is None:
+            attempts.append(("App", "function relation is not a relator arrow"))
+            return None
+        if args_are_vars:
+            arg_j, arg_steps = arg_sub
+            steps = arg_steps + fn_steps
+        else:
+            arg_sub = self.synth(ctx, arg_l, arg_r, Known(view[4]), depth + 1)
             if arg_sub is None:
                 attempts.append(("App", "argument pair is unrelatable"))
                 return None
             arg_j, arg_steps = arg_sub
             steps = fn_steps + arg_steps
 
-        view = respectful_view(self.env, fn_j.relation)
-        if view is None:
-            attempts.append(("App", "function relation is not a relator arrow"))
-            return None
         result_rel = view[5]
         proof = app(fn_j.proof, arg_l, arg_r, arg_j.proof)
         judgment = Judgment(ctx, lhs, rhs, result_rel, proof)

@@ -15,8 +15,14 @@ where `whnf` reduces against one argument list and splices the arguments
 of a head that becomes an application.
 
 The term classes are frozen, slotted dataclasses with a hand-written
-`__init__`; the tests at the end check that they stay immutable and
-compare, hash and print as before.
+`__init__`; the tests after the inference references check that they stay
+immutable and compare, hash and print as before.
+
+`infer_type` answers a closed `Lam` that the environment's memo recorded
+without inferring it again.  The last tests compare mutated emitted proofs
+against `ref_infer_type`, which has no memo, check that the memo follows
+an environment's lineage and never its siblings, and count that admission
+infers nothing below an entry proof that was checked before.
 """
 
 import dataclasses
@@ -28,11 +34,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import transfer_kernel
+from transfer_kernel import kernel, tables
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
     FALSE, IMPL, PROP, SET, TYPE, App, Const, GlobalEnv, KernelError, Lam, LocalContext,
-    Pi, Sort, Term, TypeCheckError, UnboundName, Var, app, convertible,
-    infer_type, instantiate, max_free_index, normalize, occurs_free,
+    Pi, Sort, Term, TypeCheckError, UnboundName, Var, app, check_proof_report,
+    convertible, infer_type, instantiate, max_free_index, normalize, occurs_free,
     prelude_env, replace_var, shift, subsumes, substitute, whnf,
 )
 from transfer_kernel.outcome import TransferFailure
@@ -40,7 +47,7 @@ from transfer_kernel.surface import Meta
 from transfer_kernel.transfer_v1 import exact_modulo
 from transfer_kernel.transfer_v2 import transfer_modulo
 
-from conftest import SCRIPTS
+from conftest import SCRIPTS, script_text
 from fuzz_helpers import v1_fixture, v1_problem, v2_fixture, v2_problem
 
 settings.register_profile("fastpath", derandomize=True, database=None,
@@ -575,3 +582,165 @@ def test_a_meta_takes_the_default_branch():
     assert (err.value.message, err.value.path) == ("unrecognized term ?1", ("body", "fn"))
     assert typing(infer_type, env, CTX, Pi("x", m, PROP)) \
         == typing(ref_infer_type, env, CTX, Pi("x", m, PROP))
+
+
+# --- inferred-type memo -----------------------------------------------------------
+
+def _memoized(env: GlobalEnv, t: Term) -> bool:
+    hit = env._types.get(id(t))
+    return hit is not None and hit[0] is t
+
+
+_CHILDREN = {App: ("fn", "arg"), Lam: ("ty", "body"), Pi: ("ty", "body")}
+
+
+def _positions(env: GlobalEnv, t: Term, path: tuple[str, ...] = (),
+               inside: bool = False):
+    """(path, inside) for every node of t, where `inside` says the node is
+    a term the memo answers for, or lies below one."""
+    inside = inside or _memoized(env, t)
+    yield path, inside
+    for child in _CHILDREN.get(type(t), ()):
+        yield from _positions(env, getattr(t, child), path + (child,), inside)
+
+
+def _replace(t: Term, path: tuple[str, ...], new: Term) -> Term:
+    """t with the node at `path` replaced; only the nodes above it are rebuilt."""
+    if not path:
+        return new
+    child, rest = path[0], path[1:]
+    if type(t) is App:
+        if child == "fn":
+            return App(_replace(t.fn, rest, new), t.arg)
+        return App(t.fn, _replace(t.arg, rest, new))
+    if child == "ty":
+        return type(t)(t.name, _replace(t.ty, rest, new), t.body)
+    return type(t)(t.name, t.ty, _replace(t.body, rest, new))
+
+
+def _mutant(rng: random.Random, t: Term) -> Term:
+    """A new node in place of t, of the same class or a neighbouring one."""
+    cls = type(t)
+    if cls is Var:
+        return Var(t.index + rng.choice((1, -1)) if t.index else 1)
+    if cls is Const:
+        return Const(rng.choice([n for n in ("nat", "N", "le", FALSE) if n != t.name]))
+    if cls is Sort:
+        return rng.choice([s for s in (PROP, SET, TYPE) if s != t])
+    if cls is App:
+        return rng.choice((t.fn, App(t.arg, t.fn)))
+    return rng.choice((cls(t.name, rng.choice((PROP, Const("nat"))), t.body),
+                       (Pi if cls is Lam else Lam)(t.name, t.ty, t.body)))
+
+
+def test_memo_types_mutated_proofs_as_the_reference():
+    """Single-node mutations of emitted fuzz_v2 proofs type as in the
+    reference.  A mutation inside an entry proof that the fixture checked
+    makes a new object, which the memo must miss; one around it leaves the
+    entry proofs in place, which the memo answers for."""
+    rng = random.Random(29)
+    env2, tables2 = v2_fixture()
+    mutated = {False: 0, True: 0}
+    answered = 0  # mutations around an entry proof that keep one
+    for _ in range(80):
+        src, tgt = v2_problem(rng, rng.randint(3, 6), None)
+        env = env2.add_axiom("h", src)
+        out = transfer_modulo(env, tables2, src, tgt, Const("h"))
+        if isinstance(out, TransferFailure):
+            continue
+        proof = out[0]
+        positions = list(_positions(env, proof))
+        for inside in (False, True):
+            paths = [path for path, within in positions if within is inside]
+            if not paths:
+                continue
+            path = rng.choice(paths)
+            node = proof
+            for child in path:
+                node = getattr(node, child)
+            term = _replace(proof, path, _mutant(rng, node))
+            if not inside:
+                answered += any(within for _, within in _positions(env, term))
+            assert typing(infer_type, env, LocalContext(), term) \
+                == typing(ref_infer_type, env, LocalContext(), term)
+            mutated[inside] += 1
+    assert min(mutated.values()) >= 40 and answered >= 30, (mutated, answered)
+
+
+def test_memo_follows_the_environment_lineage():
+    """A closed term mentioning `h`, checked where h : P -> Q, is answered
+    for in extensions of that environment, but not in the sibling where
+    h : Q -> P, which gives its own verdict.  An open term is not recorded."""
+    env = prelude_env().add_parameter("P", PROP).add_parameter("Q", PROP)
+    t = Lam("p", Const("P"), App(Const("h"), Var(0)))
+    stmt = Pi("p", Const("P"), Const("Q"))
+    good = env.add_axiom("h", Pi("_", Const("P"), Const("Q")))
+    assert check_proof_report(good, LocalContext(), t, stmt) == (True, None)
+    later = good.add_parameter("R", PROP)
+    assert _memoized(good, t) and _memoized(later, t)
+    ctx = LocalContext().push("x", PROP)
+    assert infer_type(later, ctx, t) is good._types[id(t)][1]
+    assert infer_type(later, ctx, t) == ref_infer_type(later, ctx, t) == stmt
+    # An open proof's type depends on its context, so it is never recorded.
+    u = Lam("q", PROP, Var(1))
+    assert check_proof_report(good, ctx, u, Pi("q", PROP, PROP)) == (True, None)
+    assert not _memoized(good, u)
+    assert infer_type(good, ctx.push("y", SET), u) == Pi("q", PROP, SET)
+
+    sibling = env.add_axiom("h", Pi("_", Const("Q"), Const("P")))
+    assert not _memoized(sibling, t)
+    verdict = typing(infer_type, sibling, LocalContext(), t)
+    assert verdict == typing(ref_infer_type, sibling, LocalContext(), t)
+    assert verdict[2:] == ("argument type P does not match domain Q", ("body", "arg"))
+    assert check_proof_report(sibling, LocalContext(), t, stmt) == (
+        False, "proof is ill-typed: argument type P does not match domain Q "
+               "(at body/arg)")
+    assert not _memoized(sibling, t)
+
+
+def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
+    """Admitting v2_letrans.tk's theorem reaches the embedded encoding
+    lemmas and prefill's entry proof, each checked once already, but calls
+    `infer_type` on no node below them."""
+    roots: list[Term] = []
+    insert = tables.insert_relation_v2
+
+    def recording_insert(tabs, env, entry):
+        if type(entry.proof) is Lam:  # generated and kernel-checked
+            roots.append(entry.proof)
+        return insert(tabs, env, entry)
+
+    admitting, reached, below, inside = False, 0, 0, 0
+    infer = kernel.infer_type
+
+    def counting_infer(env, ctx, t):
+        nonlocal reached, below, inside
+        if not admitting:
+            return infer(env, ctx, t)
+        below += inside > 0
+        root = any(t is r for r in roots)
+        reached += root
+        inside += root
+        try:
+            return infer(env, ctx, t)
+        finally:
+            inside -= root
+
+    add_definition = GlobalEnv.add_definition
+
+    def admitting_definition(self, name, body, ty=None):
+        nonlocal admitting
+        admitting = name == "N.le_trans"
+        try:
+            return add_definition(self, name, body, ty)
+        finally:
+            admitting = False
+
+    monkeypatch.setattr(tables, "insert_relation_v2", recording_insert)
+    monkeypatch.setattr(kernel, "infer_type", counting_infer)
+    monkeypatch.setattr(GlobalEnv, "add_definition", admitting_definition)
+    state = execute_script(script_text("v2_letrans.tk"), RunOptions())
+    assert [r.status for r in state.results] == ["proved"]
+    assert len(roots) == 4  # prefill's (impl, impl) and three encoding lemmas
+    assert reached > 0
+    assert below == 0
