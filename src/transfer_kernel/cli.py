@@ -1,6 +1,8 @@
 """Batch front-end: execute vernacular scripts and report results.
 
 Commands run in order against an evolving environment and set of tables.
+The environment starts as `library_env()`: the prelude plus the lemmas that
+generated table entries cite.
 Theorem commands dispatch one of the two engines (`exact modulo` runs the
 recursive product/atom engine, `transfer modulo` the judgment synthesizer).
 The engines are untrusted: an emitted proof is kernel-checked once, by
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .kernel import (
     PROP, Const, GlobalEnv, KernelError, LocalContext, Term, TypeCheckError,
-    infer_type, prelude_env, whnf,
+    infer_type, whnf,
 )
 from .surface import (
     CmdAxiom, CmdDeclareRelation, CmdDeclareSurjection, CmdDeclareTransfer,
@@ -32,7 +34,7 @@ from .surface import (
 from .tables import (
     DeclTables, SynthesisError, TableError, declare_relation_v2,
     declare_surjection, declare_transfer_v1, has_relational_encoding,
-    prefill_core, surjection_to_relational,
+    library_env, prefill_core, surjection_to_relational,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .transfer_v1 import exact_modulo
@@ -88,18 +90,14 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
     """Run a script's commands in order; never raises for script-level
     problems (they are collected in the returned state).  Input nested
     deeper than the interpreter's recursion limit is a script error."""
-    state = SessionState(env=prelude_env(), tables=DeclTables())
+    state = SessionState(env=library_env(), tables=DeclTables())
     try:
         script = parse_script(text)
     except SurfaceError as e:
         state.errors.append(str(e))
         return state
     if options.prefill:
-        try:
-            state.tables = prefill_core(state.tables, state.env)
-        except SynthesisError as e:
-            state.internal_errors.append(str(e))
-            return state
+        state.tables = prefill_core(state.tables, state.env)
     for cmd in script.commands:
         try:
             _execute_command(state, cmd, options)

@@ -10,8 +10,7 @@ The checker implements beta + delta conversion (no eta): definitions
 unfold lazily in head position, parameters and axioms are opaque.  There
 are no inductive types or fixpoints, but under `Type : Type` some
 well-typed terms have no normal form, so reduction is not bounded on every
-input.  Terms, contexts and declarations are immutable; a `GlobalEnv` only
-adds to its memo of the types inferred for closed terms.
+input.  Terms, contexts, declarations and environments are immutable.
 
 Every term carries `lbr`, its loose-bound-variable range: one more than the
 largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
@@ -356,15 +355,12 @@ class Decl:
 
 
 class GlobalEnv:
-    """Ordered global declarations.  Adding returns a new environment.
+    """Ordered global declarations.  Adding returns a new environment."""
 
-    `_types` maps `id(t)` to `(t, type)` for each closed term typed here or
-    in an ancestor; by weakening, the type is what inference would return.
-    """
+    __slots__ = ("_decls",)
 
     def __init__(self, decls: dict[str, Decl] | None = None):
         self._decls: dict[str, Decl] = dict(decls) if decls else {}
-        self._types: dict[int, tuple[Term, Term]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -401,9 +397,7 @@ class GlobalEnv:
             raise KernelError(f"'{name}' is already declared")
         new = dict(self._decls)
         new[name] = decl
-        env = GlobalEnv(new)
-        env._types = dict(self._types)
-        return env
+        return GlobalEnv(new)
 
     def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
         _check_is_type(self, ty)
@@ -420,9 +414,7 @@ class GlobalEnv:
         elif not convertible(self, LocalContext(), inferred, ty):
             raise TypeCheckError(
                 f"definition '{name}' has type {inferred!r}, expected {ty!r}")
-        env = self._extended(name, Decl("definition", ty, body))
-        env._types[id(body)] = (body, inferred)
-        return env
+        return self._extended(name, Decl("definition", ty, body))
 
 
 def _check_is_type(env: GlobalEnv, ty: Term) -> None:
@@ -599,9 +591,6 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
                 f"product codomain {body!r} is not a type", ("codomain",))
         return s2
     if cls is Lam:
-        hit = env._types.get(id(t))
-        if hit is not None and hit[0] is t:
-            return hit[1]
         x, ty = t.name, t.ty
         try:
             s = whnf(env, infer_type(env, ctx, ty))
@@ -629,8 +618,6 @@ def check_proof_report(env: GlobalEnv, ctx: LocalContext, proof: Term,
         ty = infer_type(env, ctx, proof)
     except TypeCheckError as e:
         return False, f"proof is ill-typed: {e}"
-    if proof.lbr == 0:
-        env._types[id(proof)] = (proof, ty)
     if convertible(env, ctx, ty, statement):
         return True, None
     return False, f"proof has type {ty!r}, statement is {statement!r}"
@@ -654,8 +641,7 @@ IMPL = "impl"
 ALL = "all"
 RESPECTFUL = "respectful"
 INV = "inv"
-
-PRELUDE_NAMES = (FALSE, EQ, EQ_REFL, EQ_IND, IMPL, ALL, RESPECTFUL, INV)
+IMPL_RESPECTFUL = "impl_respectful"
 
 
 def prelude_env() -> GlobalEnv:
@@ -724,6 +710,15 @@ def prelude_env() -> GlobalEnv:
                     Lam("y", Var(1),
                         Lam("x", Var(3),
                             app(Var(2), Var(0), Var(1))))))))
+
+    # impl_respectful : (impl⁻¹ ##> impl ##> impl) impl impl, unfolded, :=
+    # fun a b (h1 : b -> a) c d (h2 : c -> d) (p : a -> c) (x : b) => h2 (p (h1 x))
+    env = env.add_definition(
+        IMPL_RESPECTFUL,
+        Lam("a", PROP, Lam("b", PROP, Lam("h1", Pi("_", Var(0), Var(2)), Lam(
+            "c", PROP, Lam("d", PROP, Lam("h2", Pi("_", Var(1), Var(1)), Lam(
+                "p", Pi("_", Var(5), Var(3)), Lam("x", Var(5), App(
+                    Var(2), App(Var(1), App(Var(5), Var(0)))))))))))))
 
     return env
 

@@ -20,22 +20,24 @@ a reduction budget would bound them.  The shape index and the inverted
 form of each flipped relation entry are built on first use and kept on the
 table value they derive from, so each is computed at most once per table
 state.  A table value is used with the environment it was built in, or an
-extension of it.
+extension of it.  Generated entries cite their proofs by name: prefill's
+the prelude's `impl_respectful`, an encoding's instances of `LIBRARY`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 from .kernel import (
-    ALL, EQ, EQ_IND, EQ_REFL, IMPL, INV, PROP, RESPECTFUL,
+    ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
     Var, app, arrow, check_proof_report, convertible, infer_type, inv_view,
-    max_free_index, normalize, occurs_free, relation_types, respectful_view,
-    shift, spine, unshift, whnf,
+    max_free_index, normalize, occurs_free, prelude_env, relation_types,
+    respectful_view, shift, spine, unshift, whnf,
 )
-from .surface import print_term
+from .surface import PLam, elaborate, parse_script, print_term
 
 
 class TableError(Exception):
@@ -409,8 +411,53 @@ def invert_entry(env: GlobalEnv, entry: RelationEntryV2) -> RelationEntryV2:
 
 
 # ---------------------------------------------------------------------------
-# Relational encoding of a surjection
+# Library and relational encoding of a surjection
 # ---------------------------------------------------------------------------
+
+# The transfer rules of Huffman & Kunčar ("Lifting and Transfer", CPP 2013)
+# for a relation R: ∀ over a right-total R, reverse ∀ over a left-total R
+# and `=` over a right-unique R, each stated unfolded; then the totality
+# and right-uniqueness of the graph of f.
+LIBRARY = """
+Definition surj_all (A A' : Type) (R : A → A' → Prop) (g : A' → A)
+  (s : ∀ x' : A', R (g x') x') (P : A → Prop) (P' : A' → Prop)
+  (h : ∀ (x : A) (x' : A'), R x x' → P x → P' x') (hp : ∀ x : A, P x)
+  (x' : A') := h (g x') x' (s x') (hp (g x')).
+Definition tot_all (A A' : Type) (R : A → A' → Prop) (f : A → A')
+  (t : ∀ x : A, R x (f x)) (P' : A' → Prop) (P : A → Prop)
+  (h : ∀ (x' : A') (x : A), R⁻¹ x' x → P' x' → P x)
+  (hp' : ∀ x' : A', P' x') (x : A) := h (f x) x (t x) (hp' (f x)).
+Definition func_eq (A A' : Type) (R : A → A' → Prop)
+  (u : ∀ (x : A) (x' y' : A'), R x x' → R x y' → eq A' x' y')
+  (x : A) (x' : A') (h : R x x') (y : A) (y' : A') (h' : R y y')
+  (e : eq A x y) := u y x' y' (eq_ind A x (fun z : A => R z x') h y e) h'.
+Definition graph_tot (A A' : Type) (f : A → A') (x : A) := eq_refl A' (f x).
+Definition graph_func (A A' : Type) (f : A → A') (x : A) (x' y' : A')
+  (h : eq A' (f x) x') (h' : eq A' (f x) y') :=
+  eq_ind A' (f x) (fun w : A' => eq A' w y') h' x' h.
+"""
+
+
+def _with_library(env: GlobalEnv) -> GlobalEnv:
+    for cmd in parse_script(LIBRARY).commands:
+        env = env.add_definition(
+            cmd.name, elaborate(env, PLam(cmd.params, cmd.body)))
+    return env
+
+
+@cache
+def library_env() -> GlobalEnv:
+    """`prelude_env()` plus the elaborated and checked LIBRARY, built once
+    per process.  Environments are immutable, so every caller shares it."""
+    return _with_library(prelude_env())
+
+
+def _forall_chain(x: Term, y: Term, rel: Term) -> Term:
+    """`(rel ##> impl) ##> impl` over predicates on x and y."""
+    return app(Const(RESPECTFUL), arrow(x, PROP), arrow(y, PROP), PROP, PROP,
+               app(Const(RESPECTFUL), x, y, PROP, PROP, rel, Const(IMPL)),
+               Const(IMPL))
+
 
 def surjection_to_relational(
         tables: DeclTables, env: GlobalEnv,
@@ -420,10 +467,15 @@ def surjection_to_relational(
     Defines `R x x' := f x = x'` and proves that universal quantification,
     reverse quantification and equality transport across R, inserting the
     three entries keyed (all A, all A'), (all A', all A) and (eq A, eq A').
-    Each lemma is kernel-checked once, when it is admitted as a definition.
+    Each proof is a library lemma applied to R, admitted as a definition
+    with its inferred type, which is then checked against the entry's
+    statement; the entry cites the definition by name.  An environment
+    without the library is extended with it first.
     """
     a, a2, fn, inv_fn, surj = (entry.domain, entry.codomain, entry.fn,
                                entry.inverse, entry.proof)
+    if "surj_all" not in env:
+        env = _with_library(env)
     base = fn.name if isinstance(fn, Const) else "surj"
     rel_name = env.fresh_name(f"{base}_rel")
     rel_body = Lam("x", a,
@@ -432,107 +484,36 @@ def surjection_to_relational(
                            App(shift(fn, 2), Var(1)), Var(0))))
     env = env.add_definition(rel_name, rel_body)
     rel = Const(rel_name)
-
-    a_pred, a2_pred = arrow(a, PROP), arrow(a2, PROP)
-    impl_c, all_c = Const(IMPL), Const(ALL)
-
-    # ((R ##> impl) ##> impl) (all A) (all A')
-    chain_surj = app(Const(RESPECTFUL), a_pred, a2_pred, PROP, PROP,
-                     app(Const(RESPECTFUL), a, a2, PROP, PROP, rel, impl_c),
-                     impl_c)
-    stmt_surj = app(chain_surj, App(all_c, a), App(all_c, a2))
-    # fun P P' h hp x' => h (g x') x' (surj x') (hp (g x'))
-    h_ty = Pi("x", shift(a, 2),
-              Pi("x'", shift(a2, 3),
-                 arrow(app(rel, Var(1), Var(0)),
-                       arrow(App(Var(3), Var(1)), App(Var(2), Var(0))))))
-    proof_surj = Lam(
-        "P", a_pred,
-        Lam("P'", shift(a2_pred, 1),
-            Lam("h", h_ty,
-                Lam("hp", Pi("x", shift(a, 3), App(Var(3), Var(0))),
-                    Lam("x'", shift(a2, 4),
-                        app(Var(2),
-                            App(shift(inv_fn, 5), Var(0)),
-                            Var(0),
-                            App(shift(surj, 5), Var(0)),
-                            App(Var(1), App(shift(inv_fn, 5), Var(0)))))))))
-
-    # ((R⁻¹ ##> impl) ##> impl) (all A') (all A)
-    rel_inv = app(Const(INV), a, a2, rel)
-    chain_tot = app(Const(RESPECTFUL), a2_pred, a_pred, PROP, PROP,
-                    app(Const(RESPECTFUL), a2, a, PROP, PROP, rel_inv, impl_c),
-                    impl_c)
-    stmt_tot = app(chain_tot, App(all_c, a2), App(all_c, a))
-    h_ty_tot = Pi("x'", shift(a2, 2),
-                  Pi("x", shift(a, 3),
-                     arrow(app(rel_inv, Var(1), Var(0)),
-                           arrow(App(Var(3), Var(1)), App(Var(2), Var(0))))))
-    proof_tot = Lam(
-        "P'", a2_pred,
-        Lam("P", shift(a_pred, 1),
-            Lam("h", h_ty_tot,
-                Lam("hp'", Pi("x'", shift(a2, 3), App(Var(3), Var(0))),
-                    Lam("x", shift(a, 4),
-                        app(Var(2),
-                            App(shift(fn, 5), Var(0)),
-                            Var(0),
-                            app(Const(EQ_REFL), shift(a2, 5),
-                                App(shift(fn, 5), Var(0))),
-                            App(Var(1), App(shift(fn, 5), Var(0)))))))))
-
-    # (R ##> R ##> impl) (eq A) (eq A')
-    chain_func = app(Const(RESPECTFUL), a, a2, arrow(a, PROP), arrow(a2, PROP),
-                     rel,
-                     app(Const(RESPECTFUL), a, a2, PROP, PROP, rel, impl_c))
-    stmt_func = app(chain_func, App(Const(EQ), a), App(Const(EQ), a2))
-    # fun x x' h y y' h' e => rewrite x' = f x = f y = y'
-    def fS(k: int) -> Term:
-        return shift(fn, k)
-    step_congr = app(Const(EQ_IND), shift(a, 7), Var(6),
-                     Lam("z", shift(a, 7),
-                         app(Const(EQ), shift(a2, 8),
-                             App(fS(8), Var(7)), App(fS(8), Var(0)))),
-                     app(Const(EQ_REFL), shift(a2, 7), App(fS(7), Var(6))),
-                     Var(3), Var(0))
-    step_left = app(Const(EQ_IND), shift(a2, 7), App(fS(7), Var(6)),
-                    Lam("w", shift(a2, 7),
-                        app(Const(EQ), shift(a2, 8), Var(0),
-                            App(fS(8), Var(4)))),
-                    step_congr, Var(5), Var(4))
-    step_right = app(Const(EQ_IND), shift(a2, 7), App(fS(7), Var(3)),
-                     Lam("w", shift(a2, 7),
-                         app(Const(EQ), shift(a2, 8), Var(6), Var(0))),
-                     step_left, Var(2), Var(1))
-    proof_func = Lam(
-        "x", a,
-        Lam("x'", shift(a2, 1),
-            Lam("h", app(rel, Var(1), Var(0)),
-                Lam("y", shift(a, 3),
-                    Lam("y'", shift(a2, 4),
-                        Lam("h'", app(rel, Var(1), Var(0)),
-                            Lam("e", app(Const(EQ), shift(a, 6),
-                                         Var(5), Var(2)),
-                                step_right)))))))
-
-    for suffix, stmt, proof in (("_surj", stmt_surj, proof_surj),
-                                ("_tot", stmt_tot, proof_tot),
-                                ("_func", stmt_func, proof_func)):
+    all_c, eq_c = Const(ALL), Const(EQ)
+    generated = (
+        ("_surj", app(Const("surj_all"), a, a2, rel, inv_fn, surj),
+         App(all_c, a), App(all_c, a2), _forall_chain(a, a2, rel)),
+        ("_tot", app(Const("tot_all"), a, a2, rel, fn,
+                     app(Const("graph_tot"), a, a2, fn)),
+         App(all_c, a2), App(all_c, a),
+         _forall_chain(a2, a, app(Const(INV), a, a2, rel))),
+        ("_func", app(Const("func_eq"), a, a2, rel,
+                      app(Const("graph_func"), a, a2, fn)),
+         App(eq_c, a), App(eq_c, a2),
+         app(Const(RESPECTFUL), a, a2, arrow(a, PROP), arrow(a2, PROP), rel,
+             app(Const(RESPECTFUL), a, a2, PROP, PROP, rel, Const(IMPL)))),
+    )
+    entries = []
+    for suffix, proof, lhs, rhs, relation in generated:
         name = env.fresh_name(rel_name + suffix)
+        stmt = app(relation, lhs, rhs)
         try:
-            env = env.add_definition(name, proof, stmt)
+            env = env.add_definition(name, proof)
+            if not convertible(env, LocalContext(), env.type_of(name), stmt):
+                raise TypeCheckError(f"it does not prove {stmt!r}")
         except TypeCheckError as e:
             raise SynthesisError(f"generated '{name}' failed to check: {e}") \
                 from None
+        entries.append(RelationEntryV2(lhs, rhs, relation, Const(name)))
 
     # An existing entry (user-declared, or the flipped twin of an identity
     # surjection) keeps priority; generated entries never overwrite.
-    for entry_v2 in (RelationEntryV2(App(all_c, a), App(all_c, a2),
-                                     chain_surj, proof_surj),
-                     RelationEntryV2(App(all_c, a2), App(all_c, a),
-                                     chain_tot, proof_tot),
-                     RelationEntryV2(App(Const(EQ), a), App(Const(EQ), a2),
-                                     chain_func, proof_func)):
+    for entry_v2 in entries:
         if table_key(env, entry_v2.lhs, entry_v2.rhs) not in tables.relations_v2:
             tables = insert_relation_v2(tables, env, entry_v2)
     return tables, env
@@ -550,35 +531,19 @@ def has_relational_encoding(tables: DeclTables, env: GlobalEnv,
 # ---------------------------------------------------------------------------
 
 def prefill_core(tables: DeclTables, env: GlobalEnv) -> DeclTables:
-    """Insert the (impl, impl) entry at `impl⁻¹ ##> impl ##> impl`.
+    """Insert the (impl, impl) entry at `impl⁻¹ ##> impl ##> impl`, proved
+    by the prelude's `impl_respectful`.
 
     Its unfolded statement is
     `forall a b, (b -> a) -> forall c d, (c -> d) -> (a -> c) -> b -> d`.
     """
     impl_c = Const(IMPL)
     prop2 = arrow(PROP, PROP)
-    impl_inv = app(Const(INV), PROP, PROP, impl_c)
-    chain = app(Const(RESPECTFUL), PROP, PROP, prop2, prop2, impl_inv,
+    chain = app(Const(RESPECTFUL), PROP, PROP, prop2, prop2,
+                app(Const(INV), PROP, PROP, impl_c),
                 app(Const(RESPECTFUL), PROP, PROP, PROP, PROP, impl_c, impl_c))
-    stmt = app(chain, impl_c, impl_c)
-    proof = Lam(
-        "a", PROP,
-        Lam("b", PROP,
-            Lam("h1", arrow(Var(0), Var(1)),
-                Lam("c", PROP,
-                    Lam("d", PROP,
-                        Lam("h2", arrow(Var(1), Var(0)),
-                            Lam("p", arrow(Var(5), Var(2)),
-                                Lam("x", Var(5),
-                                    App(Var(2),
-                                        App(Var(1),
-                                            App(Var(5), Var(0))))))))))))
-    ok, diag = check_proof_report(env, LocalContext(), proof, stmt)
-    if not ok:
-        raise SynthesisError(f"generated implication entry failed to check: "
-                             f"{diag}")
-    return insert_relation_v2(
-        tables, env, RelationEntryV2(impl_c, impl_c, chain, proof))
+    return insert_relation_v2(tables, env, RelationEntryV2(
+        impl_c, impl_c, chain, Const(IMPL_RESPECTFUL)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ The term classes are frozen, slotted dataclasses with a hand-written
 `__init__`; the tests after the inference references check that they stay
 immutable and compare, hash and print as before.
 
-`infer_type` answers a closed `Lam` that the environment's memo recorded
-without inferring it again.  The last tests compare mutated emitted proofs
-against `ref_infer_type`, which has no memo, check that the memo follows
-an environment's lineage and never its siblings, and count that admission
-infers nothing below an entry proof that was checked before.
+Generated table entries cite library lemmas by name, so an emitted proof
+holds no inline entry proof to infer again.  The last tests compare
+single-node mutations of emitted proofs against `ref_infer_type`, check
+that every prefill and encoding entry cites a definition that proves its
+statement, and count that admission infers no node of a library body.
 """
 
 import dataclasses
@@ -34,16 +34,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import transfer_kernel
-from transfer_kernel import kernel, tables
+from transfer_kernel import kernel
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
-    FALSE, IMPL, PROP, SET, TYPE, App, Const, GlobalEnv, KernelError, Lam, LocalContext,
-    Pi, Sort, Term, TypeCheckError, UnboundName, Var, app, check_proof_report,
-    convertible, infer_type, instantiate, max_free_index, normalize, occurs_free,
-    prelude_env, replace_var, shift, subsumes, substitute, whnf,
+    FALSE, IMPL, IMPL_RESPECTFUL, PROP, SET, TYPE, App, Const, GlobalEnv,
+    KernelError, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
+    UnboundName, Var, app, convertible, infer_type, instantiate,
+    max_free_index, normalize, occurs_free, prelude_env, replace_var, shift,
+    subsumes, substitute, whnf,
 )
 from transfer_kernel.outcome import TransferFailure
-from transfer_kernel.surface import Meta
+from transfer_kernel.surface import Meta, parse_script
+from transfer_kernel.tables import LIBRARY, library_env
 from transfer_kernel.transfer_v1 import exact_modulo
 from transfer_kernel.transfer_v2 import transfer_modulo
 
@@ -473,6 +475,7 @@ def test_emitted_proofs_type_as_in_the_reference(monkeypatch):
         return add_definition(self, name, body, ty)
 
     monkeypatch.setattr(GlobalEnv, "add_definition", recording)
+    library_env.cache_clear()  # so the library's admissions are recorded too
     for path in sorted(SCRIPTS.glob("*.tk")):
         execute_script(path.read_text(encoding="utf-8"), RunOptions())
     monkeypatch.undo()
@@ -584,24 +587,16 @@ def test_a_meta_takes_the_default_branch():
         == typing(ref_infer_type, env, CTX, Pi("x", m, PROP))
 
 
-# --- inferred-type memo -----------------------------------------------------------
-
-def _memoized(env: GlobalEnv, t: Term) -> bool:
-    hit = env._types.get(id(t))
-    return hit is not None and hit[0] is t
-
+# --- mutated proofs and named entry proofs ----------------------------------------
 
 _CHILDREN = {App: ("fn", "arg"), Lam: ("ty", "body"), Pi: ("ty", "body")}
 
 
-def _positions(env: GlobalEnv, t: Term, path: tuple[str, ...] = (),
-               inside: bool = False):
-    """(path, inside) for every node of t, where `inside` says the node is
-    a term the memo answers for, or lies below one."""
-    inside = inside or _memoized(env, t)
-    yield path, inside
+def _nodes(t: Term, path: tuple[str, ...] = ()):
+    """(path, node) for every node of t."""
+    yield path, t
     for child in _CHILDREN.get(type(t), ()):
-        yield from _positions(env, getattr(t, child), path + (child,), inside)
+        yield from _nodes(getattr(t, child), path + (child,))
 
 
 def _replace(t: Term, path: tuple[str, ...], new: Term) -> Term:
@@ -634,14 +629,12 @@ def _mutant(rng: random.Random, t: Term) -> Term:
 
 
 def test_memo_types_mutated_proofs_as_the_reference():
-    """Single-node mutations of emitted fuzz_v2 proofs type as in the
-    reference.  A mutation inside an entry proof that the fixture checked
-    makes a new object, which the memo must miss; one around it leaves the
-    entry proofs in place, which the memo answers for."""
+    """Single-node mutations of emitted fuzz_v2 proofs, the entry proofs
+    they cite included, type as in the reference: the same type, or the
+    same error class, message and path."""
     rng = random.Random(29)
     env2, tables2 = v2_fixture()
-    mutated = {False: 0, True: 0}
-    answered = 0  # mutations around an entry proof that keep one
+    mutated = 0
     for _ in range(80):
         src, tgt = v2_problem(rng, rng.randint(3, 6), None)
         env = env2.add_axiom("h", src)
@@ -649,82 +642,33 @@ def test_memo_types_mutated_proofs_as_the_reference():
         if isinstance(out, TransferFailure):
             continue
         proof = out[0]
-        positions = list(_positions(env, proof))
-        for inside in (False, True):
-            paths = [path for path, within in positions if within is inside]
-            if not paths:
-                continue
-            path = rng.choice(paths)
-            node = proof
-            for child in path:
-                node = getattr(node, child)
+        nodes = list(_nodes(proof))
+        for path, node in rng.sample(nodes, min(2, len(nodes))):
             term = _replace(proof, path, _mutant(rng, node))
-            if not inside:
-                answered += any(within for _, within in _positions(env, term))
             assert typing(infer_type, env, LocalContext(), term) \
                 == typing(ref_infer_type, env, LocalContext(), term)
-            mutated[inside] += 1
-    assert min(mutated.values()) >= 40 and answered >= 30, (mutated, answered)
-
-
-def test_memo_follows_the_environment_lineage():
-    """A closed term mentioning `h`, checked where h : P -> Q, is answered
-    for in extensions of that environment, but not in the sibling where
-    h : Q -> P, which gives its own verdict.  An open term is not recorded."""
-    env = prelude_env().add_parameter("P", PROP).add_parameter("Q", PROP)
-    t = Lam("p", Const("P"), App(Const("h"), Var(0)))
-    stmt = Pi("p", Const("P"), Const("Q"))
-    good = env.add_axiom("h", Pi("_", Const("P"), Const("Q")))
-    assert check_proof_report(good, LocalContext(), t, stmt) == (True, None)
-    later = good.add_parameter("R", PROP)
-    assert _memoized(good, t) and _memoized(later, t)
-    ctx = LocalContext().push("x", PROP)
-    assert infer_type(later, ctx, t) is good._types[id(t)][1]
-    assert infer_type(later, ctx, t) == ref_infer_type(later, ctx, t) == stmt
-    # An open proof's type depends on its context, so it is never recorded.
-    u = Lam("q", PROP, Var(1))
-    assert check_proof_report(good, ctx, u, Pi("q", PROP, PROP)) == (True, None)
-    assert not _memoized(good, u)
-    assert infer_type(good, ctx.push("y", SET), u) == Pi("q", PROP, SET)
-
-    sibling = env.add_axiom("h", Pi("_", Const("Q"), Const("P")))
-    assert not _memoized(sibling, t)
-    verdict = typing(infer_type, sibling, LocalContext(), t)
-    assert verdict == typing(ref_infer_type, sibling, LocalContext(), t)
-    assert verdict[2:] == ("argument type P does not match domain Q", ("body", "arg"))
-    assert check_proof_report(sibling, LocalContext(), t, stmt) == (
-        False, "proof is ill-typed: argument type P does not match domain Q "
-               "(at body/arg)")
-    assert not _memoized(sibling, t)
+            mutated += 1
+    assert mutated >= 80, mutated
 
 
 def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
-    """Admitting v2_letrans.tk's theorem reaches the embedded encoding
-    lemmas and prefill's entry proof, each checked once already, but calls
-    `infer_type` on no node below them."""
-    roots: list[Term] = []
-    insert = tables.insert_relation_v2
-
-    def recording_insert(tabs, env, entry):
-        if type(entry.proof) is Lam:  # generated and kernel-checked
-            roots.append(entry.proof)
-        return insert(tabs, env, entry)
-
-    admitting, reached, below, inside = False, 0, 0, 0
+    """Every prefill and encoding entry of v2_letrans.tk cites a definition
+    whose type is convertible with the entry's statement, and admitting
+    the theorem, whose proof embeds them, calls `infer_type` on no node of
+    a library or `impl_respectful` body."""
+    lib = library_env()
+    bodies = [lib.body_of(cmd.name) for cmd in parse_script(LIBRARY).commands]
+    bodies.append(lib.body_of(IMPL_RESPECTFUL))
+    nodes = {id(t): t for body in bodies for _, t in _nodes(body)
+             if type(t) in _CHILDREN}
+    admitting, calls, reached = False, 0, 0
     infer = kernel.infer_type
 
     def counting_infer(env, ctx, t):
-        nonlocal reached, below, inside
-        if not admitting:
-            return infer(env, ctx, t)
-        below += inside > 0
-        root = any(t is r for r in roots)
-        reached += root
-        inside += root
-        try:
-            return infer(env, ctx, t)
-        finally:
-            inside -= root
+        nonlocal calls, reached
+        calls += admitting
+        reached += admitting and nodes.get(id(t)) is t
+        return infer(env, ctx, t)
 
     add_definition = GlobalEnv.add_definition
 
@@ -736,11 +680,19 @@ def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
         finally:
             admitting = False
 
-    monkeypatch.setattr(tables, "insert_relation_v2", recording_insert)
     monkeypatch.setattr(kernel, "infer_type", counting_infer)
     monkeypatch.setattr(GlobalEnv, "add_definition", admitting_definition)
     state = execute_script(script_text("v2_letrans.tk"), RunOptions())
+    monkeypatch.undo()
     assert [r.status for r in state.results] == ["proved"]
-    assert len(roots) == 4  # prefill's (impl, impl) and three encoding lemmas
-    assert reached > 0
-    assert below == 0
+    assert calls > 0 and reached == 0
+    env, cited = state.env, set()
+    for entry in state.tables.relations_v2.values():
+        assert type(entry.proof) is Const
+        assert convertible(env, LocalContext(), env.type_of(entry.proof.name),
+                           app(entry.relation, entry.lhs, entry.rhs))
+        cited.add(entry.proof.name)
+    generated = {IMPL_RESPECTFUL, "N.of_nat_rel_surj", "N.of_nat_rel_tot",
+                 "N.of_nat_rel_func"}
+    assert generated <= cited
+    assert all(env.is_definition(name) for name in generated)

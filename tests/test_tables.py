@@ -7,21 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from transfer_kernel import tables as tables_module
 from transfer_kernel.kernel import (
-    ALL, EQ, IMPL, INV, PROP, SET,
+    ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, SET,
     App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
     convertible, normalize, prelude_env, shift, whnf,
 )
-from transfer_kernel.surface import parse_and_elaborate, print_term
+from transfer_kernel.cli import execute_script
+from transfer_kernel.surface import parse_and_elaborate, parse_script, print_term
 from transfer_kernel.tables import (
-    DeclTables, DuplicateEntry, RelationEntryV2, ShapeError, SurjectionEntry,
-    TransferEntryV1, audit, declare_relation_v2, declare_surjection,
-    declare_transfer_v1, has_relational_encoding, insert_relation_v2,
-    invert_entry, lookup_relation_v2, lookup_surjection, lookup_transfer_v1,
-    prefill_core, relation_entries, surjection_to_relational, table_key,
+    LIBRARY, DeclTables, DuplicateEntry, RelationEntryV2, ShapeError,
+    SurjectionEntry, SynthesisError, TransferEntryV1, audit,
+    declare_relation_v2, declare_surjection, declare_transfer_v1,
+    has_relational_encoding, insert_relation_v2, invert_entry, library_env,
+    lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
+    relation_entries, surjection_to_relational, table_key,
     transfer_v1_statement,
 )
 
-from conftest import declare
+from conftest import SCRIPTS, declare
 from test_kernel_fastpath import decode
 
 
@@ -238,6 +240,18 @@ def test_surjection_to_relational_statements(nat_env, nat_tables):
     assert not audit(tables, env)
 
 
+def test_an_encoding_instance_must_prove_its_entry_statement(
+        nat_env, nat_tables, monkeypatch):
+    # nat_env lacks the library, so the encoding elaborates this one instead
+    monkeypatch.setattr(tables_module, "LIBRARY", """
+        Definition surj_all (A A' : Type) (R : A → A' → Prop) (g : A' → A)
+          (s : ∀ x' : A', R (g x') x') := s.""")
+    entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
+    with pytest.raises(SynthesisError, match="^generated 'N.of_nat_rel_surj' "
+                       "failed to check: it does not prove "):
+        surjection_to_relational(nat_tables, nat_env, entry)
+
+
 def test_relational_encoding_is_found_once_made(nat_env, nat_tables):
     entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
     assert not has_relational_encoding(nat_tables, nat_env, entry)
@@ -275,6 +289,33 @@ def test_prefill_inserts_implication_entry():
 def test_fresh_tables_have_no_implication_entry():
     env = prelude_env()
     assert lookup_relation_v2(DeclTables(), env, Const(IMPL), Const(IMPL)) is None
+
+
+# --- library ------------------------------------------------------------------------
+
+LIBRARY_NAMES = [cmd.name for cmd in parse_script(LIBRARY).commands]
+
+
+@pytest.mark.parametrize("name", LIBRARY_NAMES + [IMPL_RESPECTFUL])
+def test_library_bodies_print_and_parse_back(name):
+    env = library_env()
+    body = env.body_of(name)
+    assert parse_and_elaborate(env, print_term(body, env)) == body
+
+
+def test_scripts_leave_the_shared_library_env_unchanged():
+    env = library_env()
+    before = [(name, env.lookup(name)) for name in env.names()]
+    for path in sorted(SCRIPTS.glob("*.tk")):
+        execute_script(path.read_text(encoding="utf-8"))
+    state = execute_script("Parameter graph_tot : Prop.")
+    assert state.errors == ["line 1: 'graph_tot' is already declared"]
+    assert library_env() is env
+    after = [(name, env.lookup(name)) for name in env.names()]
+    assert [name for name, _ in after] == [name for name, _ in before]
+    assert all(d is e for (_, d), (_, e) in zip(before, after))
+    with pytest.raises(AttributeError):
+        env.memo = {}
 
 
 def test_tables_are_values(nat_env):
