@@ -33,8 +33,8 @@ from .surface import (
 )
 from .tables import (
     DeclTables, SynthesisError, TableError, declare_relation_v2,
-    declare_surjection, declare_transfer_v1, has_relational_encoding,
-    library_env, prefill_core, surjection_to_relational,
+    declare_surjection, declare_transfer_v1, library_env, prefill_core,
+    surjection_to_relational,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .transfer_v1 import exact_modulo
@@ -69,6 +69,9 @@ class SessionState:
     results: list[TheoremResult] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     internal_errors: list[str] = field(default_factory=list)
+    # How many of `tables.surjections`, in store order, have been given
+    # their relational encoding; the store only grows.
+    encoded: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,46 +133,36 @@ def _elaborate(state: SessionState, cmd, pre) -> Term:
 
 
 def _execute_command(state: SessionState, cmd, options: RunOptions) -> None:
+    if isinstance(cmd, CmdTheorem):
+        _execute_theorem(state, cmd, options)
+        return
+    try:
+        _declare(state, cmd)
+    except SynthesisError:
+        raise
+    except (KernelError, TableError) as e:
+        raise _fail(cmd, str(e)) from None
+
+
+def _declare(state: SessionState, cmd) -> None:
     env, tables = state.env, state.tables
     match cmd:
         case CmdParameter(names, ty_pre, _):
             ty = _elaborate(state, cmd, ty_pre)
             for name in names:
-                try:
-                    env = env.add_parameter(name, ty)
-                except KernelError as e:
-                    raise _fail(cmd, str(e)) from None
+                env = env.add_parameter(name, ty)
             state.env = env
         case CmdAxiom(name, stmt_pre, _):
-            stmt = _elaborate(state, cmd, stmt_pre)
-            try:
-                state.env = env.add_axiom(name, stmt)
-            except KernelError as e:
-                raise _fail(cmd, str(e)) from None
+            state.env = env.add_axiom(name, _elaborate(state, cmd, stmt_pre))
         case CmdDefinition(name, params, body_pre, _):
             pre = PLam(params, body_pre) if params else body_pre
-            body = _elaborate(state, cmd, pre)
-            try:
-                state.env = env.add_definition(name, body)
-            except KernelError as e:
-                raise _fail(cmd, str(e)) from None
+            state.env = env.add_definition(name, _elaborate(state, cmd, pre))
         case CmdDeclareSurjection(fn, inverse, proof, _):
-            try:
-                state.tables = declare_surjection(tables, env, fn, inverse, proof)
-            except TableError as e:
-                raise _fail(cmd, str(e)) from None
+            state.tables = declare_surjection(tables, env, fn, inverse, proof)
         case CmdDeclareTransfer(lemma, _):
-            try:
-                state.tables = declare_transfer_v1(tables, env, lemma)
-            except TableError as e:
-                raise _fail(cmd, str(e)) from None
+            state.tables = declare_transfer_v1(tables, env, lemma)
         case CmdDeclareRelation(lemma, _):
-            try:
-                state.tables = declare_relation_v2(tables, env, lemma)
-            except TableError as e:
-                raise _fail(cmd, str(e)) from None
-        case CmdTheorem(_, _, _, _, _):
-            _execute_theorem(state, cmd, options)
+            state.tables = declare_relation_v2(tables, env, lemma)
         case _:
             raise _fail(cmd, f"unhandled command {cmd!r}")
 
@@ -203,11 +196,11 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
             trace = DerivationTrace(tuple(steps), env)
     else:
         # Surjections are given their relational encoding on demand.
-        for entry in list(state.tables.surjections.values()):
-            if not has_relational_encoding(state.tables, env, entry):
-                state.tables, env = surjection_to_relational(
-                    state.tables, env, entry)
-                state.env = env
+        for entry in list(state.tables.surjections.values())[state.encoded:]:
+            state.tables, env = surjection_to_relational(
+                state.tables, env, entry)
+            state.env = env
+            state.encoded += 1
         outcome = transfer_modulo(env, state.tables, source_stmt, goal,
                                   source_proof,
                                   diagnostics=options.diagnostics)

@@ -343,9 +343,6 @@ class LocalContext:
         # The stored type lives at its own binding depth; shift into scope.
         return shift(self.entry(index).ty, index + 1)
 
-    def name_of(self, index: int) -> str:
-        return self.entry(index).name
-
 
 @dataclass(frozen=True)
 class Decl:
@@ -723,40 +720,34 @@ def prelude_env() -> GlobalEnv:
     return env
 
 
+def _head_view(env: GlobalEnv, t: Term, name: str, arity: int) \
+        -> tuple[Term, ...] | None:
+    """The arguments of t (up to head unfolding) as `name` applied to
+    `arity` of them, or None.  Stops before unfolding `inv` or
+    `respectful`."""
+    t = whnf(env, t, delta=False)
+    while True:
+        head, args = spine(t)
+        if not isinstance(head, Const):
+            return None
+        if head.name == name and len(args) == arity:
+            return tuple(args)
+        if head.name in (INV, RESPECTFUL) or not env.is_definition(head.name):
+            return None
+        t = whnf(env, app(env.body_of(head.name), *args), delta=False)
+
+
 def respectful_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term, Term, Term, Term] | None:
     """Decompose t (up to head unfolding) as `respectful X Y X' Y' R S`.
 
     Returns (X, Y, X', Y', R, S), or None if t is not such an application.
-    Stops before unfolding `respectful` itself.
     """
-    t = whnf(env, t, delta=False)
-    while True:
-        head, args = spine(t)
-        if isinstance(head, Const) and head.name == RESPECTFUL and len(args) == 6:
-            return tuple(args)  # type: ignore[return-value]
-        if isinstance(head, Const) and head.name != RESPECTFUL \
-                and env.is_definition(head.name):
-            body = env.body_of(head.name)
-            assert body is not None
-            t = whnf(env, app(body, *args), delta=False)
-            continue
-        return None
+    return _head_view(env, t, RESPECTFUL, 6)  # type: ignore[return-value]
 
 
 def inv_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term] | None:
     """Decompose t (up to head unfolding) as `inv X Y R` -> (X, Y, R)."""
-    t = whnf(env, t, delta=False)
-    while True:
-        head, args = spine(t)
-        if isinstance(head, Const) and head.name == INV and len(args) == 3:
-            return tuple(args)  # type: ignore[return-value]
-        if isinstance(head, Const) and head.name not in (INV, RESPECTFUL) \
-                and env.is_definition(head.name):
-            body = env.body_of(head.name)
-            assert body is not None
-            t = whnf(env, app(body, *args), delta=False)
-            continue
-        return None
+    return _head_view(env, t, INV, 3)  # type: ignore[return-value]
 
 
 def unshift(t: Term) -> Term:

@@ -1,33 +1,32 @@
 """Declaration tables: surjections, transfer lemmas and relation entries.
 
-Each store is a map with single-entry-per-key semantics; redeclaring a key
-is an error and never overwrites.  Keys are beta-delta normal forms, so a
-relation declared through a definitional alias and looked up through its
-unfolding hit the same entry.  Declaration functions validate the shape of
-the lemma against the kernel and return a new table value, leaving the old
-one untouched.
+Each store is a dict keyed by the pair as declared, with single-entry
+semantics up to conversion: inserting a pair that a lookup already finds
+is an error and never overwrites, so a relation declared through a
+definitional alias and one declared through its unfolding are the same
+entry.  Declaration functions validate the shape of the lemma against the
+kernel and return a new table value, leaving the old one untouched.
 
-A lookup does not normalize its query.  It takes the query's weak head
-normal form, picks the stored keys with the same head shape, and accepts
-the key pair each of whose components the query is convertible with.
-Conversion is beta-delta without eta, so for a query that has a normal
-form `convertible(q, k)` holds exactly when `normalize(q) == k` for a
-normal form `k`: the result is the entry a dict lookup of the normalized
-query would find, at a cost bounded by the small key rather than the large
-query.  Under `Type : Type` a well-typed term need not have a normal form,
-and on such a term neither `normalize` nor `convertible` is bounded; only
-a reduction budget would bound them.  The shape index and the inverted
-form of each flipped relation entry are built on first use and kept on the
-table value they derive from, so each is computed at most once per table
-state.  A table value is used with the environment it was built in, or an
-extension of it.  Generated entries cite their proofs by name: prefill's
-the prelude's `impl_respectful`, an encoding's instances of `LIBRARY`.
+Insertion and lookup decide key equality the same way, by `_find`.  It
+takes the query's weak head normal form, picks the stored pairs whose weak
+head normal forms have the same head shape, and accepts the pair each of
+whose components the query is convertible with.  Nothing is normalized,
+so a pair that names a large term through definitions costs what its weak
+head normal form costs, not its normal form.  Under `Type : Type` a
+well-typed term need not have a normal form, and on such a term
+`convertible` is not bounded; only a reduction budget would bound it.  The
+shape index and the inverted form of each flipped relation entry are built
+on first use and kept on the table value they derive from, so each is
+computed at most once per table state.  A table value is used with the
+environment it was built in, or an extension of it.  Generated entries
+cite their proofs by name: prefill's the prelude's `impl_respectful`, an
+encoding's instances of `LIBRARY`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 from .kernel import (
@@ -96,25 +95,19 @@ class DeclTables:
     relations_v2: dict[Key, RelationEntryV2] = field(default_factory=dict)
     # Derived from the stores above on first use and private to this value;
     # a new value (an insert, `dataclasses.replace`) starts with none.
-    # Store name -> key shapes -> (key, entry) in store order.
-    _index: dict[str, dict[tuple[Shape, Shape], list[tuple[Key, object]]]] \
+    # Store name -> shapes -> (whnf of key, key, entry) in store order.
+    _index: dict[str, dict[tuple[Shape, Shape],
+                           list[tuple[Key, Key, object]]]] \
         = field(default_factory=dict, init=False, repr=False, compare=False)
     # Key of a relation entry -> its inverted form (`invert_entry`).
     _inverted: dict[Key, RelationEntryV2] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def _with(self, **kwargs) -> "DeclTables":
-        data = {
-            "surjections": self.surjections,
-            "transfers_v1": self.transfers_v1,
-            "relations_v2": self.relations_v2,
-        }
-        data.update(kwargs)
-        return DeclTables(**data)
-
 
 def table_key(env: GlobalEnv, a: Term, b: Term) -> Key:
-    """Normalized key pair used by every store."""
+    """The normal forms of a pair.  No store uses it: it is the reference
+    the tests hold `_find` to, since for pairs that have normal forms two
+    pairs are convertible exactly when their `table_key`s are equal."""
     return (normalize(env, a), normalize(env, b))
 
 
@@ -165,14 +158,8 @@ def declare_surjection(tables: DeclTables, env: GlobalEnv, fn_name: str,
         raise ShapeError(
             f"'{proof_name}' proves {print_term(actual, env)}, expected "
             f"{print_term(expected, env)}")
-    key = table_key(env, dom, cod)
-    if key in tables.surjections:
-        raise DuplicateEntry(
-            f"a surjection for ({print_term(dom, env)}, {print_term(cod, env)}) "
-            "is already declared")
-    new = dict(tables.surjections)
-    new[key] = SurjectionEntry(dom, cod, fn, inverse, proof)
-    return tables._with(surjections=new)
+    return _insert(tables, "surjections", env, (dom, cod),
+                   SurjectionEntry(dom, cod, fn, inverse, proof), "a surjection")
 
 
 def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
@@ -252,14 +239,8 @@ def declare_transfer_v1(tables: DeclTables, env: GlobalEnv,
     proof = _resolve(env, lemma_name, "transfer lemma")
     stmt = env.type_of(lemma_name)
     rel, rel2, n, fn = _v1_shape(env, stmt)
-    key = table_key(env, rel, rel2)
-    if key in tables.transfers_v1:
-        raise DuplicateEntry(
-            f"a transfer lemma for ({print_term(rel, env)}, "
-            f"{print_term(rel2, env)}) is already declared")
-    new = dict(tables.transfers_v1)
-    new[key] = TransferEntryV1(rel, rel2, n, fn, proof)
-    return tables._with(transfers_v1=new)
+    return _insert(tables, "transfers_v1", env, (rel, rel2),
+                   TransferEntryV1(rel, rel2, n, fn, proof), "a transfer lemma")
 
 
 def declare_relation_v2(tables: DeclTables, env: GlobalEnv,
@@ -280,14 +261,20 @@ def declare_relation_v2(tables: DeclTables, env: GlobalEnv,
 
 def insert_relation_v2(tables: DeclTables, env: GlobalEnv,
                        entry: RelationEntryV2) -> DeclTables:
-    key = table_key(env, entry.lhs, entry.rhs)
-    if key in tables.relations_v2:
+    return _insert(tables, "relations_v2", env, (entry.lhs, entry.rhs),
+                   entry, "a relation entry")
+
+
+def _insert(tables: DeclTables, store: str, env: GlobalEnv, key: Key,
+            entry: object, what: str) -> DeclTables:
+    """A new table value with `entry` in `store` under `key`, the pair as
+    declared; a pair that `_find` already finds is a DuplicateEntry."""
+    if _find(tables, store, env, whnf(env, key[0]),
+             whnf(env, key[1])) is not None:
         raise DuplicateEntry(
-            f"a relation entry for ({print_term(entry.lhs, env)}, "
-            f"{print_term(entry.rhs, env)}) is already declared")
-    new = dict(tables.relations_v2)
-    new[key] = entry
-    return tables._with(relations_v2=new)
+            f"{what} for ({print_term(key[0], env)}, "
+            f"{print_term(key[1], env)}) is already declared")
+    return replace(tables, **{store: {**getattr(tables, store), key: entry}})
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +298,23 @@ def _shape(t: Term) -> Shape:
 def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
           b: Term) -> tuple[Key, object] | None:
     """The (key, entry) of `store` whose key pair is convertible with
-    (a, b), or None; a and b are in weak head normal form.  Keys are
-    distinct normal forms, so at most one pair is convertible with (a, b)."""
+    (a, b), or None; a and b are in weak head normal form.  `_insert`
+    rejects a pair convertible with a stored one, and conversion is
+    transitive, so at most one stored pair is convertible with (a, b)."""
     index = tables._index.get(store)
     if index is None:
         index = {}
         for key, entry in getattr(tables, store).items():
-            index.setdefault((_shape(key[0]), _shape(key[1])), []) \
-                .append((key, entry))
+            heads = whnf(env, key[0]), whnf(env, key[1])
+            index.setdefault((_shape(heads[0]), _shape(heads[1])), []) \
+                .append((heads, key, entry))
         # Published only when complete: a concurrent lookup on this value
         # sees no index (and builds its own) or all of it.
         tables._index[store] = index
-    for key, entry in index.get((_shape(a), _shape(b)), ()):
+    for heads, key, entry in index.get((_shape(a), _shape(b)), ()):
         ctx = LocalContext()
-        if convertible(env, ctx, a, key[0]) and convertible(env, ctx, b, key[1]):
+        if convertible(env, ctx, a, heads[0]) \
+                and convertible(env, ctx, b, heads[1]):
             return key, entry
     return None
 
@@ -514,16 +504,10 @@ def surjection_to_relational(
     # An existing entry (user-declared, or the flipped twin of an identity
     # surjection) keeps priority; generated entries never overwrite.
     for entry_v2 in entries:
-        if table_key(env, entry_v2.lhs, entry_v2.rhs) not in tables.relations_v2:
+        if _find(tables, "relations_v2", env, whnf(env, entry_v2.lhs),
+                 whnf(env, entry_v2.rhs)) is None:
             tables = insert_relation_v2(tables, env, entry_v2)
     return tables, env
-
-
-def has_relational_encoding(tables: DeclTables, env: GlobalEnv,
-                            entry: SurjectionEntry) -> bool:
-    return _find(tables, "relations_v2", env,
-                 whnf(env, App(Const(ALL), entry.domain)),
-                 whnf(env, App(Const(ALL), entry.codomain))) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,84 @@ def test_theorem_named_like_a_generated_encoding_name(tmp_path, capsys):
         in capsys.readouterr().out
 
 
+REFL_SCRIPT = """\
+Parameter nat N : Set.
+Parameter N.of_nat : nat → N.
+Parameter N.to_nat : N → nat.
+Axiom of_to : ∀ x' : N, N.of_nat (N.to_nat x') = x'.
+Declare Surjection N.of_nat by (N.to_nat, of_to).
+Definition natN x x' := N.of_nat x = x'.
+Axiom refl : ∀ x : nat, x = x.
+Theorem N.refl : ∀ x : N, x = x. transfer modulo refl. Qed.
+"""
+
+
+def test_a_user_entry_for_all_keeps_the_rest_of_the_encoding():
+    # A user entry at (all nat, all N) takes priority over the generated
+    # one, and the encoding still adds its (all N, all nat) and
+    # (eq nat, eq N) entries, which the transfer of `=` needs.
+    code, state = run_text(REFL_SCRIPT)
+    assert code == EXIT_OK, (state.errors, state.results)
+    text = REFL_SCRIPT.replace("Axiom refl", (
+        "Axiom all_rel : ((natN ##> impl) ##> impl) (all nat) (all N).\n"
+        "Declare Relation all_rel.\nAxiom refl"))
+    code, state = run_text(text)
+    assert code == EXIT_OK, (state.errors, state.results)
+    assert "N.of_nat_rel_tot" in state.env and "N.of_nat_rel_func" in state.env
+    assert "N.of_nat_rel_surj" in state.env
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """Count the `normalize` calls made from now on, in every package
+    module that binds it."""
+    from transfer_kernel import kernel
+    calls = []
+    original = kernel.normalize
+
+    def normalize(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "transfer_kernel" \
+                and vars(module).get("normalize") is original:
+            monkeypatch.setattr(module, "normalize", normalize)
+    return calls
+
+
+def test_declaring_a_relation_between_huge_normal_forms(normalize_calls):
+    # The normal form of `d30 x` mentions x 2^(2^30) times; the
+    # declaration reads only weak head normal forms.
+    lines = ["Parameter A : Set.", "Parameter f : A → A → A.",
+             "Definition d0 (x : A) := f x x."]
+    lines += [f"Definition d{n} (x : A) := d{n - 1} (d{n - 1} x)."
+              for n in range(1, 31)]
+    lines += ["Parameter R : (A → A) → (A → A) → Prop.",
+              "Axiom r : R d30 d30.", "Declare Relation r.",
+              "Declare Relation r."]
+    code, state = run_text("\n".join(lines[:-1]))
+    assert code == EXIT_OK, state.errors
+    assert not normalize_calls
+    code, state = run_text("\n".join(lines))
+    assert state.errors == [
+        "line 37: a relation entry for (d30, d30) is already declared"]
+    assert not normalize_calls
+
+
+def test_declaring_a_surjection_between_huge_normal_forms(normalize_calls):
+    # T24 has a normal form with 2^24 occurrences of A.
+    lines = ["Parameter A : Set.", "Definition T0 := A."]
+    lines += [f"Definition T{n} := T{n - 1} → T{n - 1}." for n in range(1, 25)]
+    lines += ["Parameter f g : T24 → T24.",
+              "Axiom s : ∀ x : T24, f (g x) = x.",
+              "Declare Surjection f by (g, s)."]
+    code, state = run_text("\n".join(lines))
+    assert code == EXIT_OK, state.errors
+    assert len(state.tables.surjections) == 1
+    assert not normalize_calls
+
+
 def test_report_that_nests_too_deeply_is_a_script_error(monkeypatch, capsys):
     # stands in for printing a proof too deep for the recursion limit
     import transfer_kernel.cli as cli

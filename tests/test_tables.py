@@ -17,7 +17,7 @@ from transfer_kernel.tables import (
     LIBRARY, DeclTables, DuplicateEntry, RelationEntryV2, ShapeError,
     SurjectionEntry, SynthesisError, TransferEntryV1, audit,
     declare_relation_v2, declare_surjection, declare_transfer_v1,
-    has_relational_encoding, insert_relation_v2, invert_entry, library_env,
+    insert_relation_v2, invert_entry, library_env,
     lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
     relation_entries, surjection_to_relational, table_key,
     transfer_v1_statement,
@@ -193,8 +193,7 @@ def test_key_normalization_sees_through_definitions(rel_env):
 def test_insert_then_lookup_identity(rel_env):
     tables = declare_relation_v2(DeclTables(), rel_env, "le_transfer")
     entry, via = lookup_relation_v2(tables, rel_env, Const("le"), Const("N.le"))
-    assert entry is tables.relations_v2[
-        (normalize(rel_env, Const("le")), normalize(rel_env, Const("N.le")))]
+    assert entry is tables.relations_v2[Const("le"), Const("N.le")]
     assert not via
 
 
@@ -254,9 +253,15 @@ def test_an_encoding_instance_must_prove_its_entry_statement(
 
 def test_relational_encoding_is_found_once_made(nat_env, nat_tables):
     entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
-    assert not has_relational_encoding(nat_tables, nat_env, entry)
+    pairs = [(App(Const(ALL), Const("nat")), App(Const(ALL), Const("N"))),
+             (App(Const(ALL), Const("N")), App(Const(ALL), Const("nat"))),
+             (App(Const(EQ), Const("nat")), App(Const(EQ), Const("N")))]
+    for a, b in pairs:
+        assert not list(relation_entries(nat_tables, nat_env, a, b))
     tables, env = surjection_to_relational(nat_tables, nat_env, entry)
-    assert has_relational_encoding(tables, env, entry)
+    for a, b in pairs:
+        found, via_inverse = lookup_relation_v2(tables, env, a, b)
+        assert not via_inverse and found is tables.relations_v2[(a, b)]
 
 
 def test_generated_relation_unfolds_to_graph(nat_env, nat_tables):
@@ -325,15 +330,15 @@ def test_tables_are_values(nat_env):
     assert len(extended.surjections) == 1
 
 
-# --- lookup by conversion against normal-form keys --------------------------------
+# --- lookup and insertion by conversion, against normal forms -------------------
 #
-# The reference is the dict lookup of the normalized query, `store.get(
-# table_key(...))`.  Queries are the fastpath generator's lambda-free terms
-# with their constant leaves drawn from POOL, or stored key pairs as written
-# at insertion (some through aliases) wrapped in redexes that reduce back
-# to them.  Every definition involved uses each of its parameters at most
-# once and the wrapping redexes are identities or constant functions, so
-# every query normalizes.
+# The reference is a scan of the stored pairs for the one whose `table_key`
+# equals the query's (`_by_normal_form`).  Queries are the fastpath
+# generator's lambda-free terms with their constant leaves drawn from POOL,
+# or stored pairs as declared (some through aliases) wrapped in redexes
+# that reduce back to them.  Every definition involved uses each of its
+# parameters at most once and the wrapping redexes are identities or
+# constant functions, so every query normalizes.
 
 def _lookup_env():
     env = prelude_env().add_parameter("nat", SET).add_parameter("N", SET)
@@ -346,7 +351,7 @@ def _lookup_env():
 
 
 LOOKUP_ENV = _lookup_env()
-# Key pairs as written at insertion; their normal forms are distinct.
+# Pairs as declared; their normal forms are distinct.
 SPELLINGS = [
     (Const("le_alias"), Const("N.le")),
     (Const("N.le"), Const("le")),
@@ -367,10 +372,9 @@ def _lookup_tables(env) -> DeclTables:
     tables = DeclTables()
     surjections, transfers = {}, {}
     for i, (a, b) in enumerate(SPELLINGS):
-        key = table_key(env, a, b)
-        surjections[key] = SurjectionEntry(a, b, Const("f"), Const("g"),
-                                           Const(f"s{i}"))
-        transfers[key] = TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}"))
+        surjections[a, b] = SurjectionEntry(a, b, Const("f"), Const("g"),
+                                            Const(f"s{i}"))
+        transfers[a, b] = TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}"))
         tables = insert_relation_v2(
             tables, env, RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")))
     return dataclasses.replace(tables, surjections=surjections,
@@ -428,9 +432,16 @@ QUERIES = st.one_of(RANDOM_QUERIES,
 QUERY_PAIRS = st.one_of(SPELLED_PAIRS, st.tuples(QUERIES, QUERIES))
 
 
+def _by_normal_form(store, env, a, b):
+    """The entry of `store` whose pair has the normal forms of (a, b)."""
+    key = table_key(env, a, b)
+    return next((entry for (c, d), entry in store.items()
+                 if table_key(env, c, d) == key), None)
+
+
 def _expected_relation_entries(tables, env, a, b):
-    direct = tables.relations_v2.get(table_key(env, a, b))
-    flipped = tables.relations_v2.get(table_key(env, b, a))
+    direct = _by_normal_form(tables.relations_v2, env, a, b)
+    flipped = _by_normal_form(tables.relations_v2, env, b, a)
     return ([(direct, False)] if direct is not None else []) \
         + ([(invert_entry(env, flipped), True)] if flipped is not None else [])
 
@@ -441,9 +452,9 @@ def test_lookups_match_the_normal_form_key_lookup(pair):
     a, b = pair
     env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
     assert lookup_surjection(tables, env, a, b) \
-        is tables.surjections.get(table_key(env, a, b))
+        is _by_normal_form(tables.surjections, env, a, b)
     assert lookup_transfer_v1(tables, env, a, b) \
-        is tables.transfers_v1.get(table_key(env, a, b))
+        is _by_normal_form(tables.transfers_v1, env, a, b)
     expected = _expected_relation_entries(tables, env, a, b)
     found = list(relation_entries(tables, env, a, b))
     assert found == expected
@@ -453,10 +464,37 @@ def test_lookups_match_the_normal_form_key_lookup(pair):
         == (expected[0] if expected else None)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(QUERY_PAIRS)
+def test_insertion_rejects_exactly_the_pairs_with_a_stored_normal_form(pair):
+    a, b = pair
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    new_entries = {
+        "surjections": SurjectionEntry(a, b, Const("f"), Const("g"), Const("s")),
+        "transfers_v1": TransferEntryV1(a, b, 1, Const("f"), Const("t")),
+        "relations_v2": RelationEntryV2(a, b, Const("rel"), Const("r")),
+    }
+    for store, entry in new_entries.items():
+        stored = getattr(tables, store)
+        duplicate = any(table_key(env, c, d) == table_key(env, a, b)
+                        for c, d in stored)
+        if duplicate:
+            with pytest.raises(DuplicateEntry):
+                tables_module._insert(tables, store, env, (a, b), entry, "it")
+            continue
+        grown = tables_module._insert(tables, store, env, (a, b), entry, "it")
+        assert getattr(grown, store) == {**stored, (a, b): entry}
+        assert getattr(tables, store) is stored
+        assert tables_module._find(grown, store, env, whnf(env, a),
+                                   whnf(env, b)) == ((a, b), entry)
+        with pytest.raises(DuplicateEntry):
+            tables_module._insert(grown, store, env, (a, b), entry, "it")
+
+
 def test_disguised_spellings_find_their_entries():
     env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
-    for a, b in SPELLINGS:
-        key = table_key(env, a, b)
+    for key in SPELLINGS:
+        a, b = key
         for codes in ([], [1], [2], [3], [2, 1, 2, 1, 3, 1, 2, 1]):
             qa, qb = _disguise(a, iter(codes)), _disguise(b, iter(codes))
             assert lookup_surjection(tables, env, qa, qb) \
