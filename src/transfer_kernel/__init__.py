@@ -21,19 +21,12 @@ from .surface import (
 from .tables import (
     DeclTables, DuplicateEntry, RelationEntryV2, ShapeError, SurjectionEntry,
     TableError, TransferEntryV1, audit, declare_relation_v2,
-    declare_surjection, declare_transfer_v1, lookup_relation_v2,
-    lookup_surjection, lookup_transfer_v1, prefill_core,
-    surjection_to_relational,
+    declare_surjection, declare_transfer_v1, lookup_surjection,
+    lookup_transfer_v1, prefill_core, surjection_to_relational,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
-from .transfer_v1 import (
-    COVARIANT, CONTRAVARIANT, Polarity, build_rewrite, exact_modulo,
-    subst_polarized,
-)
-from .transfer_v2 import (
-    Judgment, Known, RelArrow, Unknown, invert_entry, match_relation, synth,
-    transfer_modulo,
-)
+from .transfer_v1 import build_rewrite, exact_modulo
+from .transfer_v2 import transfer_modulo
 from .cli import RunOptions, SessionState, execute_script, report, run_script
 
 __all__ = [
@@ -46,12 +39,9 @@ __all__ = [
     "DeclTables", "DuplicateEntry", "RelationEntryV2", "ShapeError",
     "SurjectionEntry", "TableError", "TransferEntryV1", "audit",
     "declare_relation_v2", "declare_surjection", "declare_transfer_v1",
-    "lookup_relation_v2", "lookup_surjection", "lookup_transfer_v1",
-    "prefill_core", "surjection_to_relational",
+    "lookup_surjection", "lookup_transfer_v1", "prefill_core",
+    "surjection_to_relational",
     "DerivationTrace", "TraceStep", "TransferFailure",
-    "COVARIANT", "CONTRAVARIANT", "Polarity", "build_rewrite", "exact_modulo",
-    "subst_polarized",
-    "Judgment", "Known", "RelArrow", "Unknown", "invert_entry",
-    "match_relation", "synth", "transfer_modulo",
+    "build_rewrite", "exact_modulo", "transfer_modulo",
     "RunOptions", "SessionState", "execute_script", "report", "run_script",
 ]

@@ -17,9 +17,6 @@ Neither is printed here (see `outcome`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from .kernel import (
     EQ_IND,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, Var,
@@ -30,35 +27,8 @@ from .surface import print_term
 from .tables import DeclTables, lookup_surjection, lookup_transfer_v1
 
 
-class Polarity(Enum):
-    COVARIANT = "covariant"
-    CONTRAVARIANT = "contravariant"
-
-    def flipped(self) -> "Polarity":
-        if self is Polarity.COVARIANT:
-            return Polarity.CONTRAVARIANT
-        return Polarity.COVARIANT
-
-
-COVARIANT = Polarity.COVARIANT
-CONTRAVARIANT = Polarity.CONTRAVARIANT
-
-
-@dataclass(frozen=True)
-class AtomView:
-    head: Term
-    args: tuple[Term, ...]
-
-
-def atom_view(env: GlobalEnv, formula: Term) -> AtomView:
-    """Application-spine view after beta head reduction only; definitions
-    are kept folded so declared relations stay recognizable."""
-    head, args = spine(whnf(env, formula, delta=False))
-    return AtomView(head, tuple(args))
-
-
 def subst_polarized(formula: Term, target: int, replacement: Term,
-                    start: Polarity) -> Term:
+                    covariant: bool) -> Term:
     """Substitute for a variable only in positions of the given polarity.
 
     Descending into a product flips polarity for the domain and keeps it
@@ -68,10 +38,10 @@ def subst_polarized(formula: Term, target: int, replacement: Term,
     if isinstance(formula, Pi):
         return Pi(formula.name,
                   subst_polarized(formula.ty, target, replacement,
-                                  start.flipped()),
+                                  not covariant),
                   subst_polarized(formula.body, target + 1,
-                                  shift(replacement, 1), start))
-    if start is COVARIANT:
+                                  shift(replacement, 1), covariant))
+    if covariant:
         return replace_var(formula, target, replacement)
     return formula
 
@@ -87,7 +57,7 @@ def build_rewrite(goal: Term, var_index: int, from_term: Term,
     kernel-checked here.
     """
     motive_body = subst_polarized(shift(goal, 1), var_index + 1, Var(0),
-                                  COVARIANT)
+                                  covariant=True)
     motive = Lam("w", codomain, motive_body)
     return app(Const(EQ_IND), codomain, from_term, motive, inner,
                Var(var_index), eq_proof)
@@ -158,7 +128,7 @@ def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth):
     g_var = App(shift(entry.inverse, 1), Var(0))
     fg_var = App(shift(entry.fn, 1), g_var)
     inst_body = replace_var(body_s, 0, g_var)
-    subst_goal = subst_polarized(body_t, 0, fg_var, COVARIANT)
+    subst_goal = subst_polarized(body_t, 0, fg_var, covariant=True)
     rec = exact_modulo(env, tables, ctx2, inst_body, subst_goal,
                        App(lifted_proof, g_var), trace, depth + 1)
     if isinstance(rec, TransferFailure):
@@ -173,27 +143,29 @@ def _product_case(env, tables, ctx, ws: Pi, wt: Pi, proof, trace, depth):
 
 
 def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
-    vs = atom_view(env, source)
-    vt = atom_view(env, target)
-    if len(vs.args) != len(vt.args):
+    # Beta head reduction only: definitions stay folded so declared
+    # relations stay recognizable.
+    head_s, args_s = spine(whnf(env, source, delta=False))
+    head_t, args_t = spine(whnf(env, target, delta=False))
+    if len(args_s) != len(args_t):
         return TransferFailure(
             "shape-mismatch",
             lambda: f"atoms {print_term(source, env, ctx)} and "
                     f"{print_term(target, env, ctx)} have arities "
-                    f"{len(vs.args)} and {len(vt.args)}")
-    entry = lookup_transfer_v1(tables, env, vs.head, vt.head)
+                    f"{len(args_s)} and {len(args_t)}")
+    entry = lookup_transfer_v1(tables, env, head_s, head_t)
     if entry is None:
         return TransferFailure(
             "no-table-entry",
-            lambda: f"no transfer lemma for ({print_term(vs.head, env, ctx)}, "
-                    f"{print_term(vt.head, env, ctx)})")
-    if entry.arity != len(vs.args):
+            lambda: f"no transfer lemma for ({print_term(head_s, env, ctx)}, "
+                    f"{print_term(head_t, env, ctx)})")
+    if entry.arity != len(args_s):
         return TransferFailure(
             "shape-mismatch",
-            lambda: f"transfer lemma for ({print_term(vs.head, env, ctx)}, "
-                    f"{print_term(vt.head, env, ctx)}) expects {entry.arity} "
-                    f"arguments, atoms have {len(vs.args)}")
-    for i, (arg_s, arg_t) in enumerate(zip(vs.args, vt.args), start=1):
+            lambda: f"transfer lemma for ({print_term(head_s, env, ctx)}, "
+                    f"{print_term(head_t, env, ctx)}) expects {entry.arity} "
+                    f"arguments, atoms have {len(args_s)}")
+    for i, (arg_s, arg_t) in enumerate(zip(args_s, args_t), start=1):
         image = App(entry.transfer_fn, arg_s)
         if not convertible(env, ctx, arg_t, image):
             return TransferFailure(
@@ -202,5 +174,5 @@ def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
                         f"{print_term(image, env, ctx)}")
     if trace is not None:
         trace.append(TraceStep(depth, "atom", ctx,
-                               (entry.proof, " : ", vs.head, " to ", vt.head)))
-    return app(entry.proof, *vs.args, proof)
+                               (entry.proof, " : ", head_s, " to ", head_t)))
+    return app(entry.proof, *args_s, proof)

@@ -1,13 +1,14 @@
 """Second transfer engine: deterministic synthesis of relatedness judgments.
 
 A judgment relates a source term and a target term through a relation,
-witnessed by a kernel-checkable proof.  The synthesizer drives six rules:
-implications and universal quantifiers are first viewed as applications of
-`impl` and `all` (Arrow, Forall), leaves are closed by context hypotheses
-(Env) or declared relation entries (Table, with an inverse fallback that
-flips a stored entry), and structure is decomposed one application at a
-time (App) or through binders when the expected relation is a relator
-arrow (Lambda).
+witnessed by a kernel-checkable proof.  The synthesizer tries its rules on
+each pair in a fixed order: Forall/Arrow (a product viewed as an
+application of `all` or `impl`), Env (a context hypothesis), Table (a
+declared relation entry, or a stored one flipped), App (one application)
+and Lambda (binders, when the expected relation is a relator arrow).  A
+rule returns its derivation or the reason it does not apply; Forall/Arrow
+only rewrites the pair and gives no reason.  A failure names the deepest
+pair no rule relates, with each rule's reason.
 
 Env reads a per-context index: the candidate hypotheses `Var(i) : R a b` of
 a context are found once per engine run, since a context changes only when
@@ -16,9 +17,9 @@ scan from the innermost entry would.
 
 Relation expectations may contain metavariables; they are solved by
 one-way matching against hypothesis and table relations, and solutions are
-restricted to closed terms so they can move across binders.  The rule
-order and operand order are fixed, so identical inputs produce identical
-derivations, traces and proofs.
+restricted to closed terms so they can move across binders; a failed rule's
+solutions are undone.  The rule order and operand order are fixed, so
+identical inputs produce identical derivations, traces and proofs.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
@@ -40,7 +41,7 @@ from .kernel import (
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
-from .tables import (  # invert_entry is also public API of this module
+from .tables import (  # the benchmark's tracer wraps invert_entry here
     DeclTables, SynthesisError, invert_entry, relation_entries,
 )
 
@@ -188,7 +189,7 @@ class _Synth:
                        rhs: Term, attempts: list[tuple[str, str]]) -> None:
         if self.deepest_failure is None or depth >= self.deepest_failure.depth:
             self.deepest_failure = _FailurePoint(depth, ctx, lhs, rhs,
-                                                 list(attempts))
+                                                 attempts)
 
     def failure_message(self) -> str:
         fp = self.deepest_failure
@@ -210,47 +211,26 @@ class _Synth:
 
     # -- the rules -------------------------------------------------------------
 
+    # Tried in this order; a rule's reason is shown under its name here.
+    RULES = (("Forall/Arrow", "_forall_arrow_view"), ("Env", "_rule_env"),
+             ("Table", "_rule_table"), ("App", "_rule_app"),
+             ("Lambda", "_rule_lambda"))
+
     def synth(self, ctx: LocalContext, lhs: Term, rhs: Term,
               expect: RelExpectation,
               depth: int = 0) -> Derived | None:
         attempts: list[tuple[str, str]] = []
-
-        def attempt(rule):
-            # Solutions made inside a failed rule attempt are unjustified
-            # and must not leak into later attempts.
-            saved = dict(self.metas)
-            result = rule()
-            if result is None:
-                self.metas = saved
-            return result
-
-        normalized = attempt(
-            lambda: self._forall_arrow_view(ctx, lhs, rhs, expect, depth))
-        if normalized is not None:
-            return normalized
-
-        env_result = attempt(
-            lambda: self._rule_env(ctx, lhs, rhs, expect, depth))
-        if env_result is not None:
-            return env_result
-        attempts.append(("Env", "no hypothesis relates the two sides"))
-
-        table_result = attempt(
-            lambda: self._rule_table(ctx, lhs, rhs, expect, depth))
-        if table_result is not None:
-            return table_result
-        attempts.append(("Table", "no matching entry (direct or inverted)"))
-
-        app_result = attempt(
-            lambda: self._rule_app(ctx, lhs, rhs, expect, depth, attempts))
-        if app_result is not None:
-            return app_result
-
-        lam_result = attempt(
-            lambda: self._rule_lambda(ctx, lhs, rhs, expect, depth, attempts))
-        if lam_result is not None:
-            return lam_result
-
+        for name, rule in self.RULES:
+            # Solutions made inside a failed rule are unjustified and must
+            # not leak into later rules.  `match` rebinds `metas` and never
+            # mutates it, so keeping the old binding is enough.
+            saved = self.metas
+            result = getattr(self, rule)(ctx, lhs, rhs, expect, depth)
+            if isinstance(result, tuple):
+                return result
+            self.metas = saved
+            if result is not None:
+                attempts.append((name, result))
         self.record_failure(depth, ctx, lhs, rhs, attempts)
         return None
 
@@ -279,31 +259,25 @@ class _Synth:
         wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, Pi) and isinstance(wr, Pi)):
             return None
-        lhs_nondep = not occurs_free(wl.body, 0)
-        rhs_nondep = not occurs_free(wr.body, 0)
-        if lhs_nondep and rhs_nondep \
+        if not occurs_free(wl.body, 0) and not occurs_free(wr.body, 0) \
                 and self._sort_of(ctx, wl.ty) == PROP \
                 and self._sort_of(ctx, wr.ty) == PROP:
+            rule = "Arrow"
             lhs2 = app(Const(IMPL), wl.ty, unshift(wl.body))
             rhs2 = app(Const(IMPL), wr.ty, unshift(wr.body))
-            sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
-            if sub is None:
-                return None
-            judgment, steps = sub
-            wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
-            return self._finish(wrapped, "Arrow", depth, steps)
-        body_sort_l = self._sort_of(ctx.push(wl.name, wl.ty), wl.body)
-        body_sort_r = self._sort_of(ctx.push(wr.name, wr.ty), wr.body)
-        if body_sort_l == PROP and body_sort_r == PROP:
+        elif self._sort_of(ctx.push(wl.name, wl.ty), wl.body) == PROP \
+                and self._sort_of(ctx.push(wr.name, wr.ty), wr.body) == PROP:
+            rule = "Forall"
             lhs2 = app(Const(ALL), wl.ty, Lam(wl.name, wl.ty, wl.body))
             rhs2 = app(Const(ALL), wr.ty, Lam(wr.name, wr.ty, wr.body))
-            sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
-            if sub is None:
-                return None
-            judgment, steps = sub
-            wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
-            return self._finish(wrapped, "Forall", depth, steps)
-        return None
+        else:
+            return None
+        sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
+        if sub is None:
+            return None
+        judgment, steps = sub
+        wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
+        return self._finish(wrapped, rule, depth, steps)
 
     # Env ----------------------------------------------------------------------
 
@@ -316,7 +290,7 @@ class _Synth:
                 continue
             return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                                 depth)
-        return None
+        return "no hypothesis relates the two sides"
 
     def _hypotheses(self, ctx):
         """`(i, R, a, b)` for each entry `Var(i) : R a b` of the context
@@ -345,16 +319,15 @@ class _Synth:
                 judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
                 return self._finish(judgment, "Table", depth,
                                     inverse=via_inverse)
-        return None
+        return "no matching entry (direct or inverted)"
 
     # App ------------------------------------------------------------------------
 
-    def _rule_app(self, ctx, lhs, rhs, expect, depth, attempts):
+    def _rule_app(self, ctx, lhs, rhs, expect, depth):
         wl = whnf(self.env, lhs, delta=False)
         wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, App) and isinstance(wr, App)):
-            attempts.append(("App", "sides are not both applications"))
-            return None
+            return "sides are not both applications"
         fn_l, arg_l = wl.fn, wl.arg
         fn_r, arg_r = wr.fn, wr.arg
 
@@ -364,28 +337,24 @@ class _Synth:
         if args_are_vars:
             arg_sub = self.synth(ctx, arg_l, arg_r, self.fresh(), depth + 1)
             if arg_sub is None:
-                attempts.append(("App", "argument pair is unrelatable"))
-                return None
+                return "argument pair is unrelatable"
             fn_expect = RelArrow(Known(arg_sub[0].relation), expect)
         else:
             fn_expect = RelArrow(self.fresh(), expect)
         fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
         if fn_sub is None:
-            attempts.append(("App", "function pair is unrelatable"))
-            return None
+            return "function pair is unrelatable"
         fn_j, fn_steps = fn_sub
         view = respectful_view(self.env, fn_j.relation)
         if view is None:
-            attempts.append(("App", "function relation is not a relator arrow"))
-            return None
+            return "function relation is not a relator arrow"
         if args_are_vars:
             arg_j, arg_steps = arg_sub
             steps = arg_steps + fn_steps
         else:
             arg_sub = self.synth(ctx, arg_l, arg_r, Known(view[4]), depth + 1)
             if arg_sub is None:
-                attempts.append(("App", "argument pair is unrelatable"))
-                return None
+                return "argument pair is unrelatable"
             arg_j, arg_steps = arg_sub
             steps = fn_steps + arg_steps
 
@@ -396,43 +365,36 @@ class _Synth:
 
     # Lambda -----------------------------------------------------------------------
 
-    def _rule_lambda(self, ctx, lhs, rhs, expect, depth, attempts):
+    def _rule_lambda(self, ctx, lhs, rhs, expect, depth):
         resolved = self.resolve(expect, ctx)
         if resolved is None:
-            attempts.append(("Lambda", "expected relation is undetermined"))
-            return None
+            return "expected relation is undetermined"
         view = respectful_view(self.env, resolved)
         if view is None:
-            attempts.append(("Lambda", "expected relation is not a relator "
-                                       "arrow"))
-            return None
+            return "expected relation is not a relator arrow"
         _, _, _, _, rel_dom, rel_cod = view
         # Only syntactic functions: unfolding constants into lambdas here
         # would re-open the applications the other rules just decomposed.
         wl = whnf(self.env, lhs, delta=False)
         wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, Lam) and isinstance(wr, Lam)):
-            attempts.append(("Lambda", "sides are not both functions"))
-            return None
+            return "sides are not both functions"
         hyp_count = sum(1 for e in ctx.entries if e.marker == "hypothesis")
         hyp_name = "H" if hyp_count == 0 else f"H{hyp_count}"
+        hyp_ty = app(shift(rel_dom, 2), Var(1), Var(0))
         ctx3 = (ctx.push(wl.name, wl.ty)
                    .push(wr.name, shift(wr.ty, 1))
-                   .push(hyp_name, app(shift(rel_dom, 2), Var(1), Var(0)),
-                         marker="hypothesis"))
+                   .push(hyp_name, hyp_ty, marker="hypothesis"))
         body_l = replace_var(shift(wl.body, 2, 1), 0, Var(2))
         body_r = replace_var(shift(wr.body, 2, 1), 0, Var(1))
         sub = self.synth(ctx3, body_l, body_r, Known(shift(rel_cod, 3)),
                          depth + 1)
         if sub is None:
-            attempts.append(("Lambda", "bodies are unrelatable"))
-            return None
+            return "bodies are unrelatable"
         body_j, body_steps = sub
         proof = Lam(wl.name, wl.ty,
                     Lam(wr.name, shift(wr.ty, 1),
-                        Lam(hyp_name,
-                            app(shift(rel_dom, 2), Var(1), Var(0)),
-                            body_j.proof)))
+                        Lam(hyp_name, hyp_ty, body_j.proof)))
         judgment = Judgment(ctx, lhs, rhs, resolved, proof)
         return self._finish(judgment, "Lambda", depth, body_steps)
 
@@ -467,10 +429,9 @@ def transfer_modulo(env: GlobalEnv, tables: DeclTables, thm_statement: Term,
     judgment is checked as it is derived and the first unsound one raises
     SynthesisError.
     """
-    engine = _Synth(env, tables, diagnostics)
-    result = engine.synth(LocalContext(), thm_statement, goal,
-                          Known(Const(IMPL)))
-    if result is None:
-        return TransferFailure("no-derivation", engine.failure_message)
-    judgment, steps = result
-    return App(judgment.proof, thm_proof), DerivationTrace(steps, env)
+    result = synth(env, tables, LocalContext(), thm_statement, goal,
+                   Known(Const(IMPL)), diagnostics)
+    if isinstance(result, TransferFailure):
+        return result
+    judgment, trace = result
+    return App(judgment.proof, thm_proof), trace

@@ -68,6 +68,74 @@ def test_failed_transfer_gives_exit_one():
     assert "nonneg" in result.failure.message
 
 
+V1_SCRIPT = """\
+Parameter A A' : Set.
+Parameter c : A.
+Parameter b : A'.
+Parameter f f2 : A → A'.
+Parameter h : A → A → A'.
+Parameter R1 : A → Prop.
+Parameter R1' : A' → Prop.
+Parameter R : A → A → Prop.
+Parameter R' : A' → A' → Prop.
+Parameter Q : (A → Prop) → Prop.
+"""
+
+
+@pytest.mark.parametrize("goal,kind,message", [
+    ("R1' b", "argument-mismatch", "argument 1: b is not f c"),
+    ("R' b b", "shape-mismatch", "atoms R1 c and R' b b have arities 1 and 2"),
+])
+def test_v1_failure_kinds_name_the_mismatch(goal, kind, message):
+    code, state = run_text(V1_SCRIPT + (
+        "Axiom up : ∀ x : A, R1 x → R1' (f x).\nDeclare Transfer up.\n"
+        f"Axiom r : R1 c.\nTheorem t : {goal}. exact modulo r. Qed.\n"))
+    assert code == EXIT_PROOF_FAILURE
+    (result,) = state.results
+    assert (result.failure.kind, result.failure.message) == (kind, message)
+
+
+@pytest.mark.parametrize("statement,message", [
+    ("∀ x : A, R1' (f x)",
+     "transfer lemma must quantify over at least one variable and one "
+     "hypothesis"),
+    ("∀ (x : A) (y : A'), R1 x → R1' (f x)",
+     "binder 2 has type A', expected A"),
+    ("∀ x y : A, R1 x → R' (f x) (f y)",
+     "hypothesis applies a relation to 1 arguments, expected 2"),
+    ("∀ p : A → Prop, p c → False",
+     "source relation may not mention the quantified variables"),
+    ("∀ x y : A, R x x → R' (f x) (f y)",
+     "hypothesis argument 2 is not the quantified variable x2"),
+    ("∀ x : A, R1 x → R' (f x) (f x)",
+     "conclusion applies a relation to 2 arguments, expected 1"),
+    ("∀ p : A → Prop, Q p → p c",
+     "target relation may not mention the quantified variables"),
+    ("∀ x : A, R1 x → R1' b",
+     "conclusion argument 1 is not the transfer function applied to x1"),
+    ("∀ x y : A, R x y → R' (h x x) (h x y)",
+     "transfer function may not mention the quantified variables"),
+    ("∀ x y : A, R x y → R' (f x) (f2 y)",
+     "conclusion argument 2 uses a different transfer function than "
+     "argument 1"),
+])
+def test_declare_transfer_shape_errors_give_exit_two(statement, message):
+    code, state = run_text(V1_SCRIPT + f"Axiom bad : {statement}.\n"
+                           "Declare Transfer bad.\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == [f"line 12: {message}"]
+
+
+def test_elaboration_unifies_function_types_structurally():
+    text = ("Parameter nat : Set.\nParameter H : (nat → nat) → Prop.\n"
+            "Axiom a : H ({}).\n")
+    code, state = run_text(text.format("fun x => x"))
+    assert code == EXIT_OK and state.errors == []
+    code, state = run_text(text.format("fun (x : Prop) => x"))
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 3: type mismatch: Prop vs nat"]
+
+
 def test_parse_error_gives_exit_two():
     code, state = run_text("Parameter A : Set")  # missing final dot
     assert code == EXIT_SCRIPT_ERROR
@@ -302,6 +370,19 @@ def test_theorem_named_like_a_generated_encoding_name(tmp_path, capsys):
     assert main(["run", str(path)]) == EXIT_SCRIPT_ERROR
     assert "error: line 15: 'N.of_nat_rel' is already declared" \
         in capsys.readouterr().out
+
+
+def test_encoding_takes_a_fresh_name_past_a_declared_one():
+    # with N.of_nat_rel taken, the encoding of N.of_nat is N.of_nat_rel1
+    text = script_text("v2_letrans.tk").replace(
+        "Declare Surjection", "Parameter N.of_nat_rel : Prop.\n"
+                              "Declare Surjection")
+    code, state = run_text(text, trace=True)
+    assert code == EXIT_OK, (state.errors, state.results)
+    assert [r.status for r in state.results] == ["proved"]
+    assert "N.of_nat_rel1_surj" in state.env
+    assert "    Table all nat ⇝[(N.of_nat_rel1 ##> impl) ##> impl] all N" \
+        in state.results[0].trace_lines
 
 
 REFL_SCRIPT = """\

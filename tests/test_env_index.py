@@ -26,7 +26,8 @@ from fuzz_helpers import v2_fixture, v2_problem
 
 def scanning_rule_env(self, ctx, lhs, rhs, expect, depth):
     """The Env rule without the index: every call shifts, reduces and
-    splits the type of every context entry again."""
+    splits the type of every context entry again.  Like every rule, it
+    returns its derivation or the reason it does not apply."""
     for i in range(len(ctx)):
         ty = ctx.type_of(i)
         head, args = spine(whnf(self.env, ty, delta=False))
@@ -41,7 +42,7 @@ def scanning_rule_env(self, ctx, lhs, rhs, expect, depth):
             continue
         return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                             depth)
-    return None
+    return "no hypothesis relates the two sides"
 
 
 def both_rules(monkeypatch, run):

@@ -14,7 +14,7 @@ from transfer_kernel.tables import (
     DeclTables, declare_surjection, declare_transfer_v1, lookup_surjection,
 )
 from transfer_kernel.transfer_v1 import (
-    COVARIANT, CONTRAVARIANT, build_rewrite, exact_modulo, subst_polarized,
+    build_rewrite, exact_modulo, subst_polarized,
 )
 
 from conftest import declare
@@ -115,10 +115,9 @@ def _polarity_fixture_cases():
 @pytest.mark.parametrize("idx,formula", list(enumerate(_polarity_fixture_cases())))
 def test_polarity_oracle_agreement(idx, formula):
     replacement = Const("t")
-    for start in (True, False):
-        pol = COVARIANT if start else CONTRAVARIANT
-        assert subst_polarized(formula, 0, replacement, pol) == \
-            oracle_subst(formula, 0, replacement, start), (idx, start)
+    for covariant in (True, False):
+        assert subst_polarized(formula, 0, replacement, covariant) == \
+            oracle_subst(formula, 0, replacement, covariant), (idx, covariant)
 
 
 def test_polarity_fixture_has_fifty_cases():
@@ -129,7 +128,7 @@ def test_polarity_fixture_has_fifty_cases():
 
 def test_subst_atom_covariant():
     formula = app(Const("R'"), Var(0))
-    out = subst_polarized(formula, 0, Const("t"), COVARIANT)
+    out = subst_polarized(formula, 0, Const("t"), covariant=True)
     assert out == app(Const("R'"), Const("t"))
 
 
@@ -138,14 +137,14 @@ def test_subst_hypothesis_untouched_conclusion_substituted():
     hyp = app(Const("N.le"), Var(2), Var(1))
     concl = app(Const("N.le"), Var(2), Var(0))
     formula = arrow(hyp, concl)
-    out = subst_polarized(formula, 2, Const("t"), COVARIANT)
+    out = subst_polarized(formula, 2, Const("t"), covariant=True)
     assert out == arrow(hyp, app(Const("N.le"), Const("t"), Var(0)))
 
 
 def test_subst_double_flip_restores_covariance():
     # (P(x') -> Q) -> Q'
     formula = arrow(arrow(app(Const("P"), Var(0)), Const("Q")), Const("Q'"))
-    out = subst_polarized(formula, 0, Const("t"), COVARIANT)
+    out = subst_polarized(formula, 0, Const("t"), covariant=True)
     assert out == arrow(arrow(app(Const("P"), Const("t")), Const("Q")),
                         Const("Q'"))
 
@@ -156,7 +155,7 @@ def test_subst_by_convertible_term_preserves_meaning(nat_env):
     formula = parse_and_elaborate(env, "N.le x' y' → N.le x' x'", ctx)
     # replacement beta-reduces to the variable itself
     replacement = App(Lam("u", Const("N"), Var(0)), Var(1))
-    out = subst_polarized(formula, 1, replacement, COVARIANT)
+    out = subst_polarized(formula, 1, replacement, covariant=True)
     assert out != formula
     assert convertible(env, ctx, out, formula)
 
@@ -176,7 +175,7 @@ def test_build_rewrite_single_position(rewrite_env):
     ctx = LocalContext().push("z'", Const("N")).push("x'", Const("N"))
     goal = parse_and_elaborate(env, "N.le x' z'", ctx)
     from_term = App(entry.fn, App(entry.inverse, Var(0)))
-    hyp_stmt = subst_polarized(goal, 0, from_term, COVARIANT)
+    hyp_stmt = subst_polarized(goal, 0, from_term, covariant=True)
     ctx_h = ctx.push("h", hyp_stmt)
     proof = build_rewrite(shift(goal, 1), 1, shift(from_term, 1),
                           App(entry.proof, Var(1)), Var(0), Const("N"))
@@ -201,7 +200,7 @@ def test_build_rewrite_hypothesis_position_untouched(rewrite_env):
     ctx = LocalContext().push("y'", Const("N")).push("x'", Const("N"))
     goal = parse_and_elaborate(env, "N.le x' y' → N.le x' x'", ctx)
     from_term = App(entry.fn, App(entry.inverse, Var(0)))
-    inner_stmt = subst_polarized(goal, 0, from_term, COVARIANT)
+    inner_stmt = subst_polarized(goal, 0, from_term, covariant=True)
     ctx_h = ctx.push("h", inner_stmt)
     proof = build_rewrite(shift(goal, 1), 1, shift(from_term, 1),
                           App(entry.proof, Var(1)), Var(0), Const("N"))
@@ -332,6 +331,22 @@ def test_shape_mismatch_is_structured(nat_env):
     result = exact_modulo(env, DeclTables(), LocalContext(), src,
                           env.type_of("le_trans"), Const("le_trans"))
     assert isinstance(result, TransferFailure)
+
+
+def test_lemma_arity_mismatch_is_a_shape_failure(example2):
+    """A relation's type fixes how many arguments make it a proposition,
+    and a lemma's arity is that number, so only terms the kernel would
+    reject reach this check.  The engine does not type-check its input; it
+    still answers with the documented kind."""
+    env, tables, _ = example2
+    ctx = LocalContext().push("x", Const("nat"))
+    x, image = Var(0), App(Const("N.of_nat"), Var(0))
+    result = exact_modulo(env, tables, ctx, app(Const("le"), x, x, x),
+                          app(Const("N.le"), image, image, image), Var(0))
+    assert isinstance(result, TransferFailure)
+    assert (result.kind, result.message) == (
+        "shape-mismatch",
+        "transfer lemma for (le, N.le) expects 2 arguments, atoms have 3")
 
 
 def test_asymmetric_surjectivity_z_to_n(nat_env):
