@@ -11,7 +11,11 @@ trace is kept unprinted and printed only when a report reads it (the
 machine format, or `--trace`).
 
 Exit codes: 0 all theorems proved, 1 a transfer failed, 2 parse or
-semantic error, 3 an engine produced a proof the kernel rejected.
+semantic error, 3 an engine produced a proof the kernel rejected.  The
+per-command `try` in `execute_script` is the one place that maps a
+command's exception to its outcome: `SynthesisError` to 3, any other
+`ScriptError`, `SurfaceError`, `KernelError` or `TableError`, and
+`RecursionError`, to 2.
 """
 
 from __future__ import annotations
@@ -90,9 +94,10 @@ class ScriptError(Exception):
 
 
 def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionState:
-    """Run a script's commands in order; never raises for script-level
-    problems (they are collected in the returned state).  Input nested
-    deeper than the interpreter's recursion limit is a script error."""
+    """Run a script's commands in order; never raises.  A command's
+    exception becomes its outcome here and nowhere else: an internal error
+    stops the script, and so, without `keep_going`, does the first script
+    error (`line N: <message>`) or failed theorem."""
     state = SessionState(env=library_env(), tables=DeclTables())
     try:
         script = parse_script(text)
@@ -103,84 +108,53 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
         state.tables = prefill_core(state.tables, state.env)
     for cmd in script.commands:
         try:
-            _execute_command(state, cmd, options)
-        except ScriptError as e:
-            state.errors.append(str(e))
-            if not options.keep_going:
-                break
-        except RecursionError:
-            state.errors.append(f"line {cmd.line}: {NESTED_TOO_DEEPLY}")
-            if not options.keep_going:
-                break
-        except SynthesisError as e:
+            if isinstance(cmd, CmdTheorem):
+                _execute_theorem(state, cmd, options)
+            else:
+                _declare(state, cmd)
+        except SynthesisError as e:  # first: it is a TableError
             state.internal_errors.append(f"line {cmd.line}: {e}")
             break
-        if state.results and state.results[-1].status == "failed" \
-                and not options.keep_going:
+        except (ScriptError, SurfaceError, KernelError, TableError) as e:
+            state.errors.append(f"line {cmd.line}: {e}")
+        except RecursionError:
+            state.errors.append(f"line {cmd.line}: {NESTED_TOO_DEEPLY}")
+        if not options.keep_going and exit_code(state) != EXIT_OK:
             break
     return state
-
-
-def _fail(cmd, message: str) -> ScriptError:
-    return ScriptError(f"line {cmd.line}: {message}")
-
-
-def _elaborate(state: SessionState, cmd, pre) -> Term:
-    try:
-        return elaborate(state.env, pre)
-    except SurfaceError as e:
-        raise _fail(cmd, str(e)) from None
-
-
-def _execute_command(state: SessionState, cmd, options: RunOptions) -> None:
-    if isinstance(cmd, CmdTheorem):
-        _execute_theorem(state, cmd, options)
-        return
-    try:
-        _declare(state, cmd)
-    except SynthesisError:
-        raise
-    except (KernelError, TableError) as e:
-        raise _fail(cmd, str(e)) from None
 
 
 def _declare(state: SessionState, cmd) -> None:
     env, tables = state.env, state.tables
     match cmd:
         case CmdParameter(names, ty_pre, _):
-            ty = _elaborate(state, cmd, ty_pre)
+            ty = elaborate(env, ty_pre)
             for name in names:
                 env = env.add_parameter(name, ty)
             state.env = env
         case CmdAxiom(name, stmt_pre, _):
-            state.env = env.add_axiom(name, _elaborate(state, cmd, stmt_pre))
+            state.env = env.add_axiom(name, elaborate(env, stmt_pre))
         case CmdDefinition(name, params, body_pre, _):
             pre = PLam(params, body_pre) if params else body_pre
-            state.env = env.add_definition(name, _elaborate(state, cmd, pre))
+            state.env = env.add_definition(name, elaborate(env, pre))
         case CmdDeclareSurjection(fn, inverse, proof, _):
             state.tables = declare_surjection(tables, env, fn, inverse, proof)
         case CmdDeclareTransfer(lemma, _):
             state.tables = declare_transfer_v1(tables, env, lemma)
         case CmdDeclareRelation(lemma, _):
             state.tables = declare_relation_v2(tables, env, lemma)
-        case _:
-            raise _fail(cmd, f"unhandled command {cmd!r}")
 
 
 def _execute_theorem(state: SessionState, cmd: CmdTheorem,
                      options: RunOptions) -> None:
     env = state.env
-    goal = _elaborate(state, cmd, cmd.statement)
-    try:
-        goal_sort = whnf(env, infer_type(env, LocalContext(), goal))
-    except KernelError as e:
-        raise _fail(cmd, str(e)) from None
-    if goal_sort != PROP:
-        raise _fail(cmd, f"statement of '{cmd.name}' is not a proposition")
+    goal = elaborate(env, cmd.statement)
+    if whnf(env, infer_type(env, LocalContext(), goal)) != PROP:
+        raise ScriptError(f"statement of '{cmd.name}' is not a proposition")
     if cmd.source not in env:
-        raise _fail(cmd, f"unknown source theorem '{cmd.source}'")
+        raise ScriptError(f"unknown source theorem '{cmd.source}'")
     if cmd.name in env:
-        raise _fail(cmd, f"'{cmd.name}' is already declared")
+        raise ScriptError(f"'{cmd.name}' is already declared")
     source_stmt = env.type_of(cmd.source)
     source_proof = Const(cmd.source)
 
@@ -220,8 +194,6 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
         raise SynthesisError(
             f"engine {engine} produced a rejected proof for '{cmd.name}': {e}"
         ) from None
-    except KernelError as e:
-        raise _fail(cmd, str(e)) from None
     state.results.append(TheoremResult(cmd.name, engine, "proved",
                                        time.perf_counter() - started,
                                        proof=outcome, trace=trace))

@@ -609,12 +609,6 @@ class _Elaborator:
             self.solutions[meta.id] = other
             return
         match a, b:
-            case Sort(x), Sort(y) if x == y:
-                return
-            case Var(i), Var(j) if i == j:
-                return
-            case Const(m), Const(n) if m == n:
-                return
             case App(f, x), App(g, y):
                 self.unify(f, g, line, col)
                 self.unify(x, y, line, col)
@@ -781,25 +775,14 @@ class _Printer:
                 return f"_x{i - len(self.names)}"  # out-of-context index
             case Const(name):
                 return name
-            case Pi(_, _, _):
-                return self._render_pi(t, level)
-            case Lam(_, _, _):
-                return self._render_binders(t, level, is_pi=False)
+            case Pi(_, _, _) | Lam(_, _, _):
+                return self._render_binders(t, level)
             case App(_, _):
                 return self._render_app(t, level)
         raise ValueError(f"cannot print {t!r}")
 
     def _paren(self, s: str, level: int, required: int) -> str:
         return f"({s})" if level > required else s
-
-    def _render_pi(self, t: Pi, level: int) -> str:
-        if not occurs_free(t.body, 0) and not self._quantifier_preferred(t):
-            lhs = self.render(t.ty, _LVL_EQ)
-            self._enter("_", t.ty)
-            rhs = self.render(t.body, _LVL_TERM)
-            self._leave()
-            return self._paren(f"{lhs} → {rhs}", level, _LVL_ARROW)
-        return self._render_binders(t, level, is_pi=True)
 
     def _quantifier_preferred(self, t: Pi) -> bool:
         """Quantify (rather than use an arrow) over non-propositional domains
@@ -814,29 +797,37 @@ class _Printer:
         self._leave()
         return body_sort is not None and whnf(self.env, body_sort) == PROP
 
-    def _render_binders(self, t: Term, level: int, is_pi: bool) -> str:
-        cls = Pi if is_pi else Lam
+    def _render_binders(self, t: Pi | Lam, level: int) -> str:
+        """A run of `∀` or `fun` binders as one group.  Each non-dependent
+        product is decided once: it ends the run (or is the whole term) as
+        an arrow, or it is quantified."""
+        cls = type(t)
         groups: list[tuple[str, str]] = []
-        depth = 0
         while isinstance(t, cls):
-            # A non-dependent tail of a forall prints as an arrow instead.
-            if is_pi and not occurs_free(t.body, 0) \
+            if cls is Pi and not occurs_free(t.body, 0) \
                     and not self._quantifier_preferred(t):
                 break
             ty_str = self.render(t.ty, _LVL_TERM)
             name = self.fresh_name(t.name)
             groups.append((name, ty_str))
             self._enter(name, t.ty)
-            depth += 1
             t = t.body
-        body = self.render(t, _LVL_TERM)
-        for _ in range(depth):
+        if isinstance(t, cls):  # the product decided on as an arrow
+            lhs = self.render(t.ty, _LVL_EQ)
+            self._enter("_", t.ty)
+            body = f"{lhs} → {self.render(t.body, _LVL_TERM)}"
             self._leave()
+        else:
+            body = self.render(t, _LVL_TERM)
+        for _ in groups:
+            self._leave()
+        if not groups:
+            return self._paren(body, level, _LVL_ARROW)
         if len(groups) == 1:
             binder = f"{groups[0][0]} : {groups[0][1]}"
         else:
             binder = " ".join(f"({nm} : {ty})" for nm, ty in groups)
-        if is_pi:
+        if cls is Pi:
             return self._paren(f"∀ {binder}, {body}", level, _LVL_TERM)
         return self._paren(f"fun {binder} => {body}", level, _LVL_TERM)
 

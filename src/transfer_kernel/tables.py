@@ -175,8 +175,6 @@ def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
                          "variable and one hypothesis")
     n = len(binders) - 1
     a = binders[0]
-    if max_free_index(a) >= 0:
-        raise ShapeError("quantified type may not depend on earlier binders")
     for i, ty in enumerate(binders[1:n], start=2):
         if ty != a:
             raise ShapeError(f"binder {i} has type {print_term(ty, env)}, "

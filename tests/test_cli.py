@@ -1,6 +1,8 @@
 """End-to-end script execution, reporting and exit codes."""
 
 import json
+import random
+import re
 import sys
 
 import pytest
@@ -10,7 +12,7 @@ from transfer_kernel.cli import (
     RunOptions, execute_script, exit_code, report, run_script,
 )
 from transfer_kernel.kernel import LocalContext, check_proof
-from transfer_kernel.surface import parse_and_elaborate
+from transfer_kernel.surface import parse_and_elaborate, tokenize
 
 from conftest import GOLDEN, SCRIPTS, script_text
 
@@ -155,6 +157,40 @@ def test_duplicate_declaration_gives_exit_two():
     assert any("already declared" in e for e in state.errors)
 
 
+OUTCOME_PREFIX = """\
+Parameter A : Set.
+Parameter c : A.
+Parameter P : A → Prop.
+Axiom src : ∀ x : A, P x.
+Definition d := c.
+"""
+
+
+@pytest.mark.parametrize("keep_going", [False, True])
+@pytest.mark.parametrize("command,message", [
+    ("Axiom bad : P ghost.", "6:15: unknown identifier 'ghost'"),
+    ("Definition d := c.", "'d' is already declared"),
+    ("Declare Surjection c by (c, src).",
+     "surjection function c is not a function"),
+    ("Theorem t : A. exact modulo src. Qed.",
+     "statement of 't' is not a proposition"),
+    ("Theorem t : ∀ x : A, P x. exact modulo nope. Qed.",
+     "unknown source theorem 'nope'"),
+    ("Theorem src : ∀ x : A, P x. exact modulo src. Qed.",
+     "'src' is already declared"),
+])
+def test_each_script_error_family_has_one_outcome(command, message,
+                                                  keep_going):
+    text = (OUTCOME_PREFIX + command + "\n"
+            "Theorem later : ∀ x : A, P x. exact modulo src. Qed.\n")
+    code, state = run_text(text, keep_going=keep_going)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == [f"line 6: {message}"]
+    assert state.internal_errors == []
+    assert [r.status for r in state.results] == (
+        ["proved"] if keep_going else [])
+
+
 def test_deeply_nested_input_is_a_script_error(tmp_path, capsys):
     text = "Parameter P : Prop.\nAxiom deep : " + "P -> " * 2000 + "P.\n"
     code, state = run_text(text)
@@ -165,6 +201,50 @@ def test_deeply_nested_input_is_a_script_error(tmp_path, capsys):
     from transfer_kernel.cli import main
     assert main(["run", str(path)]) == EXIT_SCRIPT_ERROR
     assert "error: 2:1: input nested too deeply" in capsys.readouterr().out
+
+
+# A command starts a line with its keyword; theorems span several lines.
+COMMAND_START = re.compile(
+    r"^(?=(?:Parameter|Axiom|Definition|Declare|Theorem)\b)", re.MULTILINE)
+NAME = re.compile(r"[^\W\d][\w']*(?:\.[^\W\d][\w']*)*")
+
+
+def mutate_script(rng: random.Random, text: str, names: list[str]) -> str:
+    """Drop, duplicate or swap one command, or replace one name in it with
+    another name from the corpus."""
+    commands = COMMAND_START.split(text)
+    i, j = rng.randrange(len(commands)), rng.randrange(len(commands))
+    match rng.randrange(4):
+        case 0:
+            del commands[i]
+        case 1:
+            commands.insert(i, commands[i])
+        case 2:
+            commands[i], commands[j] = commands[j], commands[i]
+        case 3:
+            site = rng.choice(list(NAME.finditer(commands[i])))
+            commands[i] = (commands[i][:site.start()] + rng.choice(names)
+                           + commands[i][site.end():])
+    return "".join(commands)
+
+
+def test_execute_script_never_raises_on_mutated_corpus_scripts():
+    texts = [script_text(path.name) for path in sorted(SCRIPTS.glob("*.tk"))]
+    names = sorted({tok.value for text in texts for tok in tokenize(text)
+                    if tok.kind == "ident"})
+    rng = random.Random(15)
+    codes = []
+    for _ in range(300):
+        text = mutate_script(rng, rng.choice(texts), names)
+        options = RunOptions(engine=rng.choice([None, "v1", "v2"]),
+                             keep_going=True, trace=True, fmt="machine")
+        state = execute_script(text, options)
+        report(state, options.fmt, options)
+        codes.append(exit_code(state))
+    assert set(codes) <= {EXIT_OK, EXIT_PROOF_FAILURE, EXIT_SCRIPT_ERROR,
+                          EXIT_INTERNAL}
+    # the mutations reach proofs and failures, not only script errors
+    assert {EXIT_OK, EXIT_PROOF_FAILURE, EXIT_SCRIPT_ERROR} <= set(codes)
 
 
 def test_nesting_that_parses_but_overflows_later_is_a_script_error():
@@ -321,6 +401,12 @@ def test_internal_error_exit_code(monkeypatch):
         assert state.internal_errors, engine
         assert f"engine {engine} produced a rejected proof" \
             in state.internal_errors[0]
+        # keep_going does not continue past an internal error: the
+        # script error after it is never reached
+        code, state = run_text(script_text(script) + "\nAxiom after : ghost.\n",
+                               keep_going=True)
+        assert code == EXIT_INTERNAL, engine
+        assert len(state.internal_errors) == 1 and state.errors == [], engine
 
 
 @pytest.mark.parametrize("name", ["example2.tk", "v2_letrans.tk"])
