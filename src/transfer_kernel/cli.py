@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kernel import (
     PROP, Const, GlobalEnv, KernelError, LocalContext, Term, TypeCheckError,
@@ -50,8 +50,7 @@ EXIT_SCRIPT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class TheoremResult:
+class TheoremResult(NamedTuple):
     name: str
     engine: str  # "v1" | "v2"
     status: str  # "proved" | "failed"
@@ -66,20 +65,19 @@ class TheoremResult:
         return self.trace.lines() if self.trace is not None else []
 
 
-@dataclass
 class SessionState:
-    env: GlobalEnv
-    tables: DeclTables
-    results: list[TheoremResult] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    internal_errors: list[str] = field(default_factory=list)
-    # How many of `tables.surjections`, in store order, have been given
-    # their relational encoding; the store only grows.
-    encoded: int = 0
+    def __init__(self, env: GlobalEnv, tables: DeclTables):
+        self.env = env
+        self.tables = tables
+        self.results: list[TheoremResult] = []
+        self.errors: list[str] = []
+        self.internal_errors: list[str] = []
+        # How many of `tables.surjections`, in store order, have been given
+        # their relational encoding; the store only grows.
+        self.encoded = 0
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(NamedTuple):
     engine: str | None = None  # force "v1" or "v2"; None = per-tactic keyword
     trace: bool = False
     print_proofs: bool = False

@@ -10,7 +10,7 @@ printed; a failure's message is printed on the first read of `.message`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import GlobalEnv, LocalContext, Term
 from .surface import print_term
@@ -40,8 +40,7 @@ class TransferFailure:
         return f"TransferFailure(kind={self.kind!r}, message={self.message!r})"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One rule application at nesting `depth`.  `parts` follow the rule
     name on its line: strings as they are, terms printed in `ctx`."""
     depth: int
@@ -50,8 +49,7 @@ class TraceStep:
     parts: tuple[str | Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(NamedTuple):
     """Steps in the order they are shown, and the environment the engine
     ran in, which is the one their terms are printed against."""
     steps: tuple[TraceStep, ...]

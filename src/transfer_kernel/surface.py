@@ -16,8 +16,7 @@ an elaboration error rather than guessed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
@@ -138,62 +137,53 @@ def tokenize(text: str) -> list[Token]:
 # Pre-terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PRef:
+class PRef(NamedTuple):
     name: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class PSort:
+class PSort(NamedTuple):
     tag: str
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class PApp:
+class PApp(NamedTuple):
     fn: "PreTerm"
     arg: "PreTerm"
 
 
-@dataclass(frozen=True)
-class PLam:
+class PLam(NamedTuple):
     binders: tuple[tuple[str, "PreTerm | None"], ...]
     body: "PreTerm"
 
 
-@dataclass(frozen=True)
-class PPi:
+class PPi(NamedTuple):
     binders: tuple[tuple[str, "PreTerm | None"], ...]
     body: "PreTerm"
 
 
-@dataclass(frozen=True)
-class PArrow:
+class PArrow(NamedTuple):
     lhs: "PreTerm"
     rhs: "PreTerm"
 
 
-@dataclass(frozen=True)
-class PEq:
+class PEq(NamedTuple):
     lhs: "PreTerm"
     rhs: "PreTerm"
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class PResp:
+class PResp(NamedTuple):
     lhs: "PreTerm"
     rhs: "PreTerm"
     line: int = 0
     col: int = 0
 
 
-@dataclass(frozen=True)
-class PInv:
+class PInv(NamedTuple):
     inner: "PreTerm"
     line: int = 0
     col: int = 0
@@ -371,44 +361,38 @@ def parse_term(text: str) -> PreTerm:
 # Script commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CmdParameter:
+class CmdParameter(NamedTuple):
     names: tuple[str, ...]
     ty: PreTerm
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CmdAxiom:
+class CmdAxiom(NamedTuple):
     name: str
     statement: PreTerm
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CmdDefinition:
+class CmdDefinition(NamedTuple):
     name: str
     params: tuple[tuple[str, PreTerm | None], ...]
     body: PreTerm
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CmdDeclareSurjection:
+class CmdDeclareSurjection(NamedTuple):
     fn_name: str
     inverse_name: str
     proof_name: str
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CmdDeclareTransfer:
+class CmdDeclareTransfer(NamedTuple):
     lemma_name: str
     line: int = 0
 
 
-@dataclass(frozen=True)
-class CmdDeclareRelation:
+class CmdDeclareRelation(NamedTuple):
     lemma_name: str
     line: int = 0
 
@@ -417,8 +401,7 @@ EXACT_MODULO = "exact_modulo"
 TRANSFER_MODULO = "transfer_modulo"
 
 
-@dataclass(frozen=True)
-class CmdTheorem:
+class CmdTheorem(NamedTuple):
     name: str
     statement: PreTerm
     tactic: str  # EXACT_MODULO | TRANSFER_MODULO
@@ -430,8 +413,7 @@ Command = (CmdParameter | CmdAxiom | CmdDefinition | CmdDeclareSurjection
            | CmdDeclareTransfer | CmdDeclareRelation | CmdTheorem)
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     commands: tuple[Command, ...]
 
 
@@ -526,11 +508,10 @@ def parse_script(text: str) -> Script:
 # Elaboration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Meta:
+class Meta(NamedTuple):
     """Placeholder for an implicit type argument; never escapes elaboration."""
     id: int
-    lbr: ClassVar[int] = 0  # solutions are closed (see `unify`)
+    lbr = 0  # solutions are closed (see `unify`)
 
     def __repr__(self) -> str:
         return f"?{self.id}"

@@ -26,8 +26,8 @@ encoding's instances of `LIBRARY`.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
 from functools import cache
+from typing import NamedTuple
 
 from .kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, RESPECTFUL,
@@ -56,8 +56,7 @@ class SynthesisError(TableError):
     (internal bug)."""
 
 
-@dataclass(frozen=True)
-class SurjectionEntry:
+class SurjectionEntry(NamedTuple):
     domain: Term        # A
     codomain: Term      # A'
     fn: Term            # f : A -> A'
@@ -65,8 +64,7 @@ class SurjectionEntry:
     proof: Term         # of  forall x' : A', f (g x') = x'
 
 
-@dataclass(frozen=True)
-class TransferEntryV1:
+class TransferEntryV1(NamedTuple):
     source_rel: Term
     target_rel: Term
     arity: int
@@ -74,8 +72,7 @@ class TransferEntryV1:
     proof: Term
 
 
-@dataclass(frozen=True)
-class RelationEntryV2:
+class RelationEntryV2(NamedTuple):
     lhs: Term
     rhs: Term
     relation: Term
@@ -88,20 +85,25 @@ Key = tuple[Term, Term]
 Shape = tuple[type, object, int]
 
 
-@dataclass(frozen=True)
 class DeclTables:
-    surjections: dict[Key, SurjectionEntry] = field(default_factory=dict)
-    transfers_v1: dict[Key, TransferEntryV1] = field(default_factory=dict)
-    relations_v2: dict[Key, RelationEntryV2] = field(default_factory=dict)
-    # Derived from the stores above on first use and private to this value;
-    # a new value (an insert, `dataclasses.replace`) starts with none.
-    # Store name -> shapes -> (whnf of key, key, entry) in store order.
-    _index: dict[str, dict[tuple[Shape, Shape],
-                           list[tuple[Key, Key, object]]]] \
-        = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Key of a relation entry -> its inverted form (`invert_entry`).
-    _inverted: dict[Key, RelationEntryV2] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("surjections", "transfers_v1", "relations_v2",
+                 "_index", "_inverted")
+
+    def __init__(self, *,
+                 surjections: dict[Key, SurjectionEntry] | None = None,
+                 transfers_v1: dict[Key, TransferEntryV1] | None = None,
+                 relations_v2: dict[Key, RelationEntryV2] | None = None):
+        # The stores are never mutated: an insert copies the one it grows.
+        self.surjections = surjections or {}
+        self.transfers_v1 = transfers_v1 or {}
+        self.relations_v2 = relations_v2 or {}
+        # Derived from the stores above on first use and private to this
+        # value; a new value (every insert makes one) starts with none.
+        # Store name -> shapes -> (whnf of key, key, entry) in store order.
+        self._index: dict[str, dict[tuple[Shape, Shape],
+                                    list[tuple[Key, Key, object]]]] = {}
+        # Key of a relation entry -> its inverted form (`invert_entry`).
+        self._inverted: dict[Key, RelationEntryV2] = {}
 
 
 def table_key(env: GlobalEnv, a: Term, b: Term) -> Key:
@@ -272,7 +274,10 @@ def _insert(tables: DeclTables, store: str, env: GlobalEnv, key: Key,
         raise DuplicateEntry(
             f"{what} for ({print_term(key[0], env)}, "
             f"{print_term(key[1], env)}) is already declared")
-    return replace(tables, **{store: {**getattr(tables, store), key: entry}})
+    stores = {name: getattr(tables, name)
+              for name in ("surjections", "transfers_v1", "relations_v2")}
+    stores[store] = {**stores[store], key: entry}
+    return DeclTables(**stores)
 
 
 # ---------------------------------------------------------------------------

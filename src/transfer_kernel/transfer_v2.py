@@ -30,7 +30,7 @@ relation) and a failure as a `TransferFailure`; neither is printed here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import (
     ALL, IMPL, PROP, RESPECTFUL,
@@ -50,18 +50,15 @@ from .tables import (  # the benchmark's tracer wraps invert_entry here
 # Relation expectations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Known:
+class Known(NamedTuple):
     rel: Term
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     id: int
 
 
-@dataclass(frozen=True)
-class RelArrow:
+class RelArrow(NamedTuple):
     """Expectation `dom ##> cod` with holes allowed on either side."""
     dom: "RelExpectation"
     cod: "RelExpectation"
@@ -70,8 +67,7 @@ class RelArrow:
 RelExpectation = Known | Unknown | RelArrow
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     ctx: LocalContext
     lhs: Term
     rhs: Term
@@ -129,8 +125,7 @@ def _match(env: GlobalEnv, ctx: LocalContext, stored: Term,
 # Synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FailurePoint:
+class _FailurePoint(NamedTuple):
     depth: int
     ctx: LocalContext
     lhs: Term

@@ -16,7 +16,8 @@ of a head that becomes an application.
 
 The term classes are frozen, slotted dataclasses with a hand-written
 `__init__`; the tests after the inference references check that they stay
-immutable and compare, hash and print as before.
+immutable and compare, hash and print as before.  With the kernel's three
+context and declaration records they are the package's only dataclasses.
 
 Generated table entries cite library lemmas by name, so an emitted proof
 holds no inline entry proof to infer again.  The last tests compare
@@ -35,7 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import transfer_kernel
 from transfer_kernel import kernel
-from transfer_kernel.cli import RunOptions, execute_script
+from transfer_kernel.cli import RunOptions, SessionState, execute_script
 from transfer_kernel.kernel import (
     FALSE, IMPL, IMPL_RESPECTFUL, PROP, SET, TYPE, App, Const, GlobalEnv,
     KernelError, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
@@ -45,7 +46,7 @@ from transfer_kernel.kernel import (
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import Meta, parse_script
-from transfer_kernel.tables import LIBRARY, library_env
+from transfer_kernel.tables import LIBRARY, DeclTables, library_env, prefill_core
 from transfer_kernel.transfer_v1 import exact_modulo
 from transfer_kernel.transfer_v2 import transfer_modulo
 
@@ -541,6 +542,33 @@ def test_term_nodes_are_slotted_and_frozen():
     assert [repr(t) for t in NODES] == [
         "Prop", "Var(2)", "c", "(fun x : Set => Var(1))", "(Var(0) c)",
         "(forall x : Var(3), Var(0))"]
+
+
+def test_only_the_kernel_defines_dataclasses():
+    """`@dataclass` generates and compiles methods for every class it
+    creates, which each import pays.  Records elsewhere are NamedTuples,
+    immutable as the frozen dataclasses were; the session state stays
+    mutable."""
+    classes = []
+    for info in pkgutil.walk_packages(transfer_kernel.__path__, "transfer_kernel."):
+        module = importlib.import_module(info.name)
+        classes += [c for c in vars(module).values()
+                    if isinstance(c, type) and c.__module__ == info.name]
+    assert {c for c in classes if dataclasses.is_dataclass(c)} \
+        == {*KERNEL_CLASSES, kernel.CtxEntry, LocalContext, kernel.Decl}
+    records = [c for c in classes if issubclass(c, tuple)]
+    assert len(records) == 31  # surface.Token and the 30 former dataclasses
+    for cls in records:
+        record = cls(*[None] * len(cls._fields))
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    state = SessionState(GlobalEnv(), DeclTables())
+    state.tables = prefill_core(state.tables, prelude_env())
+    state.results.append(None)
+    state.encoded += 1
+    assert (len(state.tables.relations_v2), state.results, state.encoded) \
+        == (1, [None], 1)
 
 
 def test_equality_and_hashing_ignore_binder_names():

@@ -1,7 +1,5 @@
 """Table tests: declaration validation, lookups, encodings, audit."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -377,8 +375,8 @@ def _lookup_tables(env) -> DeclTables:
         transfers[a, b] = TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}"))
         tables = insert_relation_v2(
             tables, env, RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")))
-    return dataclasses.replace(tables, surjections=surjections,
-                               transfers_v1=transfers)
+    return DeclTables(surjections=surjections, transfers_v1=transfers,
+                      relations_v2=tables.relations_v2)
 
 
 def _relabel(t: Term, picks: list[int]) -> Term:
@@ -551,9 +549,10 @@ def test_a_new_table_state_never_sees_a_stale_index():
     assert lookup_relation_v2(first, env, n_le, n_le) is None
     # A replaced store: its own entry, and that entry's own inversion.
     key = table_key(env, le, n_le)
-    changed = dataclasses.replace(first.relations_v2[key], proof=Const("p3"))
-    third = dataclasses.replace(
-        first, relations_v2={**first.relations_v2, key: changed})
+    changed = first.relations_v2[key]._replace(proof=Const("p3"))
+    third = DeclTables(
+        surjections=first.surjections, transfers_v1=first.transfers_v1,
+        relations_v2={**first.relations_v2, key: changed})
     assert lookup_relation_v2(third, env, le, n_le) == (changed, False)
     assert lookup_relation_v2(third, env, le, n_le)[0] is changed
     third_inverted, via_inverse = lookup_relation_v2(third, env, n_le, le)
@@ -563,7 +562,8 @@ def test_a_new_table_state_never_sees_a_stale_index():
     transfer = TransferEntryV1(le, n_le, 2, Const("f"), Const("t"))
     assert lookup_surjection(first, env, le, n_le) is None
     assert lookup_transfer_v1(first, env, le, n_le) is None
-    fourth = dataclasses.replace(first, surjections={key: surjection},
-                                 transfers_v1={key: transfer})
+    fourth = DeclTables(surjections={key: surjection},
+                        transfers_v1={key: transfer},
+                        relations_v2=first.relations_v2)
     assert lookup_surjection(fourth, env, le, n_le) is surjection
     assert lookup_transfer_v1(fourth, env, le, n_le) is transfer

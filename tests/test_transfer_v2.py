@@ -1,7 +1,5 @@
 """Engine tests for judgment synthesis (transfer modulo)."""
 
-import dataclasses
-
 import pytest
 
 from transfer_kernel.kernel import (
@@ -260,10 +258,10 @@ def test_wrong_entry_proof_is_caught_by_diagnostics_or_the_check(v2_env):
     # matches relations, so it still goes through the (inverted) entry
     env, tables = v2_env
     key = table_key(env, Const("N.le"), Const("le"))
-    bad = dataclasses.replace(tables.relations_v2[key],
-                              proof=Const("le_up_rel"))
-    tables = dataclasses.replace(tables,
-                                 relations_v2={**tables.relations_v2, key: bad})
+    bad = tables.relations_v2[key]._replace(proof=Const("le_up_rel"))
+    tables = DeclTables(surjections=tables.surjections,
+                        transfers_v1=tables.transfers_v1,
+                        relations_v2={**tables.relations_v2, key: bad})
     goal = parse_and_elaborate(
         env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
     with pytest.raises(SynthesisError, match="unsound judgment at Table:"):
