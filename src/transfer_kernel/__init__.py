@@ -1,11 +1,13 @@
 """Proof transfer between related data types, checked by a small kernel.
 
 The package has three layers: a dependent-type-theory kernel that acts as
-the trusted checker (`kernel`), a vernacular script language with parser,
+the trusted checker (`kernel`, the one trusted module, which imports only
+the standard library), a vernacular script language with parser,
 elaborator and printer (`surface`), and two proof-transfer engines driven
 by user-declared tables (`tables`, `transfer_v1`, `transfer_v2`) that share
-one failure type and one trace type (`outcome`), all tied together by a
-batch CLI (`cli`).
+untrusted term helpers (`terms`), one failure type and one trace type
+(`outcome`), all tied together by a batch CLI (`cli`, also run by `python
+-m transfer_kernel`).
 """
 
 from .kernel import (

@@ -313,7 +313,3 @@ def main(argv: list[str] | None = None) -> int:
                          prefill=not args.no_prefill,
                          diagnostics=args.diagnostics, fmt=args.fmt)
     return run_script(args.file, options)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

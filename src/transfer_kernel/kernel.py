@@ -1,4 +1,11 @@
-"""Core term language and type checker.
+"""The trusted core: term language and type checker.
+
+This module imports only the standard library.  It holds what the checker
+runs (terms, de Bruijn plumbing, contexts, `GlobalEnv`, `whnf`,
+`convertible`, `subsumes`, `infer_type`, the checks) and the prelude.
+`arrow`, `unshift`, `normalize` and the prelude's five definitions are not
+checker code; they stay because the benchmark harness uses them from here.
+The engines' term helpers are in the untrusted module `terms`.
 
 Terms are a minimal dependent lambda calculus: three sorts (Prop, Set,
 Type with Type : Type), variables as de Bruijn indices, global constants,
@@ -17,13 +24,8 @@ largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
 construction and ignored by equality, hashing and printing.  The
 traversals below return a subterm untouched when `lbr` shows that no index
 they rewrite can occur in it, so a new term class must define `lbr` too.
-The term classes are frozen, slotted dataclasses; Var, App, Lam and Pi
-store their fields through the slot descriptors' setters in a hand-written
-`__init__` (see the comment above them).
-
-`whnf` reduces a redex, beta and delta alike, against one argument list
-collected once, and rebuilds the term only at the end; a term with nothing
-to reduce is returned as it is.
+The term classes are frozen, slotted dataclasses (see the comment above
+Var).  `whnf` reduces a redex against one argument list collected once.
 
 The hot traversals dispatch on the exact class, `type(t) is App`, most
 frequent class first, rather than with `match`, which costs an
@@ -275,41 +277,9 @@ def instantiate(body: Term, args: list[Term]) -> Term:
     return go(body, 0)
 
 
-def replace_var(t: Term, target: int, replacement: Term) -> Term:
-    """Replace Var(target) without discharging the binder (indices keep)."""
-    def go(t: Term, depth: int) -> Term:
-        if t.lbr <= target + depth:
-            return t
-        cls = type(t)
-        if cls is Var:
-            if t.index == target + depth:
-                return shift(replacement, depth)
-            return t
-        if cls is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if cls is Pi or cls is Lam:
-            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
-        return t
-
-    return go(t, 0)
-
-
-def occurs_free(t: Term, target: int) -> bool:
-    if t.lbr <= target:
-        return False
-    cls = type(t)
-    if cls is App:
-        return occurs_free(t.fn, target) or occurs_free(t.arg, target)
-    if cls is Var:
-        return t.index == target
-    if cls is Pi or cls is Lam:
-        return occurs_free(t.ty, target) or occurs_free(t.body, target + 1)
-    return False
-
-
-def max_free_index(t: Term) -> int:
-    """Largest free index in t, or -1 if closed."""
-    return t.lbr - 1
+def unshift(t: Term) -> Term:
+    """Strip one unused binder level (the term must not mention Var(0))."""
+    return substitute(t, 0, PROP)  # the placeholder is never reached
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +316,6 @@ class LocalContext:
 
 @dataclass(frozen=True)
 class Decl:
-    kind: str  # "parameter" | "axiom" | "definition"
     ty: Term
     body: Term | None = None
 
@@ -397,12 +366,13 @@ class GlobalEnv:
         return GlobalEnv(new)
 
     def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
-        _check_is_type(self, ty)
-        return self._extended(name, Decl("parameter", ty))
+        s = whnf(self, infer_type(self, LocalContext(), ty))
+        if not isinstance(s, Sort):
+            raise TypeCheckError(f"declared type {ty!r} is not a type")
+        return self._extended(name, Decl(ty))
 
     def add_axiom(self, name: str, ty: Term) -> "GlobalEnv":
-        _check_is_type(self, ty)
-        return self._extended(name, Decl("axiom", ty))
+        return self.add_parameter(name, ty)  # an opaque constant, as a parameter
 
     def add_definition(self, name: str, body: Term, ty: Term | None = None) -> "GlobalEnv":
         inferred = infer_type(self, LocalContext(), body)
@@ -411,13 +381,7 @@ class GlobalEnv:
         elif not convertible(self, LocalContext(), inferred, ty):
             raise TypeCheckError(
                 f"definition '{name}' has type {inferred!r}, expected {ty!r}")
-        return self._extended(name, Decl("definition", ty, body))
-
-
-def _check_is_type(env: GlobalEnv, ty: Term) -> None:
-    s = whnf(env, infer_type(env, LocalContext(), ty))
-    if not isinstance(s, Sort):
-        raise TypeCheckError(f"declared type {ty!r} is not a type")
+        return self._extended(name, Decl(ty, body))
 
 
 # ---------------------------------------------------------------------------
@@ -718,49 +682,3 @@ def prelude_env() -> GlobalEnv:
                     Var(2), App(Var(1), App(Var(5), Var(0)))))))))))))
 
     return env
-
-
-def _head_view(env: GlobalEnv, t: Term, name: str, arity: int) \
-        -> tuple[Term, ...] | None:
-    """The arguments of t (up to head unfolding) as `name` applied to
-    `arity` of them, or None.  Stops before unfolding `inv` or
-    `respectful`."""
-    t = whnf(env, t, delta=False)
-    while True:
-        head, args = spine(t)
-        if not isinstance(head, Const):
-            return None
-        if head.name == name and len(args) == arity:
-            return tuple(args)
-        if head.name in (INV, RESPECTFUL) or not env.is_definition(head.name):
-            return None
-        t = whnf(env, app(env.body_of(head.name), *args), delta=False)
-
-
-def respectful_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term, Term, Term, Term] | None:
-    """Decompose t (up to head unfolding) as `respectful X Y X' Y' R S`.
-
-    Returns (X, Y, X', Y', R, S), or None if t is not such an application.
-    """
-    return _head_view(env, t, RESPECTFUL, 6)  # type: ignore[return-value]
-
-
-def inv_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term] | None:
-    """Decompose t (up to head unfolding) as `inv X Y R` -> (X, Y, R)."""
-    return _head_view(env, t, INV, 3)  # type: ignore[return-value]
-
-
-def unshift(t: Term) -> Term:
-    """Strip one unused binder level (the term must not mention Var(0))."""
-    return substitute(t, 0, PROP)  # the placeholder is never reached
-
-
-def relation_types(env: GlobalEnv, ctx: LocalContext, rel: Term) -> tuple[Term, Term]:
-    """Domain pair (X, Y) of a binary relation rel : X -> Y -> Prop."""
-    ty = whnf(env, infer_type(env, ctx, rel))
-    if not isinstance(ty, Pi):
-        raise TypeCheckError(f"{rel!r} is not a binary relation")
-    inner = whnf(env, ty.body)
-    if not isinstance(inner, Pi) or occurs_free(inner.ty, 0):
-        raise TypeCheckError(f"{rel!r} is not a binary relation")
-    return ty.ty, unshift(inner.ty)

@@ -20,10 +20,11 @@ from typing import NamedTuple
 
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
-    App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
-    Var, app, arrow, infer_type, occurs_free, max_free_index, relation_types,
-    shift, spine, substitute, unshift, whnf,
+    App, Const, CtxEntry, GlobalEnv, Lam, LocalContext, Pi, Sort, Term,
+    TypeCheckError, Var, app, arrow, infer_type, shift, spine, substitute,
+    whnf,
 )
+from .terms import occurs_free, relation_domains, relation_types
 
 
 class SurfaceError(Exception):
@@ -569,7 +570,9 @@ class _Elaborator:
     def head_normal(self, t: Term) -> Term:
         return whnf(self.env, self.resolve(t))
 
-    def unify(self, a: Term, b: Term, line: int, col: int) -> None:
+    def unify(self, a: Term, b: Term, ctx: list[tuple[str, Term]],
+              line: int, col: int) -> None:
+        """Solve metas so that a and b, both typed in ctx, are convertible."""
         a = self.head_normal(a)
         b = self.head_normal(b)
         if a == b:
@@ -583,7 +586,7 @@ class _Elaborator:
             if isinstance(other, Meta) and other.id == meta.id:
                 return
             # Solutions must be closed so they can move across binders.
-            if max_free_index(other) >= 0:
+            if other.lbr > 0:
                 raise ElabError(
                     "cannot infer an implicit argument that depends on a bound "
                     "variable", line, col)
@@ -591,14 +594,16 @@ class _Elaborator:
             return
         match a, b:
             case App(f, x), App(g, y):
-                self.unify(f, g, line, col)
-                self.unify(x, y, line, col)
+                self.unify(f, g, ctx, line, col)
+                self.unify(x, y, ctx, line, col)
                 return
-            case (Lam(_, ta, ba), Lam(_, tb, bb)) | (Pi(_, ta, ba), Pi(_, tb, bb)):
-                self.unify(ta, tb, line, col)
-                self.unify(ba, bb, line, col)
+            case (Lam(v, ta, ba), Lam(_, tb, bb)) | (Pi(v, ta, ba), Pi(_, tb, bb)):
+                self.unify(ta, tb, ctx, line, col)
+                self.unify(ba, bb, ctx + [(v, ta)], line, col)
                 return
-        raise ElabError(f"type mismatch: {a!r} vs {b!r}", line, col)
+        typed = LocalContext(tuple(CtxEntry(v, self.resolve(ty)) for v, ty in ctx))
+        raise ElabError(f"type mismatch: {print_term(a, self.env, typed)} vs "
+                        f"{print_term(b, self.env, typed)}", line, col)
 
     # -- the main elaboration pass -----------------------------------------
 
@@ -622,7 +627,7 @@ class _Elaborator:
                     raise ElabError("application of a non-function", line, col)
                 ta, ty_a = self.infer(arg, ctx)
                 line, col = _pos_of(arg)
-                self.unify(ty_a, ty_f.ty, line, col)
+                self.unify(ty_a, ty_f.ty, ctx, line, col)
                 return App(tf, ta), substitute(ty_f.body, 0, ta)
             case PLam(binders, body):
                 return self._binders(binders, body, ctx, is_pi=False)
@@ -635,7 +640,7 @@ class _Elaborator:
             case PEq(lhs, rhs, line, col):
                 tl, ty_l = self.infer(lhs, ctx)
                 tr, ty_r = self.infer(rhs, ctx)
-                self.unify(ty_l, ty_r, line, col)
+                self.unify(ty_l, ty_r, ctx, line, col)
                 ty = self.resolve(ty_l)
                 return app(Const(EQ), ty, tl, tr), PROP
             case PResp(lhs, rhs, line, col):
@@ -667,13 +672,9 @@ class _Elaborator:
         return Lam(name, ty, inner), Pi(name, ty, inner_ty)
 
     def _relation_domains(self, rel_ty: Term, line: int, col: int) -> tuple[Term, Term]:
-        ty = self.head_normal(rel_ty)
-        if not isinstance(ty, Pi):
+        if (domains := relation_domains(self.env, self.resolve(rel_ty))) is None:
             raise ElabError("expected a binary relation", line, col)
-        inner = self.head_normal(ty.body)
-        if not isinstance(inner, Pi) or occurs_free(inner.ty, 0):
-            raise ElabError("expected a binary relation", line, col)
-        return ty.ty, unshift(inner.ty)
+        return domains
 
 
 def _pos_of(pre: PreTerm) -> tuple[int, int]:
@@ -756,6 +757,8 @@ class _Printer:
                 return f"_x{i - len(self.names)}"  # out-of-context index
             case Const(name):
                 return name
+            case Meta(i):  # unsolved, in an elaboration error
+                return f"?{i}"
             case Pi(_, _, _) | Lam(_, _, _):
                 return self._render_binders(t, level)
             case App(_, _):

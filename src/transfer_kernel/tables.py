@@ -32,11 +32,11 @@ from typing import NamedTuple
 from .kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
-    Var, app, arrow, check_proof_report, convertible, infer_type, inv_view,
-    max_free_index, normalize, occurs_free, prelude_env, relation_types,
-    respectful_view, shift, spine, unshift, whnf,
+    Var, app, arrow, check_proof_report, convertible, infer_type, normalize,
+    prelude_env, shift, spine, unshift, whnf,
 )
 from .surface import PLam, elaborate, parse_script, print_term
+from .terms import inv_view, occurs_free, relation_types, respectful_view
 
 
 class TableError(Exception):
@@ -186,7 +186,7 @@ def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
     if len(args) != n:
         raise ShapeError(f"hypothesis applies a relation to {len(args)} "
                          f"arguments, expected {n}")
-    if max_free_index(rel) >= 0:
+    if rel.lbr > 0:
         raise ShapeError("source relation may not mention the quantified "
                          "variables")
     for j, arg in enumerate(args, start=1):
@@ -197,7 +197,7 @@ def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
     if len(args2) != n:
         raise ShapeError(f"conclusion applies a relation to {len(args2)} "
                          f"arguments, expected {n}")
-    if max_free_index(rel2) >= 0:
+    if rel2.lbr > 0:
         raise ShapeError("target relation may not mention the quantified "
                          "variables")
     fn: Term | None = None
@@ -207,7 +207,7 @@ def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
             raise ShapeError(f"conclusion argument {j} is not the transfer "
                              f"function applied to x{j}")
         head = arg.fn
-        if max_free_index(head) >= 0:
+        if head.lbr > 0:
             raise ShapeError("transfer function may not mention the "
                              "quantified variables")
         if fn is None:

@@ -1,0 +1,88 @@
+"""Term helpers for the engines, the tables and the printer.  The kernel's
+checker never calls them, so they are not trusted (see `kernel`)."""
+
+from __future__ import annotations
+
+from .kernel import (
+    INV, RESPECTFUL,
+    App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
+    app, infer_type, shift, spine, unshift, whnf,
+)
+
+
+def replace_var(t: Term, target: int, replacement: Term) -> Term:
+    """Replace Var(target) without discharging the binder (indices keep)."""
+    def go(t: Term, depth: int) -> Term:
+        if t.lbr <= target + depth:
+            return t
+        cls = type(t)
+        if cls is Var:
+            if t.index == target + depth:
+                return shift(replacement, depth)
+            return t
+        if cls is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if cls is Pi or cls is Lam:
+            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
+        return t
+
+    return go(t, 0)
+
+
+def occurs_free(t: Term, target: int) -> bool:
+    if t.lbr <= target:
+        return False
+    cls = type(t)
+    if cls is App:
+        return occurs_free(t.fn, target) or occurs_free(t.arg, target)
+    if cls is Var:
+        return t.index == target
+    if cls is Pi or cls is Lam:
+        return occurs_free(t.ty, target) or occurs_free(t.body, target + 1)
+    return False
+
+
+def _head_view(env: GlobalEnv, t: Term, name: str, arity: int) \
+        -> tuple[Term, ...] | None:
+    """The arguments of t (up to head unfolding) as `name` applied to
+    `arity` of them, or None.  Stops before unfolding `inv` or
+    `respectful`."""
+    t = whnf(env, t, delta=False)
+    while True:
+        head, args = spine(t)
+        if not isinstance(head, Const):
+            return None
+        if head.name == name and len(args) == arity:
+            return tuple(args)
+        if head.name in (INV, RESPECTFUL) or not env.is_definition(head.name):
+            return None
+        t = whnf(env, app(env.body_of(head.name), *args), delta=False)
+
+
+def respectful_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term, Term, Term, Term] | None:
+    """Decompose t (up to head unfolding) as `respectful X Y X' Y' R S`.
+
+    Returns (X, Y, X', Y', R, S), or None if t is not such an application.
+    """
+    return _head_view(env, t, RESPECTFUL, 6)  # type: ignore[return-value]
+
+
+def inv_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term] | None:
+    """Decompose t (up to head unfolding) as `inv X Y R` -> (X, Y, R)."""
+    return _head_view(env, t, INV, 3)  # type: ignore[return-value]
+
+
+def relation_domains(env: GlobalEnv, ty: Term) -> tuple[Term, Term] | None:
+    """Domain pair (X, Y) of a relation type X -> Y -> ..., or None."""
+    ty = whnf(env, ty)
+    inner = whnf(env, ty.body) if isinstance(ty, Pi) else None
+    if isinstance(inner, Pi) and not occurs_free(inner.ty, 0):
+        return ty.ty, unshift(inner.ty)
+    return None
+
+
+def relation_types(env: GlobalEnv, ctx: LocalContext, rel: Term) -> tuple[Term, Term]:
+    """Domain pair (X, Y) of a binary relation rel : X -> Y -> Prop."""
+    if (domains := relation_domains(env, infer_type(env, ctx, rel))) is None:
+        raise TypeCheckError(f"{rel!r} is not a binary relation")
+    return domains

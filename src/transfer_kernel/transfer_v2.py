@@ -35,15 +35,15 @@ from typing import NamedTuple
 from .kernel import (
     ALL, IMPL, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
-    app, check_proof_report, convertible, infer_type, max_free_index,
-    occurs_free, relation_types, replace_var, respectful_view, shift, spine,
-    unshift, whnf,
+    app, check_proof_report, convertible, infer_type, shift, spine, unshift,
+    whnf,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
 from .tables import (  # the benchmark's tracer wraps invert_entry here
     DeclTables, SynthesisError, invert_entry, relation_entries,
 )
+from .terms import occurs_free, relation_types, replace_var, respectful_view
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def _match(env: GlobalEnv, ctx: LocalContext, stored: Term,
         case Unknown(i):
             if i in trial:
                 return convertible(env, ctx, trial[i], stored)
-            if max_free_index(stored) >= 0:
+            if stored.lbr > 0:
                 return False
             trial[i] = stored
             return True

@@ -1,8 +1,10 @@
 """End-to-end script execution, reporting and exit codes."""
 
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -136,6 +138,55 @@ def test_elaboration_unifies_function_types_structurally():
     code, state = run_text(text.format("fun (x : Prop) => x"))
     assert code == EXIT_SCRIPT_ERROR
     assert state.errors == ["line 3: type mismatch: Prop vs nat"]
+
+
+MISMATCH_PREFIX = """\
+Parameter N : Set.
+Parameter nat : Set.
+Parameter f : N → N.
+Parameter P : nat → Prop.
+Parameter B : nat → Set.
+Axiom h : ∀ x : N, f x = x.
+"""
+
+
+@pytest.mark.parametrize("command,message", [
+    ("Axiom bad : P h.", "7:15: type mismatch: ∀ x : N, f x = x vs nat"),
+    ("Parameter g : ∀ n : nat, B n.\nAxiom bad : ∀ n : nat, P (g n).",
+     "type mismatch: B n vs nat"),
+    ("Parameter H : (∀ n : nat, B n → nat) → Prop.\n"
+     "Axiom bad : H (fun (n : nat) (b : B n) => b).",
+     "type mismatch: B n vs nat"),
+])
+def test_elaboration_type_mismatch_prints_concrete_syntax(command, message):
+    code, state = run_text(MISMATCH_PREFIX + command + "\n")
+    assert code == EXIT_SCRIPT_ERROR
+    line = MISMATCH_PREFIX.count("\n") + command.count("\n") + 1
+    assert state.errors == [f"line {line}: {message}"]
+    assert "Var(" not in state.errors[0]
+
+
+def test_elaboration_unifies_applications_argument_by_argument():
+    text = ("Parameter nat : Set.\nParameter zero : nat.\n"
+            "Parameter one : nat.\nParameter B : nat → Set.\n"
+            "Parameter useB : B zero → Prop.\n"
+            "Parameter mkB : ∀ n : nat, B n.\n"
+            "Definition id (x : nat) := x.\n")
+    code, state = run_text(text + "Axiom ok : useB (mkB (id zero)).\n")
+    assert code == EXIT_OK and state.errors == []
+    code, state = run_text(text + "Axiom bad : useB (mkB one).\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 8: type mismatch: one vs zero"]
+
+
+def test_declaring_a_dependent_relation_is_a_script_error():
+    text = ("Parameter A : Set.\nParameter B : A → Set.\n"
+            "Parameter R : ∀ (x : A) (y : B x), Prop.\n"
+            "Parameter a : A.\nParameter b : B a.\nAxiom r : R a b.\n"
+            "Declare Relation r.\n")
+    code, state = run_text(text)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 7: R is not a binary relation"]
 
 
 def test_parse_error_gives_exit_two():
@@ -570,6 +621,20 @@ def test_cli_main_entry(tmp_path, capsys):
     assert code == 0
     assert "N.le_trans : proved" in out
     assert "product-surjection" in out
+
+
+def test_python_dash_m_runs_the_cli_once():
+    root = SCRIPTS.parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transfer_kernel", "run",
+         "tests/scripts/example1.tk"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, encoding="utf-8", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("1/1 theorems proved\n")
 
 
 def test_cli_machine_format(capsys):

@@ -1,9 +1,14 @@
 """Kernel tests: substitution, reduction, conversion, type inference."""
 
+import ast
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from transfer_kernel import kernel
 from transfer_kernel.kernel import (
     ALL, EQ, EQ_IND, EQ_REFL, IMPL, PROP, SET, TYPE,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError,
@@ -402,3 +407,39 @@ def test_redeclaration_is_an_error():
     env = prelude_env().add_parameter("A", SET)
     with pytest.raises(Exception, match="already declared"):
         env.add_parameter("A", SET)
+
+
+# --- the trusted base -------------------------------------------------------
+
+KERNEL_SOURCE = Path(kernel.__file__).read_text(encoding="utf-8")
+
+
+def test_the_kernel_imports_only_the_standard_library():
+    for node in ast.walk(ast.parse(KERNEL_SOURCE)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import on line {node.lineno}"
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            assert top != "transfer_kernel", module
+            assert top in sys.stdlib_module_names, module
+
+
+@pytest.mark.parametrize("name", [
+    "replace_var", "occurs_free", "max_free_index", "respectful_view",
+    "inv_view", "relation_types"])
+def test_engine_helpers_live_outside_the_kernel(name):
+    assert not hasattr(kernel, name)
+
+
+def test_readme_states_the_kernels_line_count():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    stated = re.findall(r"`kernel\.py` \(([\d,]+) lines\)", readme)
+    assert stated, "README names no line count for kernel.py"
+    lines = len(KERNEL_SOURCE.splitlines())
+    assert [int(n.replace(",", "")) for n in stated] == [lines] * len(stated)

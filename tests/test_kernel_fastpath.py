@@ -40,13 +40,13 @@ from transfer_kernel.cli import RunOptions, SessionState, execute_script
 from transfer_kernel.kernel import (
     FALSE, IMPL, IMPL_RESPECTFUL, PROP, SET, TYPE, App, Const, GlobalEnv,
     KernelError, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
-    UnboundName, Var, app, convertible, infer_type, instantiate,
-    max_free_index, normalize, occurs_free, prelude_env, replace_var, shift,
-    subsumes, substitute, whnf,
+    UnboundName, Var, app, convertible, infer_type, instantiate, normalize,
+    prelude_env, shift, subsumes, substitute, whnf,
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import Meta, parse_script
 from transfer_kernel.tables import LIBRARY, DeclTables, library_env, prefill_core
+from transfer_kernel.terms import occurs_free, replace_var
 from transfer_kernel.transfer_v1 import exact_modulo
 from transfer_kernel.transfer_v2 import transfer_modulo
 
@@ -195,7 +195,6 @@ LAM_FREE = st.lists(st.integers(0, 15), max_size=5).map(
        st.integers(0, 3))
 def test_fast_paths_match_naive(t, other, args, index, by):
     assert t.lbr == naive_max_free_index(t) + 1
-    assert max_free_index(t) == naive_max_free_index(t)
     assert occurs_free(t, index) == naive_occurs_free(t, index)
     assert shift(t, by, index) == naive_shift(t, by, index)
     assert substitute(t, index, other) == naive_substitute(t, index, other)
