@@ -2,7 +2,10 @@
 
 This module imports only the standard library.  It holds what the checker
 runs (terms, de Bruijn plumbing, contexts, `GlobalEnv`, `whnf`,
-`convertible`, `subsumes`, `infer_type`, the checks) and the prelude.
+`convertible`, `subsumes`, `infer_type`, the checks) and the prelude, with
+no more interface than checking needs: a context entry is a name and a
+type, conversion takes no context since it never reads one, and all
+ill-typed input, an unknown name included, raises `TypeCheckError`.
 `arrow`, `unshift`, `normalize` and the prelude's five definitions are not
 checker code; they stay because the benchmark harness uses them from here.
 The engines' term helpers are in the untrusted module `terms`.
@@ -46,10 +49,6 @@ class KernelError(Exception):
     """Base class for kernel-level failures."""
 
 
-class UnboundName(KernelError):
-    pass
-
-
 class TypeCheckError(KernelError):
     """Ill-typed term.  `path` locates the failing subterm from the root."""
 
@@ -62,6 +61,10 @@ class TypeCheckError(KernelError):
         if self.path:
             return f"{self.message} (at {'/'.join(self.path)})"
         return self.message
+
+
+class UnboundName(TypeCheckError):
+    """A constant or variable index that nothing declares."""
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +293,14 @@ def unshift(t: Term) -> Term:
 class CtxEntry:
     name: str
     ty: Term
-    marker: str | None = None  # e.g. "hypothesis" for engine-introduced proofs
 
 
 @dataclass(frozen=True)
 class LocalContext:
     entries: tuple[CtxEntry, ...] = ()
 
-    def push(self, name: str, ty: Term, marker: str | None = None) -> "LocalContext":
-        return LocalContext(self.entries + (CtxEntry(name, ty, marker),))
+    def push(self, name: str, ty: Term) -> "LocalContext":
+        return LocalContext(self.entries + (CtxEntry(name, ty),))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -331,9 +333,6 @@ class GlobalEnv:
     def __contains__(self, name: str) -> bool:
         return name in self._decls
 
-    def names(self) -> list[str]:
-        return list(self._decls)
-
     def lookup(self, name: str) -> Decl:
         try:
             return self._decls[name]
@@ -349,14 +348,6 @@ class GlobalEnv:
     def is_definition(self, name: str) -> bool:
         d = self._decls.get(name)
         return d is not None and d.body is not None
-
-    def fresh_name(self, base: str) -> str:
-        name = base
-        n = 0
-        while name in self._decls:
-            n += 1
-            name = f"{base}{n}"
-        return name
 
     def _extended(self, name: str, decl: Decl) -> "GlobalEnv":
         if name in self._decls:
@@ -378,7 +369,7 @@ class GlobalEnv:
         inferred = infer_type(self, LocalContext(), body)
         if ty is None:
             ty = inferred
-        elif not convertible(self, LocalContext(), inferred, ty):
+        elif not convertible(self, inferred, ty):
             raise TypeCheckError(
                 f"definition '{name}' has type {inferred!r}, expected {ty!r}")
         return self._extended(name, Decl(ty, body))
@@ -442,16 +433,16 @@ def normalize(env: GlobalEnv, t: Term) -> Term:
     return t
 
 
-def subsumes(env: GlobalEnv, ctx: LocalContext, have: Term, want: Term) -> bool:
+def subsumes(env: GlobalEnv, have: Term, want: Term) -> bool:
     """Conversion plus the one sort inclusion the scripts need: any sort is
     accepted where Type is expected (so `eq A'` checks when A' : Set)."""
-    if convertible(env, ctx, have, want):
+    if convertible(env, have, want):
         return True
     return type(whnf(env, have)) is Sort and whnf(env, want) == TYPE
 
 
-def convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
-    """Equality modulo alpha, beta and delta (no eta)."""
+def convertible(env: GlobalEnv, a: Term, b: Term) -> bool:
+    """Equality modulo alpha, beta and delta (no eta), in any context."""
     if a == b:  # alpha-equality is structural equality
         return True
     a = whnf(env, a)
@@ -460,11 +451,11 @@ def convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
     if cls is not type(b):
         return False
     if cls is Pi or cls is Lam:
-        return (convertible(env, ctx, a.ty, b.ty)
-                and convertible(env, ctx, a.body, b.body))
+        return (convertible(env, a.ty, b.ty)
+                and convertible(env, a.body, b.body))
     if cls is App:
-        return (convertible(env, ctx, a.fn, b.fn)
-                and convertible(env, ctx, a.arg, b.arg))
+        return (convertible(env, a.fn, b.fn)
+                and convertible(env, a.arg, b.arg))
     if cls is Const:
         return a.name == b.name
     if cls is Var:
@@ -494,10 +485,7 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
             raise TypeCheckError(f"unbound variable index {i}")
         return ctx.type_of(i)
     if cls is Const:
-        try:
-            return env.type_of(t.name)
-        except UnboundName as e:
-            raise TypeCheckError(str(e)) from None
+        return env.type_of(t.name)
     if cls is App:
         # Walk the spine h a1 .. an once.  `ty` is the pending type under
         # the binders of the arguments in `done`, which are instantiated
@@ -525,7 +513,7 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
                 e.path = ("fn",) * (n - 1 - i) + ("arg",) + e.path
                 raise
             dom = instantiate(ty.ty, done)
-            if not subsumes(env, ctx, arg_ty, dom):
+            if not subsumes(env, arg_ty, dom):
                 raise TypeCheckError(
                     f"argument type {arg_ty!r} does not match domain {dom!r}",
                     ("fn",) * (n - 1 - i) + ("arg",))
@@ -579,7 +567,7 @@ def check_proof_report(env: GlobalEnv, ctx: LocalContext, proof: Term,
         ty = infer_type(env, ctx, proof)
     except TypeCheckError as e:
         return False, f"proof is ill-typed: {e}"
-    if convertible(env, ctx, ty, statement):
+    if convertible(env, ty, statement):
         return True, None
     return False, f"proof has type {ty!r}, statement is {statement!r}"
 

@@ -158,11 +158,15 @@ class PApp(NamedTuple):
 class PLam(NamedTuple):
     binders: tuple[tuple[str, "PreTerm | None"], ...]
     body: "PreTerm"
+    line: int = 0
+    col: int = 0
 
 
 class PPi(NamedTuple):
     binders: tuple[tuple[str, "PreTerm | None"], ...]
     body: "PreTerm"
+    line: int = 0
+    col: int = 0
 
 
 class PArrow(NamedTuple):
@@ -333,18 +337,18 @@ def _parse_arrow(ts: _TokenStream) -> PreTerm:
 
 def _parse_term(ts: _TokenStream) -> PreTerm:
     if ts.at_sym("∀") or ts.at_ident("forall"):
-        ts.next()
+        kw = ts.next()
         binders = _parse_binder_groups(ts)
         ts.expect_sym(",")
-        return PPi(binders, _parse_term(ts))
+        return PPi(binders, _parse_term(ts), kw.line, kw.col)
     if ts.at_sym("λ") or ts.at_ident("fun"):
-        ts.next()
+        kw = ts.next()
         binders = _parse_binder_groups(ts)
         if ts.at_sym("=>"):
             ts.next()
         else:
             ts.expect_sym(",")
-        return PLam(binders, _parse_term(ts))
+        return PLam(binders, _parse_term(ts), kw.line, kw.col)
     return _parse_arrow(ts)
 
 
@@ -623,11 +627,10 @@ class _Elaborator:
                 tf, ty_f = self.infer(fn, ctx)
                 ty_f = self.head_normal(ty_f)
                 if not isinstance(ty_f, Pi):
-                    line, col = _pos_of(fn)
-                    raise ElabError("application of a non-function", line, col)
+                    raise ElabError("application of a non-function",
+                                    *_pos_of(fn))
                 ta, ty_a = self.infer(arg, ctx)
-                line, col = _pos_of(arg)
-                self.unify(ty_a, ty_f.ty, ctx, line, col)
+                self.unify(ty_a, ty_f.ty, ctx, *_pos_of(arg))
                 return App(tf, ta), substitute(ty_f.body, 0, ta)
             case PLam(binders, body):
                 return self._binders(binders, body, ctx, is_pi=False)
@@ -678,9 +681,10 @@ class _Elaborator:
 
 
 def _pos_of(pre: PreTerm) -> tuple[int, int]:
-    line = getattr(pre, "line", 0)
-    col = getattr(pre, "col", 0)
-    return line, col
+    """An application's head, an arrow's left side, else the form's token."""
+    while isinstance(pre, (PApp, PArrow)):
+        pre = pre.fn if isinstance(pre, PApp) else pre.lhs
+    return pre.line, pre.col
 
 
 def elaborate(env: GlobalEnv, pre: PreTerm, ctx: LocalContext | None = None) -> Term:
@@ -688,8 +692,7 @@ def elaborate(env: GlobalEnv, pre: PreTerm, ctx: LocalContext | None = None) -> 
     el = _Elaborator(env)
     named = [(e.name, e.ty) for e in (ctx.entries if ctx else ())]
     term, _ = el.infer(pre, named)
-    line, col = _pos_of(pre)
-    return el.zonk(term, line, col)
+    return el.zonk(term, *_pos_of(pre))
 
 
 def parse_and_elaborate(env: GlobalEnv, text: str,

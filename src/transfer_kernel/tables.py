@@ -149,14 +149,13 @@ def declare_surjection(tables: DeclTables, env: GlobalEnv, fn_name: str,
     proof = _resolve(env, proof_name, "surjectivity proof")
     dom, cod = _function_type(env, fn, "surjection function")
     dom2, cod2 = _function_type(env, inverse, "right inverse")
-    if not (convertible(env, LocalContext(), dom2, cod)
-            and convertible(env, LocalContext(), cod2, dom)):
+    if not (convertible(env, dom2, cod) and convertible(env, cod2, dom)):
         raise ShapeError(
             f"'{inverse_name}' does not map back from "
             f"{print_term(cod, env)} to {print_term(dom, env)}")
     expected = surjection_statement(env, fn, inverse, cod)
     actual = env.type_of(proof_name)
-    if not convertible(env, LocalContext(), actual, expected):
+    if not convertible(env, actual, expected):
         raise ShapeError(
             f"'{proof_name}' proves {print_term(actual, env)}, expected "
             f"{print_term(expected, env)}")
@@ -274,6 +273,11 @@ def _insert(tables: DeclTables, store: str, env: GlobalEnv, key: Key,
         raise DuplicateEntry(
             f"{what} for ({print_term(key[0], env)}, "
             f"{print_term(key[1], env)}) is already declared")
+    return _with_entry(tables, store, key, entry)
+
+
+def _with_entry(tables: DeclTables, store: str, key: Key,
+                entry: object) -> DeclTables:
     stores = {name: getattr(tables, name)
               for name in ("surjections", "transfers_v1", "relations_v2")}
     stores[store] = {**stores[store], key: entry}
@@ -315,9 +319,7 @@ def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
         # sees no index (and builds its own) or all of it.
         tables._index[store] = index
     for heads, key, entry in index.get((_shape(a), _shape(b)), ()):
-        ctx = LocalContext()
-        if convertible(env, ctx, a, heads[0]) \
-                and convertible(env, ctx, b, heads[1]):
+        if convertible(env, a, heads[0]) and convertible(env, b, heads[1]):
             return key, entry
     return None
 
@@ -470,7 +472,7 @@ def surjection_to_relational(
     if "surj_all" not in env:
         env = _with_library(env)
     base = fn.name if isinstance(fn, Const) else "surj"
-    rel_name = env.fresh_name(f"{base}_rel")
+    rel_name = _fresh_name(env, f"{base}_rel")
     rel_body = Lam("x", a,
                    Lam("x'", shift(a2, 1),
                        app(Const(EQ), shift(a2, 2),
@@ -491,26 +493,31 @@ def surjection_to_relational(
          app(Const(RESPECTFUL), a, a2, arrow(a, PROP), arrow(a2, PROP), rel,
              app(Const(RESPECTFUL), a, a2, PROP, PROP, rel, Const(IMPL)))),
     )
-    entries = []
     for suffix, proof, lhs, rhs, relation in generated:
-        name = env.fresh_name(rel_name + suffix)
+        name = _fresh_name(env, rel_name + suffix)
         stmt = app(relation, lhs, rhs)
         try:
             env = env.add_definition(name, proof)
-            if not convertible(env, LocalContext(), env.type_of(name), stmt):
+            if not convertible(env, env.type_of(name), stmt):
                 raise TypeCheckError(f"it does not prove {stmt!r}")
         except TypeCheckError as e:
             raise SynthesisError(f"generated '{name}' failed to check: {e}") \
                 from None
-        entries.append(RelationEntryV2(lhs, rhs, relation, Const(name)))
-
-    # An existing entry (user-declared, or the flipped twin of an identity
-    # surjection) keeps priority; generated entries never overwrite.
-    for entry_v2 in entries:
-        if _find(tables, "relations_v2", env, whnf(env, entry_v2.lhs),
-                 whnf(env, entry_v2.rhs)) is None:
-            tables = insert_relation_v2(tables, env, entry_v2)
+        # An existing entry (user-declared, or the flipped twin of an
+        # identity surjection) keeps priority: one lookup, no overwrite.
+        if _find(tables, "relations_v2", env, whnf(env, lhs),
+                 whnf(env, rhs)) is None:
+            tables = _with_entry(tables, "relations_v2", (lhs, rhs),
+                                 RelationEntryV2(lhs, rhs, relation, Const(name)))
     return tables, env
+
+
+def _fresh_name(env: GlobalEnv, base: str) -> str:
+    name, n = base, 0
+    while name in env:
+        n += 1
+        name = f"{base}{n}"
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def exact_modulo(env: GlobalEnv, tables: DeclTables, ctx: LocalContext,
     through the transfer-lemma table.  `_depth` is the engine's own: the
     nesting of the steps it appends to `trace`.
     """
-    if convertible(env, ctx, source, target):
+    if convertible(env, source, target):
         if trace is not None:
             trace.append(TraceStep(_depth, "identity", ctx))
         return proof
@@ -168,7 +168,7 @@ def _atom_case(env, tables, ctx, source, target, proof, trace, depth):
                     f"arguments, atoms have {len(args_s)}")
     for i, (arg_s, arg_t) in enumerate(zip(args_s, args_t), start=1):
         image = App(entry.transfer_fn, arg_s)
-        if not convertible(env, ctx, arg_t, image):
+        if not convertible(env, arg_t, image):
             return TransferFailure(
                 "argument-mismatch",
                 lambda: f"argument {i}: {print_term(arg_t, env, ctx)} is not "

@@ -8,7 +8,8 @@ declared relation entry, or a stored one flipped), App (one application)
 and Lambda (binders, when the expected relation is a relator arrow).  A
 rule returns its derivation or the reason it does not apply; Forall/Arrow
 only rewrites the pair and gives no reason.  A failure names the deepest
-pair no rule relates, with each rule's reason.
+pair no rule relates, with each rule's reason.  Lambda names its
+hypothesis `H`, `H1`, … by the Lambda steps enclosing it, which it counts.
 
 Env reads a per-context index: the candidate hypotheses `Var(i) : R a b` of
 a context are found once per engine run, since a context changes only when
@@ -16,10 +17,10 @@ the Lambda rule pushes a new one, and Env then tests them in the order a
 scan from the innermost entry would.
 
 Relation expectations may contain metavariables; they are solved by
-one-way matching against hypothesis and table relations, and solutions are
-restricted to closed terms so they can move across binders; a failed rule's
-solutions are undone.  The rule order and operand order are fixed, so
-identical inputs produce identical derivations, traces and proofs.
+one-way matching against hypothesis and table relations (by conversion, in
+no context), and solutions are restricted to closed terms so they can move
+across binders; a failed rule's solutions are undone.  The rule order and
+operand order are fixed, so identical inputs produce identical derivations.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
@@ -83,8 +84,7 @@ Derived = tuple[Judgment, tuple[TraceStep, ...]]
 # Matching
 # ---------------------------------------------------------------------------
 
-def match_relation(env: GlobalEnv, ctx: LocalContext, stored: Term,
-                   expect: RelExpectation,
+def match_relation(env: GlobalEnv, stored: Term, expect: RelExpectation,
                    metas: dict[int, Term]) -> dict[int, Term] | None:
     """One-way match of an expectation pattern against a stored relation.
 
@@ -94,30 +94,29 @@ def match_relation(env: GlobalEnv, ctx: LocalContext, stored: Term,
     binders other rules introduce.
     """
     trial = dict(metas)
-    if _match(env, ctx, stored, expect, trial):
+    if _match(env, stored, expect, trial):
         return trial
     return None
 
 
-def _match(env: GlobalEnv, ctx: LocalContext, stored: Term,
-           expect: RelExpectation, trial: dict[int, Term]) -> bool:
+def _match(env: GlobalEnv, stored: Term, expect: RelExpectation,
+           trial: dict[int, Term]) -> bool:
     match expect:
         case Unknown(i):
             if i in trial:
-                return convertible(env, ctx, trial[i], stored)
+                return convertible(env, trial[i], stored)
             if stored.lbr > 0:
                 return False
             trial[i] = stored
             return True
         case Known(rel):
-            return convertible(env, ctx, rel, stored)
+            return convertible(env, rel, stored)
         case RelArrow(dom, cod):
             view = respectful_view(env, stored)
             if view is None:
                 return False
             _, _, _, _, r, s = view
-            return (_match(env, ctx, r, dom, trial)
-                    and _match(env, ctx, s, cod, trial))
+            return _match(env, r, dom, trial) and _match(env, s, cod, trial)
     return False
 
 
@@ -142,6 +141,7 @@ class _Synth:
         self.metas: dict[int, Term] = {}
         self._next_meta = 0
         self.deepest_failure: _FailurePoint | None = None
+        self._lambdas = 0  # Lambda steps enclosing the pair being derived
         # id(ctx) -> (ctx, its hypotheses); see `_hypotheses`.
         self._hyp_index: dict[int, tuple[LocalContext, list]] = {}
 
@@ -172,9 +172,8 @@ class _Synth:
                 return app(Const(RESPECTFUL), x, y, x2, y2, d, c)
         return None
 
-    def match(self, ctx: LocalContext, stored: Term,
-              expect: RelExpectation) -> bool:
-        result = match_relation(self.env, ctx, stored, expect, self.metas)
+    def match(self, stored: Term, expect: RelExpectation) -> bool:
+        result = match_relation(self.env, stored, expect, self.metas)
         if result is None:
             return False
         self.metas = result
@@ -278,10 +277,10 @@ class _Synth:
 
     def _rule_env(self, ctx, lhs, rhs, expect, depth):
         for i, rel, a, b in self._hypotheses(ctx):
-            if not (convertible(self.env, ctx, a, lhs)
-                    and convertible(self.env, ctx, b, rhs)):
+            if not (convertible(self.env, a, lhs)
+                    and convertible(self.env, b, rhs)):
                 continue
-            if not self.match(ctx, rel, expect):
+            if not self.match(rel, expect):
                 continue
             return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                                 depth)
@@ -310,7 +309,7 @@ class _Synth:
     def _rule_table(self, ctx, lhs, rhs, expect, depth):
         for entry, via_inverse in relation_entries(self.tables, self.env,
                                                    lhs, rhs):
-            if self.match(ctx, entry.relation, expect):
+            if self.match(entry.relation, expect):
                 judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
                 return self._finish(judgment, "Table", depth,
                                     inverse=via_inverse)
@@ -374,16 +373,18 @@ class _Synth:
         wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, Lam) and isinstance(wr, Lam)):
             return "sides are not both functions"
-        hyp_count = sum(1 for e in ctx.entries if e.marker == "hypothesis")
-        hyp_name = "H" if hyp_count == 0 else f"H{hyp_count}"
+        n = self._lambdas
+        hyp_name = "H" if n == 0 else f"H{n}"
         hyp_ty = app(shift(rel_dom, 2), Var(1), Var(0))
         ctx3 = (ctx.push(wl.name, wl.ty)
                    .push(wr.name, shift(wr.ty, 1))
-                   .push(hyp_name, hyp_ty, marker="hypothesis"))
+                   .push(hyp_name, hyp_ty))
         body_l = replace_var(shift(wl.body, 2, 1), 0, Var(2))
         body_r = replace_var(shift(wr.body, 2, 1), 0, Var(1))
+        self._lambdas = n + 1
         sub = self.synth(ctx3, body_l, body_r, Known(shift(rel_cod, 3)),
                          depth + 1)
+        self._lambdas = n
         if sub is None:
             return "bodies are unrelatable"
         body_j, body_steps = sub

@@ -137,7 +137,7 @@ def test_elaboration_unifies_function_types_structurally():
     assert code == EXIT_OK and state.errors == []
     code, state = run_text(text.format("fun (x : Prop) => x"))
     assert code == EXIT_SCRIPT_ERROR
-    assert state.errors == ["line 3: type mismatch: Prop vs nat"]
+    assert state.errors == ["line 3: 3:14: type mismatch: Prop vs nat"]
 
 
 MISMATCH_PREFIX = """\
@@ -153,10 +153,10 @@ Axiom h : ∀ x : N, f x = x.
 @pytest.mark.parametrize("command,message", [
     ("Axiom bad : P h.", "7:15: type mismatch: ∀ x : N, f x = x vs nat"),
     ("Parameter g : ∀ n : nat, B n.\nAxiom bad : ∀ n : nat, P (g n).",
-     "type mismatch: B n vs nat"),
+     "8:27: type mismatch: B n vs nat"),
     ("Parameter H : (∀ n : nat, B n → nat) → Prop.\n"
      "Axiom bad : H (fun (n : nat) (b : B n) => b).",
-     "type mismatch: B n vs nat"),
+     "8:16: type mismatch: B n vs nat"),
 ])
 def test_elaboration_type_mismatch_prints_concrete_syntax(command, message):
     code, state = run_text(MISMATCH_PREFIX + command + "\n")
@@ -176,7 +176,7 @@ def test_elaboration_unifies_applications_argument_by_argument():
     assert code == EXIT_OK and state.errors == []
     code, state = run_text(text + "Axiom bad : useB (mkB one).\n")
     assert code == EXIT_SCRIPT_ERROR
-    assert state.errors == ["line 8: type mismatch: one vs zero"]
+    assert state.errors == ["line 8: 8:19: type mismatch: one vs zero"]
 
 
 def test_declaring_a_dependent_relation_is_a_script_error():

@@ -35,10 +35,10 @@ def scanning_rule_env(self, ctx, lhs, rhs, expect, depth):
             continue
         rel = app(head, *args[:-2])
         a, b = args[-2], args[-1]
-        if not (convertible(self.env, ctx, a, lhs)
-                and convertible(self.env, ctx, b, rhs)):
+        if not (convertible(self.env, a, lhs)
+                and convertible(self.env, b, rhs)):
             continue
-        if not self.match(ctx, rel, expect):
+        if not self.match(rel, expect):
             continue
         return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                             depth)
@@ -117,8 +117,8 @@ def eq_env():
 
 
 def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):
-    """An entry with no `hypothesis` marker, as `fun (p : eq nat a b) => …`
-    pushes, is found by Env; an entry with fewer than two arguments is
+    """An entry that no Lambda step pushed, as `fun (p : eq nat a b) => …`
+    does, is found by Env; an entry with fewer than two arguments is
     skipped, and the innermost of two candidates wins."""
     env, tables = eq_env, DeclTables()
     a, b = Const("a"), Const("b")

@@ -1,6 +1,8 @@
 """Kernel tests: substitution, reduction, conversion, type inference."""
 
 import ast
+import dataclasses
+import inspect
 import random
 import re
 import sys
@@ -129,8 +131,7 @@ def test_whnf_idempotent_on_corpus():
 def test_convertible_impl_and_arrow():
     env = prelude_env()
     env = env.add_parameter("A", PROP).add_parameter("B", PROP)
-    assert convertible(env, LocalContext(),
-                       app(Const(IMPL), Const("A"), Const("B")),
+    assert convertible(env, app(Const(IMPL), Const("A"), Const("B")),
                        arrow(Const("A"), Const("B")))
 
 
@@ -139,12 +140,12 @@ def test_alpha_equivalence_is_structural():
     left = Pi("x", Const("A"), Const("False"))
     right = Pi("y", Const("A"), Const("False"))
     assert left == right
-    assert convertible(env, LocalContext(), left, right)
+    assert convertible(env, left, right)
 
 
 def test_distinct_sorts_not_convertible():
     env = prelude_env()
-    assert not convertible(env, LocalContext(), PROP, SET)
+    assert not convertible(env, PROP, SET)
 
 
 def test_conversion_is_equivalence_on_corpus():
@@ -156,15 +157,15 @@ def test_conversion_is_equivalence_on_corpus():
                          App(Lam("x", infer_type(env, ctx, t), Var(0)), t)))
     for group in variants:
         for a in group:
-            assert convertible(env, ctx, a, a)
+            assert convertible(env, a, a)
             for b in group:
-                assert convertible(env, ctx, a, b)
-                assert convertible(env, ctx, b, a)
+                assert convertible(env, a, b)
+                assert convertible(env, b, a)
     # transitivity across each group triple
     for a, b, c, d in variants:
-        assert convertible(env, ctx, a, c) and convertible(env, ctx, b, d)
+        assert convertible(env, a, c) and convertible(env, b, d)
     # and inequivalent terms stay apart
-    assert not convertible(env, ctx, terms[0], terms[1])
+    assert not convertible(env, terms[0], terms[1])
 
 
 def _term_corpus() -> tuple[GlobalEnv, list[Term]]:
@@ -199,7 +200,7 @@ def test_infer_eq_refl_instance():
     env = prelude_env().add_parameter("N", SET)
     ctx = LocalContext().push("x'", Const("N"))
     ty = infer_type(env, ctx, app(Const(EQ_REFL), Const("N"), Var(0)))
-    assert convertible(env, ctx, ty, app(Const(EQ), Const("N"), Var(0), Var(0)))
+    assert convertible(env, ty, app(Const(EQ), Const("N"), Var(0), Var(0)))
 
 
 def test_infer_all_application_is_prop():
@@ -353,18 +354,22 @@ def test_substitution_lemma_on_generated_corpus(rng):
     for body in _generated_terms(rng, env, hole_ty, 60):
         lhs = infer_type(env, LocalContext(), substitute(body, 0, replacement))
         rhs = substitute(infer_type(env, ctx, body), 0, replacement)
-        assert convertible(env, LocalContext(), lhs, rhs)
+        assert convertible(env, lhs, rhs)
 
 
 # --- prelude invariants ---------------------------------------------------------------
 
+PRELUDE_NAMES = (kernel.FALSE, EQ, EQ_REFL, EQ_IND, IMPL, ALL,
+                 kernel.RESPECTFUL, kernel.INV, kernel.IMPL_RESPECTFUL)
+
+
 def test_prelude_definitions_check():
     env = prelude_env()
-    for name in env.names():
+    for name in PRELUDE_NAMES:
         decl = env.lookup(name)
         if decl.body is not None:
             inferred = infer_type(env, LocalContext(), decl.body)
-            assert convertible(env, LocalContext(), inferred, decl.ty), name
+            assert convertible(env, inferred, decl.ty), name
 
 
 def test_prelude_unfoldings():
@@ -373,13 +378,12 @@ def test_prelude_unfoldings():
     env = env.add_parameter("nat", SET)
     env = env.add_parameter("P0", arrow(Const("nat"), PROP))
     env = env.add_parameter("n0", Const("nat"))
-    ctx = LocalContext()
-    assert convertible(env, ctx, app(Const(IMPL), Const("A"), Const("B")),
+    assert convertible(env, app(Const(IMPL), Const("A"), Const("B")),
                        arrow(Const("A"), Const("B")))
     all_app = app(Const(ALL), Const("nat"), Const("P0"))
     unfolded = whnf(env, all_app)
     assert isinstance(unfolded, Pi)
-    assert convertible(env, ctx, substitute(unfolded.body, 0, Const("n0")),
+    assert convertible(env, substitute(unfolded.body, 0, Const("n0")),
                        App(Const("P0"), Const("n0")))
 
 
@@ -394,7 +398,7 @@ def test_respectful_unfolds_to_pointwise_form():
         env,
         "∀ (x : nat) (y : N), natN0 x y → "
         "∀ (x0 : nat) (y0 : N), natN0 x0 y0 → le x x0 → N.le y y0")
-    assert convertible(env, LocalContext(), chain, expected)
+    assert convertible(env, chain, expected)
 
 
 def test_definition_body_must_match_declared_type():
@@ -443,3 +447,59 @@ def test_readme_states_the_kernels_line_count():
     assert stated, "README names no line count for kernel.py"
     lines = len(KERNEL_SOURCE.splitlines())
     assert [int(n.replace(",", "")) for n in stated] == [lines] * len(stated)
+
+
+# --- the kernel's interface -------------------------------------------------
+
+KERNEL_API = {
+    "KernelError", "TypeCheckError", "UnboundName",
+    "Sort", "PROP", "SET", "TYPE", "Var", "Const", "Lam", "App", "Pi", "Term",
+    "app", "spine", "arrow", "shift", "substitute", "instantiate", "unshift",
+    "CtxEntry", "LocalContext", "Decl", "GlobalEnv",
+    "whnf", "normalize", "subsumes", "convertible", "infer_type",
+    "check_proof_report", "check_proof",
+    "FALSE", "EQ", "EQ_REFL", "EQ_IND", "IMPL", "ALL", "RESPECTFUL", "INV",
+    "IMPL_RESPECTFUL", "prelude_env",
+}
+
+
+def _defined_names(source: str) -> set[str]:
+    names: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def test_the_kernels_public_names_are_the_allowlist():
+    defined = {n for n in _defined_names(KERNEL_SOURCE) if n[0] != "_"}
+    assert defined == KERNEL_API
+
+
+def test_the_kernels_interface_is_the_checkers():
+    """Conversion reads no context, a context entry is a name and a type,
+    and the environment offers no engine convenience."""
+    assert list(inspect.signature(convertible).parameters) == ["env", "a", "b"]
+    assert list(inspect.signature(kernel.subsumes).parameters) \
+        == ["env", "have", "want"]
+    assert [f.name for f in dataclasses.fields(kernel.CtxEntry)] \
+        == ["name", "ty"]
+    assert list(inspect.signature(LocalContext.push).parameters) \
+        == ["self", "name", "ty"]
+    assert not hasattr(GlobalEnv, "fresh_name")
+    assert not hasattr(GlobalEnv, "names")
+
+
+def test_an_unknown_name_is_a_type_error_with_its_path():
+    env = prelude_env()
+    with pytest.raises(kernel.UnboundName) as err:
+        infer_type(env, LocalContext(),
+                   Lam("f", arrow(PROP, PROP), App(Var(0), Const("c"))))
+    assert isinstance(err.value, TypeCheckError)
+    assert str(err.value) == "unknown constant 'c' (at body/arg)"

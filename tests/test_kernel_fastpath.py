@@ -256,13 +256,13 @@ def ref_normalize(env: GlobalEnv, t: Term) -> Term:
             return t
 
 
-def ref_subsumes(env: GlobalEnv, ctx: LocalContext, have: Term, want: Term) -> bool:
-    if ref_convertible(env, ctx, have, want):
+def ref_subsumes(env: GlobalEnv, have: Term, want: Term) -> bool:
+    if ref_convertible(env, have, want):
         return True
     return isinstance(ref_whnf(env, have), Sort) and ref_whnf(env, want) == TYPE
 
 
-def ref_convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool:
+def ref_convertible(env: GlobalEnv, a: Term, b: Term) -> bool:
     if a == b:
         return True
     a = ref_whnf(env, a)
@@ -275,11 +275,11 @@ def ref_convertible(env: GlobalEnv, ctx: LocalContext, a: Term, b: Term) -> bool
         case Const(m), Const(n):
             return m == n
         case App(f, x), App(g, y):
-            return ref_convertible(env, ctx, f, g) and ref_convertible(env, ctx, x, y)
+            return ref_convertible(env, f, g) and ref_convertible(env, x, y)
         case Lam(_, ta, ba), Lam(_, tb, bb):
-            return ref_convertible(env, ctx, ta, tb) and ref_convertible(env, ctx, ba, bb)
+            return ref_convertible(env, ta, tb) and ref_convertible(env, ba, bb)
         case Pi(_, ta, ba), Pi(_, tb, bb):
-            return ref_convertible(env, ctx, ta, tb) and ref_convertible(env, ctx, ba, bb)
+            return ref_convertible(env, ta, tb) and ref_convertible(env, ba, bb)
         case _:
             return False
 
@@ -321,7 +321,7 @@ def ref_infer_type(env: GlobalEnv, ctx: LocalContext, t: Term,
                             node_path + ("fn",))
                 arg_ty = ref_infer_type(env, ctx, a, node_path + ("arg",))
                 dom = naive_instantiate(ty.ty, done)
-                if not ref_subsumes(env, ctx, arg_ty, dom):
+                if not ref_subsumes(env, arg_ty, dom):
                     raise TypeCheckError(
                         f"argument type {arg_ty!r} does not match domain {dom!r}",
                         node_path + ("arg",))
@@ -371,7 +371,7 @@ REDUCIBLE = st.lists(st.integers(0, 15), max_size=10).map(
 @FASTPATH
 @given(REDUCIBLE, REDUCIBLE)
 def test_reduction_and_conversion_match_the_match_based_references(t, u):
-    env, ctx = DELTA_ENV, CTX
+    env = DELTA_ENV
     for delta in (True, False):
         assert whnf(env, t, delta) == ref_whnf(env, t, delta)
     nf = normalize(env, t)
@@ -379,9 +379,9 @@ def test_reduction_and_conversion_match_the_match_based_references(t, u):
     for binder in (Lam("x", u, t), Pi("x", u, t)):
         assert normalize(env, binder) == ref_normalize(env, binder)
     for other in (u, nf, whnf(env, t), App(Const("a"), t)):
-        assert convertible(env, ctx, t, other) == ref_convertible(env, ctx, t, other)
-        assert subsumes(env, ctx, t, other) == ref_subsumes(env, ctx, t, other)
-        assert subsumes(env, ctx, other, TYPE) == ref_subsumes(env, ctx, other, TYPE)
+        assert convertible(env, t, other) == ref_convertible(env, t, other)
+        assert subsumes(env, t, other) == ref_subsumes(env, t, other)
+        assert subsumes(env, other, TYPE) == ref_subsumes(env, other, TYPE)
 
 
 # Lam-free terms over `b` and `c` as well: each definition's binders are
@@ -399,7 +399,7 @@ def test_whnf_splice_path_matches_the_reference(t, u):
     in front of the rest) and beta-then-unfold (a redex whose body is headed
     by a definition) reduce and convert as in the reference, and `whnf` of
     a head-normal result returns that very object."""
-    env, ctx = DELTA_ENV, CTX
+    env = DELTA_ENV
     for term in (t,
                  app(Lam("x", SET, Const("b")), t, u),
                  app(Lam("x", SET, App(Const("c"), Var(0))), t, u)):
@@ -410,10 +410,10 @@ def test_whnf_splice_path_matches_the_reference(t, u):
         nf = normalize(env, term)
         assert nf == ref_normalize(env, term)
         for other in (u, nf, App(Const("b"), u), App(Const("c"), u)):
-            assert convertible(env, ctx, term, other) \
-                == ref_convertible(env, ctx, term, other)
-            assert subsumes(env, ctx, term, other) \
-                == ref_subsumes(env, ctx, term, other)
+            assert convertible(env, term, other) \
+                == ref_convertible(env, term, other)
+            assert subsumes(env, term, other) \
+                == ref_subsumes(env, term, other)
 
 
 def test_whnf_splices_the_unfolded_spine():
@@ -460,8 +460,8 @@ def test_inference_matches_the_match_based_reference(t, u):
     assert normalize(env, t) == ref_normalize(env, t)
     assert normalize(env, ty) == ref_normalize(env, ty)
     if not isinstance(typing(ref_infer_type, env, ctx, u), tuple):
-        assert convertible(env, ctx, t, u) == ref_convertible(env, ctx, t, u)
-        assert subsumes(env, ctx, ty, u) == ref_subsumes(env, ctx, ty, u)
+        assert convertible(env, t, u) == ref_convertible(env, t, u)
+        assert subsumes(env, ty, u) == ref_subsumes(env, ty, u)
 
 
 def test_emitted_proofs_type_as_in_the_reference(monkeypatch):
@@ -603,7 +603,7 @@ def test_a_meta_takes_the_default_branch():
     assert not occurs_free(m, 0)
     assert whnf(env, m) is m and whnf(env, t) is t
     assert normalize(env, m) is m and normalize(env, t) == t
-    assert not convertible(env, CTX, m, Meta(2))
+    assert not convertible(env, m, Meta(2))
     with pytest.raises(TypeCheckError, match=r"^unrecognized term \?1$") as err:
         infer_type(env, LocalContext(), m)
     assert err.value.path == ()
@@ -716,7 +716,7 @@ def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
     env, cited = state.env, set()
     for entry in state.tables.relations_v2.values():
         assert type(entry.proof) is Const
-        assert convertible(env, LocalContext(), env.type_of(entry.proof.name),
+        assert convertible(env, env.type_of(entry.proof.name),
                            app(entry.relation, entry.lhs, entry.rhs))
         cited.add(entry.proof.name)
     generated = {IMPL_RESPECTFUL, "N.of_nat_rel_surj", "N.of_nat_rel_tot",

@@ -294,7 +294,7 @@ def test_sugar_coherence(env):
     assert eq_term == explicit
     impl_term = parse_and_elaborate(env, "impl False False")
     arrow_term = parse_and_elaborate(env, "False -> False")
-    assert convertible(env, LocalContext(), impl_term, arrow_term)
+    assert convertible(env, impl_term, arrow_term)
 
 
 def test_print_without_env_is_still_reparseable(env):

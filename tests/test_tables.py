@@ -81,7 +81,7 @@ def test_transfer_lemma_extraction(nat_env, nat_tables):
 def test_transfer_lemma_statement_reconstruction(nat_env, nat_tables):
     up = lookup_transfer_v1(nat_tables, nat_env, Const("le"), Const("N.le"))
     stmt = transfer_v1_statement(nat_env, up)
-    assert convertible(nat_env, LocalContext(), stmt, nat_env.type_of("le_up"))
+    assert convertible(nat_env, stmt, nat_env.type_of("le_up"))
 
 
 def test_transfer_lemma_mixed_functions_rejected(nat_env):
@@ -262,12 +262,45 @@ def test_relational_encoding_is_found_once_made(nat_env, nat_tables):
         assert not via_inverse and found is tables.relations_v2[(a, b)]
 
 
+def test_an_encoding_looks_each_pair_up_once(nat_env, nat_tables,
+                                             monkeypatch):
+    """One `_find` per generated pair, and an existing entry keeps its
+    place: an identity surjection's reverse-∀ pair is its ∀ pair flipped,
+    so only the ∀ entry and the equality entry are stored."""
+    calls = []
+    find = tables_module._find
+
+    def counting_find(*args):
+        calls.append(args[1])
+        return find(*args)
+
+    monkeypatch.setattr(tables_module, "_find", counting_find)
+    entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
+    calls.clear()
+    tables, _ = surjection_to_relational(nat_tables, nat_env, entry)
+    assert calls == ["relations_v2"] * 3
+    assert len(tables.relations_v2) == 3
+
+    env = declare(nat_env, "parameter", "idn", "nat → nat")
+    env = declare(env, "axiom", "idn_s", "∀ x : nat, idn (idn x) = x")
+    tables = declare_surjection(DeclTables(), env, "idn", "idn", "idn_s")
+    entry = lookup_surjection(tables, env, Const("nat"), Const("nat"))
+    calls.clear()
+    tables, env = surjection_to_relational(tables, env, entry)
+    assert calls == ["relations_v2"] * 3
+    all_nat = App(Const(ALL), Const("nat"))
+    assert [e.proof for e in tables.relations_v2.values()] \
+        == [Const("idn_rel_surj"), Const("idn_rel_func")]
+    assert tables.relations_v2[(all_nat, all_nat)].proof \
+        == Const("idn_rel_surj")
+
+
 def test_generated_relation_unfolds_to_graph(nat_env, nat_tables):
     entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
     tables, env = surjection_to_relational(nat_tables, nat_env, entry)
     ctx = LocalContext().push("x", Const("nat")).push("x'", Const("N"))
     applied = parse_and_elaborate(env, "N.of_nat_rel x x'", ctx)
-    assert convertible(env, ctx, applied,
+    assert convertible(env, applied,
                        parse_and_elaborate(env, "N.of_nat x = x'", ctx))
 
 
@@ -284,7 +317,7 @@ def test_prefill_inserts_implication_entry():
         env,
         "∀ (a : Prop) (b : Prop), (b → a) → ∀ (c : Prop) (d : Prop), "
         "(c → d) → (a → c) → b → d")
-    assert convertible(env, LocalContext(), stmt, unfolded)
+    assert convertible(env, stmt, unfolded)
     assert check_proof(env, LocalContext(), entry.proof, stmt)
     assert check_proof(env, LocalContext(), entry.proof, unfolded)
 
@@ -308,13 +341,13 @@ def test_library_bodies_print_and_parse_back(name):
 
 def test_scripts_leave_the_shared_library_env_unchanged():
     env = library_env()
-    before = [(name, env.lookup(name)) for name in env.names()]
+    before = list(env._decls.items())
     for path in sorted(SCRIPTS.glob("*.tk")):
         execute_script(path.read_text(encoding="utf-8"))
     state = execute_script("Parameter graph_tot : Prop.")
     assert state.errors == ["line 1: 'graph_tot' is already declared"]
     assert library_env() is env
-    after = [(name, env.lookup(name)) for name in env.names()]
+    after = list(env._decls.items())
     assert [name for name, _ in after] == [name for name, _ in before]
     assert all(d is e for (_, d), (_, e) in zip(before, after))
     with pytest.raises(AttributeError):

@@ -157,7 +157,7 @@ def test_subst_by_convertible_term_preserves_meaning(nat_env):
     replacement = App(Lam("u", Const("N"), Var(0)), Var(1))
     out = subst_polarized(formula, 1, replacement, covariant=True)
     assert out != formula
-    assert convertible(env, ctx, out, formula)
+    assert convertible(env, out, formula)
 
 
 # --- build_rewrite ---------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import pytest
 
+from transfer_kernel.cli import RunOptions, execute_script, exit_code
 from transfer_kernel.kernel import (
-    ALL, IMPL, PROP, SET,
-    App, Const, LocalContext, Var, app, arrow, check_proof, convertible,
-    normalize, prelude_env,
+    ALL, IMPL, SET,
+    App, Const, LocalContext, Var, app, check_proof, convertible, normalize,
+    prelude_env,
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
@@ -50,7 +51,7 @@ def test_match_solves_chain_prefix(v2_env):
     env, tables = v2_env
     stored = parse_and_elaborate(env, "(natN ##> impl) ##> impl")
     pattern = RelArrow(Unknown(1), Known(Const(IMPL)))
-    solution = match_relation(env, LocalContext(), stored, pattern, {})
+    solution = match_relation(env, stored, pattern, {})
     assert solution is not None
     assert solution[1] == parse_and_elaborate(env, "natN ##> impl")
 
@@ -59,7 +60,7 @@ def test_match_solves_two_holes(v2_env):
     env, _ = v2_env
     stored = parse_and_elaborate(env, "impl⁻¹ ##> impl ##> impl")
     pattern = RelArrow(Unknown(1), RelArrow(Unknown(2), Known(Const(IMPL))))
-    solution = match_relation(env, LocalContext(), stored, pattern, {})
+    solution = match_relation(env, stored, pattern, {})
     assert solution is not None
     assert solution[1] == parse_and_elaborate(env, "impl⁻¹")
     assert solution[2] == Const(IMPL)
@@ -68,7 +69,7 @@ def test_match_solves_two_holes(v2_env):
 def test_match_bare_hole_takes_anything(v2_env):
     env, _ = v2_env
     stored = parse_and_elaborate(env, "natN ##> impl")
-    solution = match_relation(env, LocalContext(), stored, Unknown(7), {})
+    solution = match_relation(env, stored, Unknown(7), {})
     assert solution == {7: stored}
 
 
@@ -77,17 +78,14 @@ def test_match_is_one_way_and_conversion_aware(v2_env):
     stored = parse_and_elaborate(env, "natN ##> impl")
     # the generated relation is definitionally equal to natN
     known = parse_and_elaborate(env, "N.of_nat_rel ##> impl")
-    assert match_relation(env, LocalContext(), stored,
-                          Known(known), {}) is not None
+    assert match_relation(env, stored, Known(known), {}) is not None
     mismatch = parse_and_elaborate(env, "natN ##> impl⁻¹")
-    assert match_relation(env, LocalContext(), stored,
-                          Known(mismatch), {}) is None
+    assert match_relation(env, stored, Known(mismatch), {}) is None
 
 
 def test_match_rejects_open_solutions(v2_env):
     env, _ = v2_env
-    ctx = LocalContext().push("r", arrow(Const("nat"), arrow(Const("N"), PROP)))
-    assert match_relation(env, ctx, Var(0), Unknown(3), {}) is None
+    assert match_relation(env, Var(0), Unknown(3), {}) is None
 
 
 # --- invert_entry -----------------------------------------------------------------
@@ -107,7 +105,7 @@ def test_invert_is_involutive(v2_env):
     entry, _ = lookup_relation_v2(tables, env, Const("le"), Const("N.le"))
     twice = invert_entry(env, invert_entry(env, entry))
     assert twice.lhs == entry.lhs and twice.rhs == entry.rhs
-    assert convertible(env, LocalContext(), twice.relation, entry.relation)
+    assert convertible(env, twice.relation, entry.relation)
     assert normalize(env, twice.relation) == normalize(env, entry.relation)
 
 
@@ -143,14 +141,13 @@ def test_synth_env_rule(v2_env):
            .push("z'", Const("N"))
            .push("H2", parse_and_elaborate(
                env, "natN z z'",
-               LocalContext().push("z", Const("nat")).push("z'", Const("N"))),
-               marker="hypothesis"))
+               LocalContext().push("z", Const("nat")).push("z'", Const("N")))))
     result = synth(env, tables, ctx, Var(2), Var(1))
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
     assert trace.steps[0].rule == "Env"
     assert judgment.proof == Var(0)
-    assert convertible(env, ctx, judgment.relation, Const("natN"))
+    assert convertible(env, judgment.relation, Const("natN"))
 
 
 def test_synth_all_table_rule(v2_env):
@@ -162,7 +159,7 @@ def test_synth_all_table_rule(v2_env):
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
     assert trace.steps[0].rule == "Table"
-    assert convertible(env, LocalContext(), judgment.relation,
+    assert convertible(env, judgment.relation,
                        parse_and_elaborate(env, "(natN ##> impl) ##> impl"))
 
 
@@ -327,8 +324,7 @@ def test_identity_judgment_from_env_hypotheses():
     env = declare(env, "axiom", "P_id", "(natid ##> impl) P P")
     tables = declare_relation_v2(DeclTables(), env, "P_id")
     ctx = LocalContext().push("x", Const("nat")).push("x'", Const("nat"))
-    ctx = ctx.push("H", parse_and_elaborate(env, "natid x x'", ctx),
-                   marker="hypothesis")
+    ctx = ctx.push("H", parse_and_elaborate(env, "natid x x'", ctx))
     lhs = parse_and_elaborate(env, "P x", ctx)
     rhs = parse_and_elaborate(env, "P x'", ctx)
     result = synth(env, tables, ctx, lhs, rhs, Known(Const(IMPL)),
@@ -338,6 +334,78 @@ def test_identity_judgment_from_env_hypotheses():
     assert rules(trace) == ["App", "Env", "Table"]
     assert check_proof(env, ctx, judgment.proof,
                        app(judgment.relation, lhs, rhs))
+
+
+FLIP_SCRIPT = """\
+Parameter nat N : Set.
+Parameter N.of_nat : nat → N.
+Parameter N.to_nat : N → nat.
+Parameter le : nat → nat → Prop.
+Parameter N.le : N → N → Prop.
+Axiom of_to : ∀ x' : N, N.of_nat (N.to_nat x') = x'.
+Declare Surjection N.of_nat by (N.to_nat, of_to).
+Definition natN x x' := N.of_nat x = x'.
+Axiom le_up_rel : (natN ##> natN ##> impl) le N.le.
+Declare Relation le_up_rel.
+Axiom le_down_rel : (natN⁻¹ ##> natN⁻¹ ##> impl) N.le le.
+Declare Relation le_down_rel.
+Axiom le_flip : ∀ H H1 : nat, le H H1 → le H1 H.
+Theorem N.le_flip : ∀ x' y' : N, N.le x' y' → N.le y' x'.
+  transfer modulo le_flip.
+Qed.
+"""
+
+FLIP_PROOF = (
+    "N.of_nat_rel_surj (fun H : nat => ∀ H1 : nat, le H H1 → le H1 H) "
+    "(fun x' : N => ∀ y' : N, N.le x' y' → N.le y' x') "
+    "(fun (H : nat) (x' : N) (H' : N.of_nat_rel H x') => N.of_nat_rel_surj "
+    "(fun H1 : nat => le H H1 → le H1 H) "
+    "(fun y' : N => N.le x' y' → N.le y' x') "
+    "(fun (H1 : nat) (y' : N) (H1' : N.of_nat_rel H1 y') => impl_respectful "
+    "(le H H1) (N.le x' y') ((fun (y : nat) (x : N) (h : natN⁻¹ x y) "
+    "(y'' : nat) (x'' : N) (h' : natN⁻¹ x'' y'') => "
+    "le_down_rel x y h x'' y'' h') H x' H' H1 y' H1') (le H1 H) "
+    "(N.le y' x') (le_up_rel H1 y' H1' H x' H'))) le_flip")
+
+FLIP_TRACE = """\
+Forall ∀ (H : nat) (H1 : nat), le H H1 → le H1 H ⇝[impl] ∀ (x' : N) (y' : N), N.le x' y' → N.le y' x'
+  App all nat (fun H : nat => ∀ H1 : nat, le H H1 → le H1 H) ⇝[impl] all N (fun x' : N => ∀ y' : N, N.le x' y' → N.le y' x')
+    Table all nat ⇝[(N.of_nat_rel ##> impl) ##> impl] all N
+    Lambda fun H : nat => ∀ H1 : nat, le H H1 → le H1 H ⇝[N.of_nat_rel ##> impl] fun x' : N => ∀ y' : N, N.le x' y' → N.le y' x'
+      Forall ∀ H1 : nat, le H H1 → le H1 H ⇝[impl] ∀ y' : N, N.le x' y' → N.le y' x'
+        App all nat (fun H1 : nat => le H H1 → le H1 H) ⇝[impl] all N (fun y' : N => N.le x' y' → N.le y' x')
+          Table all nat ⇝[(N.of_nat_rel ##> impl) ##> impl] all N
+          Lambda fun H1 : nat => le H H1 → le H1 H ⇝[N.of_nat_rel ##> impl] fun y' : N => N.le x' y' → N.le y' x'
+            Arrow le H H1 → le H1 H ⇝[impl] N.le x' y' → N.le y' x'
+              App impl (le H H1) (le H1 H) ⇝[impl] impl (N.le x' y') (N.le y' x')
+                App impl (le H H1) ⇝[impl ##> impl] impl (N.le x' y')
+                  Table impl ⇝[impl⁻¹ ##> impl ##> impl] impl
+                  App le H H1 ⇝[impl⁻¹] N.le x' y'
+                    Env H1 ⇝[N.of_nat_rel] y'
+                    App le H ⇝[natN ##> impl⁻¹] N.le x'
+                      Env H ⇝[N.of_nat_rel] x'
+                      Table-inv le ⇝[natN ##> natN ##> impl⁻¹] N.le
+                App le H1 H ⇝[impl] N.le y' x'
+                  Env H ⇝[N.of_nat_rel] x'
+                  App le H1 ⇝[natN ##> impl] N.le y'
+                    Env H1 ⇝[N.of_nat_rel] y'
+                    Table le ⇝[natN ##> natN ##> impl] N.le"""
+
+
+def test_lambda_hypotheses_are_named_by_enclosing_lambda_steps():
+    """The source binds `H` and `H1`, the names the Lambda rule gives its
+    first two hypotheses.  The rule counts its enclosing Lambda steps, so a
+    source binder of that name does not shift the count; the printer then
+    renames each hypothesis past the binder it would shadow."""
+    options = RunOptions(engine="v2", trace=True)
+    state = execute_script(FLIP_SCRIPT, options)
+    assert exit_code(state) == 0, state.errors
+    (result,) = state.results
+    assert print_term(result.proof, state.env) == FLIP_PROOF
+    assert "\n".join(result.trace_lines) == FLIP_TRACE
+    hyps = [ctx_entry.name for ctx_entry in
+            result.trace.steps[-1].ctx.entries[2::3]]
+    assert hyps == ["H", "H1"]
 
 
 def test_lambda_rule_requires_syntactic_functions(v2_env):
