@@ -22,9 +22,9 @@ from .surface import (
 )
 from .tables import (
     DeclTables, DuplicateEntry, RelationEntryV2, ShapeError, SurjectionEntry,
-    TableError, TransferEntryV1, audit, declare_relation_v2,
-    declare_surjection, declare_transfer_v1, lookup_surjection,
-    lookup_transfer_v1, prefill_core, surjection_to_relational,
+    TableError, TransferEntryV1, declare_relation_v2, declare_surjection,
+    declare_transfer_v1, lookup_surjection, lookup_transfer_v1, prefill_core,
+    surjection_to_relational,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .transfer_v1 import build_rewrite, exact_modulo
@@ -39,10 +39,9 @@ __all__ = [
     "ElabError", "ParseError", "Script", "elaborate", "parse_and_elaborate",
     "parse_script", "parse_term", "print_term",
     "DeclTables", "DuplicateEntry", "RelationEntryV2", "ShapeError",
-    "SurjectionEntry", "TableError", "TransferEntryV1", "audit",
-    "declare_relation_v2", "declare_surjection", "declare_transfer_v1",
-    "lookup_surjection", "lookup_transfer_v1", "prefill_core",
-    "surjection_to_relational",
+    "SurjectionEntry", "TableError", "TransferEntryV1", "declare_relation_v2",
+    "declare_surjection", "declare_transfer_v1", "lookup_surjection",
+    "lookup_transfer_v1", "prefill_core", "surjection_to_relational",
     "DerivationTrace", "TraceStep", "TransferFailure",
     "build_rewrite", "exact_modulo", "transfer_modulo",
     "RunOptions", "SessionState", "execute_script", "report", "run_script",

@@ -33,7 +33,7 @@ from .kernel import (
 from .surface import (
     CmdAxiom, CmdDeclareRelation, CmdDeclareSurjection, CmdDeclareTransfer,
     CmdDefinition, CmdParameter, CmdTheorem, EXACT_MODULO, NESTED_TOO_DEEPLY,
-    PLam, SurfaceError, elaborate, parse_script, print_term,
+    SurfaceError, elaborate, parse_script, print_term,
 )
 from .tables import (
     DeclTables, SynthesisError, TableError, declare_relation_v2,
@@ -132,9 +132,8 @@ def _declare(state: SessionState, cmd) -> None:
             state.env = env
         case CmdAxiom(name, stmt_pre, _):
             state.env = env.add_axiom(name, elaborate(env, stmt_pre))
-        case CmdDefinition(name, params, body_pre, _):
-            pre = PLam(params, body_pre) if params else body_pre
-            state.env = env.add_definition(name, elaborate(env, pre))
+        case CmdDefinition(name, body_pre, _):
+            state.env = env.add_definition(name, elaborate(env, body_pre))
         case CmdDeclareSurjection(fn, inverse, proof, _):
             state.tables = declare_surjection(tables, env, fn, inverse, proof)
         case CmdDeclareTransfer(lemma, _):
@@ -168,7 +167,7 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
             trace = DerivationTrace(tuple(steps), env)
     else:
         # Surjections are given their relational encoding on demand.
-        for entry in list(state.tables.surjections.values())[state.encoded:]:
+        for entry in state.tables.surjections[state.encoded:]:
             state.tables, env = surjection_to_relational(
                 state.tables, env, entry)
             state.env = env

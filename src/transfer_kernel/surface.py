@@ -380,8 +380,7 @@ class CmdAxiom(NamedTuple):
 
 class CmdDefinition(NamedTuple):
     name: str
-    params: tuple[tuple[str, PreTerm | None], ...]
-    body: PreTerm
+    body: PreTerm  # parameters are a `PLam` at the first one's token
     line: int = 0
 
 
@@ -442,6 +441,7 @@ def _parse_command(ts: _TokenStream) -> Command:
     if head.value == "Definition":
         name = ts.expect_ident().value
         params: list[tuple[str, PreTerm | None]] = []
+        first = ts.peek()
         while not ts.at_sym(":="):
             if ts.at_sym("("):
                 ts.next()
@@ -460,7 +460,9 @@ def _parse_command(ts: _TokenStream) -> Command:
         ts.expect_sym(":=")
         body = _parse_term(ts)
         ts.expect_sym(".")
-        return CmdDefinition(name, tuple(params), body, line)
+        if params:
+            body = PLam(tuple(params), body, first.line, first.col)
+        return CmdDefinition(name, body, line)
     if head.value == "Declare":
         kind = ts.expect_ident("Surjection", "Transfer", "Relation")
         if kind.value == "Surjection":

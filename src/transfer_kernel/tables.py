@@ -1,26 +1,27 @@
 """Declaration tables: surjections, transfer lemmas and relation entries.
 
-Each store is a dict keyed by the pair as declared, with single-entry
-semantics up to conversion: inserting a pair that a lookup already finds
-is an error and never overwrites, so a relation declared through a
-definitional alias and one declared through its unfolding are the same
-entry.  Declaration functions validate the shape of the lemma against the
-kernel and return a new table value, leaving the old one untouched.
+Each store is the tuple of its entries in declaration order; an entry's
+first two fields are its pair.  A store holds one entry per pair up to
+conversion: inserting a pair that a lookup already finds is an error and
+never overwrites, so a relation declared through a definitional alias and
+one declared through its unfolding are the same entry.  Declaration
+functions validate the shape of the lemma against the kernel and return a
+new table value, leaving the old one untouched.
 
-Insertion and lookup decide key equality the same way, by `_find`.  It
-takes the query's weak head normal form, picks the stored pairs whose weak
-head normal forms have the same head shape, and accepts the pair each of
-whose components the query is convertible with.  Nothing is normalized,
-so a pair that names a large term through definitions costs what its weak
-head normal form costs, not its normal form.  Under `Type : Type` a
-well-typed term need not have a normal form, and on such a term
-`convertible` is not bounded; only a reduction budget would bound it.  The
-shape index and the inverted form of each flipped relation entry are built
-on first use and kept on the table value they derive from, so each is
-computed at most once per table state.  A table value is used with the
-environment it was built in, or an extension of it.  Generated entries
-cite their proofs by name: prefill's the prelude's `impl_respectful`, an
-encoding's instances of `LIBRARY`.
+Insertion and lookup decide pair equality the same way, by `_find`, and no
+store has another.  It takes the query's weak head normal form, picks the
+stored pairs whose weak head normal forms have the same head shape, and
+accepts the pair each of whose components the query is convertible with.
+Nothing is normalized, so a pair that names a large term through
+definitions costs what its weak head normal form costs, not its normal
+form.  Under `Type : Type` a well-typed term need not have a normal form,
+and on such a term `convertible` is not bounded; only a reduction budget
+would bound it.  The shape index and the inverted form of each flipped
+relation entry are built on first use and kept on the table value they
+derive from, so each is computed at most once per table state.  A table
+value is used with the environment it was built in, or an extension of it.
+Generated entries cite their proofs by name: prefill's the prelude's
+`impl_respectful`, an encoding's instances of `LIBRARY`.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import NamedTuple
 from .kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
-    Var, app, arrow, check_proof_report, convertible, infer_type, normalize,
-    prelude_env, shift, spine, unshift, whnf,
+    Var, app, arrow, convertible, infer_type, normalize, prelude_env, shift,
+    spine, unshift, whnf,
 )
-from .surface import PLam, elaborate, parse_script, print_term
+from .surface import elaborate, parse_script, print_term
 from .terms import inv_view, occurs_free, relation_types, respectful_view
 
 
@@ -80,6 +81,7 @@ class RelationEntryV2(NamedTuple):
 
 
 Key = tuple[Term, Term]
+Entry = SurjectionEntry | TransferEntryV1 | RelationEntryV2
 # What `convertible` compares first on a weak head normal form: the spine
 # head's constructor and its name, index or tag, and the argument count.
 Shape = tuple[type, object, int]
@@ -89,20 +91,19 @@ class DeclTables:
     __slots__ = ("surjections", "transfers_v1", "relations_v2",
                  "_index", "_inverted")
 
-    def __init__(self, *,
-                 surjections: dict[Key, SurjectionEntry] | None = None,
-                 transfers_v1: dict[Key, TransferEntryV1] | None = None,
-                 relations_v2: dict[Key, RelationEntryV2] | None = None):
-        # The stores are never mutated: an insert copies the one it grows.
-        self.surjections = surjections or {}
-        self.transfers_v1 = transfers_v1 or {}
-        self.relations_v2 = relations_v2 or {}
+    def __init__(self, *, surjections: tuple[SurjectionEntry, ...] = (),
+                 transfers_v1: tuple[TransferEntryV1, ...] = (),
+                 relations_v2: tuple[RelationEntryV2, ...] = ()):
+        # Each store is its entries in declaration order, never mutated.
+        self.surjections = surjections
+        self.transfers_v1 = transfers_v1
+        self.relations_v2 = relations_v2
         # Derived from the stores above on first use and private to this
         # value; a new value (every insert makes one) starts with none.
-        # Store name -> shapes -> (whnf of key, key, entry) in store order.
+        # Store name -> shapes -> (whnf of pair, entry) in store order.
         self._index: dict[str, dict[tuple[Shape, Shape],
-                                    list[tuple[Key, Key, object]]]] = {}
-        # Key of a relation entry -> its inverted form (`invert_entry`).
+                                    list[tuple[Key, Entry]]]] = {}
+        # Pair of a relation entry -> its inverted form (`invert_entry`).
         self._inverted: dict[Key, RelationEntryV2] = {}
 
 
@@ -159,7 +160,7 @@ def declare_surjection(tables: DeclTables, env: GlobalEnv, fn_name: str,
         raise ShapeError(
             f"'{proof_name}' proves {print_term(actual, env)}, expected "
             f"{print_term(expected, env)}")
-    return _insert(tables, "surjections", env, (dom, cod),
+    return _insert(tables, "surjections", env,
                    SurjectionEntry(dom, cod, fn, inverse, proof), "a surjection")
 
 
@@ -218,27 +219,11 @@ def _v1_shape(env: GlobalEnv, stmt: Term) -> tuple[Term, Term, int, Term]:
     return rel, rel2, n, fn
 
 
-def transfer_v1_statement(env: GlobalEnv, entry: TransferEntryV1) -> Term:
-    """Reconstruct the lemma statement from a stored v1 entry."""
-    n = entry.arity
-    hyp = app(entry.source_rel, *[Var(n - 1 - i) for i in range(n)])
-    concl = app(entry.target_rel,
-                *[App(entry.transfer_fn, Var(n - 1 - i)) for i in range(n)])
-    stmt = arrow(hyp, concl)
-    ctx_ty = entry.source_rel
-    # All binders share the (closed) quantified type; read it off the relation.
-    dom, _ = relation_types(env, LocalContext(), ctx_ty)
-    for i in range(n):
-        stmt = Pi(f"x{n - i}", dom, stmt)
-    return stmt
-
-
 def declare_transfer_v1(tables: DeclTables, env: GlobalEnv,
                         lemma_name: str) -> DeclTables:
     proof = _resolve(env, lemma_name, "transfer lemma")
-    stmt = env.type_of(lemma_name)
-    rel, rel2, n, fn = _v1_shape(env, stmt)
-    return _insert(tables, "transfers_v1", env, (rel, rel2),
+    rel, rel2, n, fn = _v1_shape(env, env.type_of(lemma_name))
+    return _insert(tables, "transfers_v1", env,
                    TransferEntryV1(rel, rel2, n, fn, proof), "a transfer lemma")
 
 
@@ -250,37 +235,28 @@ def declare_relation_v2(tables: DeclTables, env: GlobalEnv,
         raise ShapeError(
             f"'{lemma_name}' is not a binary relation applied to two terms")
     rel, lhs, rhs = stmt.fn.fn, stmt.fn.arg, stmt.arg
-    sort = whnf(env, infer_type(env, LocalContext(), stmt))
-    if sort != PROP:
+    if whnf(env, infer_type(env, LocalContext(), stmt)) != PROP:
         raise ShapeError(f"'{lemma_name}' does not state a proposition")
     relation_types(env, LocalContext(), rel)  # must be a binary relation
-    return insert_relation_v2(tables, env,
-                              RelationEntryV2(lhs, rhs, rel, proof))
+    return _insert(tables, "relations_v2", env,
+                   RelationEntryV2(lhs, rhs, rel, proof), "a relation entry")
 
 
-def insert_relation_v2(tables: DeclTables, env: GlobalEnv,
-                       entry: RelationEntryV2) -> DeclTables:
-    return _insert(tables, "relations_v2", env, (entry.lhs, entry.rhs),
-                   entry, "a relation entry")
+def _insert(tables: DeclTables, store: str, env: GlobalEnv, entry: Entry,
+            what: str) -> DeclTables:
+    """A new table value with `entry` appended to `store`; an entry whose
+    pair `_find` already finds is a DuplicateEntry."""
+    a, b = entry[0], entry[1]
+    if _find(tables, store, env, whnf(env, a), whnf(env, b)) is not None:
+        raise DuplicateEntry(f"{what} for ({print_term(a, env)}, "
+                             f"{print_term(b, env)}) is already declared")
+    return _with_entry(tables, store, entry)
 
 
-def _insert(tables: DeclTables, store: str, env: GlobalEnv, key: Key,
-            entry: object, what: str) -> DeclTables:
-    """A new table value with `entry` in `store` under `key`, the pair as
-    declared; a pair that `_find` already finds is a DuplicateEntry."""
-    if _find(tables, store, env, whnf(env, key[0]),
-             whnf(env, key[1])) is not None:
-        raise DuplicateEntry(
-            f"{what} for ({print_term(key[0], env)}, "
-            f"{print_term(key[1], env)}) is already declared")
-    return _with_entry(tables, store, key, entry)
-
-
-def _with_entry(tables: DeclTables, store: str, key: Key,
-                entry: object) -> DeclTables:
+def _with_entry(tables: DeclTables, store: str, entry: Entry) -> DeclTables:
     stores = {name: getattr(tables, name)
               for name in ("surjections", "transfers_v1", "relations_v2")}
-    stores[store] = {**stores[store], key: entry}
+    stores[store] += (entry,)
     return DeclTables(**stores)
 
 
@@ -303,39 +279,37 @@ def _shape(t: Term) -> Shape:
 
 
 def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
-          b: Term) -> tuple[Key, object] | None:
-    """The (key, entry) of `store` whose key pair is convertible with
-    (a, b), or None; a and b are in weak head normal form.  `_insert`
-    rejects a pair convertible with a stored one, and conversion is
-    transitive, so at most one stored pair is convertible with (a, b)."""
+          b: Term) -> Entry | None:
+    """The entry of `store` whose pair is convertible with (a, b), or
+    None; a and b are in weak head normal form.  `_insert` rejects a pair
+    convertible with a stored one, and conversion is transitive, so at
+    most one stored pair is convertible with (a, b)."""
     index = tables._index.get(store)
     if index is None:
         index = {}
-        for key, entry in getattr(tables, store).items():
-            heads = whnf(env, key[0]), whnf(env, key[1])
+        for entry in getattr(tables, store):
+            heads = whnf(env, entry[0]), whnf(env, entry[1])
             index.setdefault((_shape(heads[0]), _shape(heads[1])), []) \
-                .append((heads, key, entry))
+                .append((heads, entry))
         # Published only when complete: a concurrent lookup on this value
         # sees no index (and builds its own) or all of it.
         tables._index[store] = index
-    for heads, key, entry in index.get((_shape(a), _shape(b)), ()):
+    for heads, entry in index.get((_shape(a), _shape(b)), ()):
         if convertible(env, a, heads[0]) and convertible(env, b, heads[1]):
-            return key, entry
+            return entry
     return None
 
 
 def lookup_surjection(tables: DeclTables, env: GlobalEnv,
                       domain: Term, codomain: Term) -> SurjectionEntry | None:
-    found = _find(tables, "surjections", env, whnf(env, domain),
-                  whnf(env, codomain))
-    return None if found is None else found[1]
+    return _find(tables, "surjections", env, whnf(env, domain),
+                 whnf(env, codomain))
 
 
 def lookup_transfer_v1(tables: DeclTables, env: GlobalEnv,
                        source: Term, target: Term) -> TransferEntryV1 | None:
-    found = _find(tables, "transfers_v1", env, whnf(env, source),
-                  whnf(env, target))
-    return None if found is None else found[1]
+    return _find(tables, "transfers_v1", env, whnf(env, source),
+                 whnf(env, target))
 
 
 def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
@@ -347,13 +321,13 @@ def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
     lhs, rhs = whnf(env, lhs), whnf(env, rhs)
     direct = _find(tables, "relations_v2", env, lhs, rhs)
     if direct is not None:
-        yield direct[1], False
+        yield direct, False
     flipped = _find(tables, "relations_v2", env, rhs, lhs)
     if flipped is not None:
-        key, entry = flipped
+        key = flipped.lhs, flipped.rhs
         inverted = tables._inverted.get(key)
         if inverted is None:
-            inverted = tables._inverted[key] = invert_entry(env, entry)
+            inverted = tables._inverted[key] = invert_entry(env, flipped)
         yield inverted, True
 
 
@@ -435,8 +409,7 @@ Definition graph_func (A A' : Type) (f : A → A') (x : A) (x' y' : A')
 
 def _with_library(env: GlobalEnv) -> GlobalEnv:
     for cmd in parse_script(LIBRARY).commands:
-        env = env.add_definition(
-            cmd.name, elaborate(env, PLam(cmd.params, cmd.body)))
+        env = env.add_definition(cmd.name, elaborate(env, cmd.body))
     return env
 
 
@@ -507,7 +480,7 @@ def surjection_to_relational(
         # identity surjection) keeps priority: one lookup, no overwrite.
         if _find(tables, "relations_v2", env, whnf(env, lhs),
                  whnf(env, rhs)) is None:
-            tables = _with_entry(tables, "relations_v2", (lhs, rhs),
+            tables = _with_entry(tables, "relations_v2",
                                  RelationEntryV2(lhs, rhs, relation, Const(name)))
     return tables, env
 
@@ -536,36 +509,6 @@ def prefill_core(tables: DeclTables, env: GlobalEnv) -> DeclTables:
     chain = app(Const(RESPECTFUL), PROP, PROP, prop2, prop2,
                 app(Const(INV), PROP, PROP, impl_c),
                 app(Const(RESPECTFUL), PROP, PROP, PROP, PROP, impl_c, impl_c))
-    return insert_relation_v2(tables, env, RelationEntryV2(
-        impl_c, impl_c, chain, Const(IMPL_RESPECTFUL)))
+    return _insert(tables, "relations_v2", env, RelationEntryV2(
+        impl_c, impl_c, chain, Const(IMPL_RESPECTFUL)), "a relation entry")
 
-
-# ---------------------------------------------------------------------------
-# Audit
-# ---------------------------------------------------------------------------
-
-def audit(tables: DeclTables, env: GlobalEnv) -> list[str]:
-    """Re-check every stored proof against its reconstructed statement.
-
-    Returns a list of complaints; empty means the tables are sound.
-    """
-    problems: list[str] = []
-    for (dom, cod), e in tables.surjections.items():
-        stmt = surjection_statement(env, e.fn, e.inverse, e.codomain)
-        ok, diag = check_proof_report(env, LocalContext(), e.proof, stmt)
-        if not ok:
-            problems.append(f"surjection ({print_term(dom, env)}, "
-                            f"{print_term(cod, env)}): {diag}")
-    for (src, tgt), e in tables.transfers_v1.items():
-        stmt = transfer_v1_statement(env, e)
-        ok, diag = check_proof_report(env, LocalContext(), e.proof, stmt)
-        if not ok:
-            problems.append(f"transfer ({print_term(src, env)}, "
-                            f"{print_term(tgt, env)}): {diag}")
-    for (lhs, rhs), e in tables.relations_v2.items():
-        stmt = app(e.relation, e.lhs, e.rhs)
-        ok, diag = check_proof_report(env, LocalContext(), e.proof, stmt)
-        if not ok:
-            problems.append(f"relation ({print_term(lhs, env)}, "
-                            f"{print_term(rhs, env)}): {diag}")
-    return problems

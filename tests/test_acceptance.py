@@ -153,8 +153,9 @@ def test_criterion_5_relational_encoding_of_surjections(nat_env):
 
 
 def test_criterion_6_soundness_over_corpus_and_fuzz(rng):
-    """Corpus plus 500 randomized problems: every success re-checks, every
-    failure is a structured value, within 10 seconds per problem."""
+    """Corpus plus 500 randomized problems: every success re-checks and
+    prints to a term that parses back to it, every failure is a structured
+    value, within 10 seconds per problem."""
     budget = 10.0
     # corpus scripts
     for name in ("example1.tk", "example2.tk", "v2_letrans.tk",
@@ -180,6 +181,8 @@ def test_criterion_6_soundness_over_corpus_and_fuzz(rng):
         else:
             stats["v1"][0] += 1
             assert check_proof(hyp_env, LocalContext(), outcome, tgt)
+            assert parse_and_elaborate(
+                hyp_env, print_term(outcome, hyp_env)) == outcome
 
     env2, tables2 = v2_fixture()
     for i in range(250):
@@ -195,6 +198,8 @@ def test_criterion_6_soundness_over_corpus_and_fuzz(rng):
             stats["v2"][0] += 1
             proof, _ = outcome
             assert check_proof(hyp_env, LocalContext(), proof, tgt)
+            assert parse_and_elaborate(
+                hyp_env, print_term(proof, hyp_env)) == proof
 
     for engine, (wins, losses) in stats.items():
         assert wins > 0 and losses > 0, (engine, wins, losses)
@@ -216,10 +221,10 @@ def test_criterion_7_identity_and_negative_invariants(nat_env):
     # duplicate declarations error and leave the tables untouched
     tables = declare_surjection(DeclTables(), nat_env, "N.of_nat", "N.to_nat",
                                 "of_to")
-    snapshot = dict(tables.surjections)
+    snapshot = tables.surjections
     with pytest.raises(DuplicateEntry):
         declare_surjection(tables, nat_env, "N.of_nat", "N.to_nat", "of_to")
-    assert tables.surjections == snapshot
+    assert tables.surjections is snapshot
 
     # removing any single required declaration flips the scripts to failure
     removals = 0

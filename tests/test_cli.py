@@ -140,6 +140,18 @@ def test_elaboration_unifies_function_types_structurally():
     assert state.errors == ["line 3: 3:14: type mismatch: Prop vs nat"]
 
 
+def test_a_definitions_parameters_give_its_errors_a_column():
+    # The parameters are a `fun` at the first one, so the error has a
+    # column, as it has when the definition is spelled with `fun`.
+    message = "cannot infer an implicit argument or binder type"
+    code, state = run_text("Definition d x := x.\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == [f"line 1: 1:14: {message}"]
+    code, state = run_text("Definition d := fun x => x.\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == [f"line 1: 1:17: {message}"]
+
+
 MISMATCH_PREFIX = """\
 Parameter N : Set.
 Parameter nat : Set.

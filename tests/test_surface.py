@@ -9,7 +9,7 @@ from transfer_kernel.kernel import (
 )
 from transfer_kernel.surface import (
     CmdAxiom, CmdDeclareSurjection, CmdDefinition, CmdParameter, CmdTheorem,
-    EXACT_MODULO, ElabError, ParseError, _Elaborator,
+    EXACT_MODULO, ElabError, PLam, ParseError, _Elaborator,
     parse_and_elaborate, parse_script, parse_term, print_term, tokenize,
 )
 
@@ -218,7 +218,9 @@ def test_definition_command_with_untyped_binders():
     (cmd,) = script.commands
     assert isinstance(cmd, CmdDefinition)
     assert cmd.name == "natN"
-    assert [b[0] for b in cmd.params] == ["x", "x'"]
+    assert isinstance(cmd.body, PLam)
+    assert [b[0] for b in cmd.body.binders] == ["x", "x'"]
+    assert (cmd.body.line, cmd.body.col) == (1, 17)
 
 
 def test_every_corpus_script_parses():

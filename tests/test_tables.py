@@ -1,4 +1,4 @@
-"""Table tests: declaration validation, lookups, encodings, audit."""
+"""Table tests: declaration validation, stores, lookups, encodings."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,18 +7,17 @@ from transfer_kernel import tables as tables_module
 from transfer_kernel.kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, SET,
     App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
-    convertible, normalize, prelude_env, shift, whnf,
+    convertible, normalize, prelude_env, shift, spine, whnf,
 )
 from transfer_kernel.cli import execute_script
 from transfer_kernel.surface import parse_and_elaborate, parse_script, print_term
 from transfer_kernel.tables import (
     LIBRARY, DeclTables, DuplicateEntry, RelationEntryV2, ShapeError,
-    SurjectionEntry, SynthesisError, TransferEntryV1, audit,
+    SurjectionEntry, SynthesisError, TransferEntryV1,
     declare_relation_v2, declare_surjection, declare_transfer_v1,
-    insert_relation_v2, invert_entry, library_env,
+    invert_entry, library_env,
     lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
     relation_entries, surjection_to_relational, table_key,
-    transfer_v1_statement,
 )
 
 from conftest import SCRIPTS, declare
@@ -50,10 +49,10 @@ def test_declare_surjection_keyed_by_types(nat_env, nat_tables):
 
 
 def test_duplicate_surjection_is_error_and_transactional(nat_env, nat_tables):
-    before = dict(nat_tables.surjections)
+    before = nat_tables.surjections
     with pytest.raises(DuplicateEntry):
         declare_surjection(nat_tables, nat_env, "N.of_nat", "N.to_nat", "of_to")
-    assert nat_tables.surjections == before
+    assert nat_tables.surjections is before
 
 
 def test_surjection_wrong_proof_statement(nat_env):
@@ -79,9 +78,18 @@ def test_transfer_lemma_extraction(nat_env, nat_tables):
 
 
 def test_transfer_lemma_statement_reconstruction(nat_env, nat_tables):
+    """The stored fields are the parts of le_up's statement
+    `∀ x y : nat, le x y → N.le (N.of_nat x) (N.of_nat y)`."""
     up = lookup_transfer_v1(nat_tables, nat_env, Const("le"), Const("N.le"))
-    stmt = transfer_v1_statement(nat_env, up)
-    assert convertible(nat_env, stmt, nat_env.type_of("le_up"))
+    x = nat_env.type_of("le_up")
+    y = x.body
+    hyp = y.body
+    assert isinstance(hyp, Pi) and not isinstance(hyp.body, Pi)
+    assert (x.ty, y.ty) == (Const("nat"), Const("nat")) and up.arity == 2
+    assert spine(hyp.ty) == (up.source_rel, [Var(1), Var(0)])
+    fn = up.transfer_fn
+    assert spine(hyp.body) \
+        == (up.target_rel, [App(fn, Var(2)), App(fn, Var(1))])
 
 
 def test_transfer_lemma_mixed_functions_rejected(nat_env):
@@ -144,7 +152,26 @@ def test_declare_relation_entries(rel_env):
     add_entry = lookup_relation_v2(tables, rel_env, Const("Nat.add"),
                                    Const("N.add"))
     assert add_entry is not None
-    assert not audit(tables, rel_env)
+    for e in tables.relations_v2:
+        assert check_proof(rel_env, LocalContext(), e.proof,
+                           app(e.relation, e.lhs, e.rhs))
+
+
+def test_a_store_is_the_tuple_of_its_entries_in_declaration_order(rel_env):
+    first = declare_relation_v2(DeclTables(), rel_env, "le_transfer")
+    second = declare_relation_v2(first, rel_env, "iszero_transfer")
+    assert type(second.relations_v2) is tuple
+    le, iszero = second.relations_v2
+    assert (le.lhs, le.rhs, le.proof) \
+        == (Const("le"), Const("N.le"), Const("le_transfer"))
+    assert (iszero.lhs, iszero.rhs, iszero.proof) \
+        == (Const("iszero_nat"), Const("iszero_N"), Const("iszero_transfer"))
+    assert lookup_relation_v2(second, rel_env, Const("le"),
+                              Const("N.le"))[0] is le
+    assert lookup_relation_v2(second, rel_env, Const("iszero_nat"),
+                              Const("iszero_N"))[0] is iszero
+    assert type(first.relations_v2) is tuple
+    assert first.relations_v2 == (le,) and first.relations_v2[0] is le
 
 
 def test_relation_entry_must_be_application(rel_env):
@@ -191,7 +218,7 @@ def test_key_normalization_sees_through_definitions(rel_env):
 def test_insert_then_lookup_identity(rel_env):
     tables = declare_relation_v2(DeclTables(), rel_env, "le_transfer")
     entry, via = lookup_relation_v2(tables, rel_env, Const("le"), Const("N.le"))
-    assert entry is tables.relations_v2[Const("le"), Const("N.le")]
+    assert entry is tables.relations_v2[0]
     assert not via
 
 
@@ -234,7 +261,9 @@ def test_surjection_to_relational_statements(nat_env, nat_tables):
     assert normalize(env, func_stmt) == normalize(env, expected_func)
     assert check_proof(env, LocalContext(), func_entry.proof, func_stmt)
 
-    assert not audit(tables, env)
+    for e in tables.relations_v2:
+        assert check_proof(env, LocalContext(), e.proof,
+                           app(e.relation, e.lhs, e.rhs))
 
 
 def test_an_encoding_instance_must_prove_its_entry_statement(
@@ -257,9 +286,9 @@ def test_relational_encoding_is_found_once_made(nat_env, nat_tables):
     for a, b in pairs:
         assert not list(relation_entries(nat_tables, nat_env, a, b))
     tables, env = surjection_to_relational(nat_tables, nat_env, entry)
-    for a, b in pairs:
+    for i, (a, b) in enumerate(pairs):
         found, via_inverse = lookup_relation_v2(tables, env, a, b)
-        assert not via_inverse and found is tables.relations_v2[(a, b)]
+        assert not via_inverse and found is tables.relations_v2[i]
 
 
 def test_an_encoding_looks_each_pair_up_once(nat_env, nat_tables,
@@ -289,10 +318,11 @@ def test_an_encoding_looks_each_pair_up_once(nat_env, nat_tables,
     tables, env = surjection_to_relational(tables, env, entry)
     assert calls == ["relations_v2"] * 3
     all_nat = App(Const(ALL), Const("nat"))
-    assert [e.proof for e in tables.relations_v2.values()] \
+    assert [e.proof for e in tables.relations_v2] \
         == [Const("idn_rel_surj"), Const("idn_rel_func")]
-    assert tables.relations_v2[(all_nat, all_nat)].proof \
-        == Const("idn_rel_surj")
+    surj = tables.relations_v2[0]
+    assert (surj.lhs, surj.rhs, surj.proof) \
+        == (all_nat, all_nat, Const("idn_rel_surj"))
 
 
 def test_generated_relation_unfolds_to_graph(nat_env, nat_tables):
@@ -401,14 +431,16 @@ POOL = [SET] + [Const(name) for name in (
 
 def _lookup_tables(env) -> DeclTables:
     tables = DeclTables()
-    surjections, transfers = {}, {}
+    surjections, transfers = [], []
     for i, (a, b) in enumerate(SPELLINGS):
-        surjections[a, b] = SurjectionEntry(a, b, Const("f"), Const("g"),
-                                            Const(f"s{i}"))
-        transfers[a, b] = TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}"))
-        tables = insert_relation_v2(
-            tables, env, RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")))
-    return DeclTables(surjections=surjections, transfers_v1=transfers,
+        surjections.append(SurjectionEntry(a, b, Const("f"), Const("g"),
+                                           Const(f"s{i}")))
+        transfers.append(TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}")))
+        tables = tables_module._insert(
+            tables, "relations_v2", env,
+            RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")), "it")
+    return DeclTables(surjections=tuple(surjections),
+                      transfers_v1=tuple(transfers),
                       relations_v2=tables.relations_v2)
 
 
@@ -466,8 +498,8 @@ QUERY_PAIRS = st.one_of(SPELLED_PAIRS, st.tuples(QUERIES, QUERIES))
 def _by_normal_form(store, env, a, b):
     """The entry of `store` whose pair has the normal forms of (a, b)."""
     key = table_key(env, a, b)
-    return next((entry for (c, d), entry in store.items()
-                 if table_key(env, c, d) == key), None)
+    return next((entry for entry in store
+                 if table_key(env, entry[0], entry[1]) == key), None)
 
 
 def _expected_relation_entries(tables, env, a, b):
@@ -508,36 +540,35 @@ def test_insertion_rejects_exactly_the_pairs_with_a_stored_normal_form(pair):
     for store, entry in new_entries.items():
         stored = getattr(tables, store)
         duplicate = any(table_key(env, c, d) == table_key(env, a, b)
-                        for c, d in stored)
+                        for c, d, *_ in stored)
         if duplicate:
             with pytest.raises(DuplicateEntry):
-                tables_module._insert(tables, store, env, (a, b), entry, "it")
+                tables_module._insert(tables, store, env, entry, "it")
             continue
-        grown = tables_module._insert(tables, store, env, (a, b), entry, "it")
-        assert getattr(grown, store) == {**stored, (a, b): entry}
+        grown = tables_module._insert(tables, store, env, entry, "it")
+        assert getattr(grown, store) == stored + (entry,)
         assert getattr(tables, store) is stored
         assert tables_module._find(grown, store, env, whnf(env, a),
-                                   whnf(env, b)) == ((a, b), entry)
+                                   whnf(env, b)) is entry
         with pytest.raises(DuplicateEntry):
-            tables_module._insert(grown, store, env, (a, b), entry, "it")
+            tables_module._insert(grown, store, env, entry, "it")
 
 
 def test_disguised_spellings_find_their_entries():
     env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
-    for key in SPELLINGS:
-        a, b = key
+    for i, (a, b) in enumerate(SPELLINGS):
         for codes in ([], [1], [2], [3], [2, 1, 2, 1, 3, 1, 2, 1]):
             qa, qb = _disguise(a, iter(codes)), _disguise(b, iter(codes))
             assert lookup_surjection(tables, env, qa, qb) \
-                is tables.surjections[key]
+                is tables.surjections[i]
             assert lookup_transfer_v1(tables, env, qa, qb) \
-                is tables.transfers_v1[key]
+                is tables.transfers_v1[i]
             assert lookup_relation_v2(tables, env, qa, qb) \
-                == (tables.relations_v2[key], False)
+                == (tables.relations_v2[i], False)
             inverted, via_inverse = list(
                 relation_entries(tables, env, qb, qa))[-1]
             assert via_inverse
-            assert inverted == invert_entry(env, tables.relations_v2[key])
+            assert inverted == invert_entry(env, tables.relations_v2[i])
 
 
 def test_each_flipped_entry_is_inverted_once_per_table_state(monkeypatch):
@@ -559,8 +590,8 @@ def test_each_flipped_entry_is_inverted_once_per_table_state(monkeypatch):
     assert len(inverted) == len(SPELLINGS)
     assert len({id(e) for e in inverted}) == len(SPELLINGS)
     # A new table state inverts its flipped entries again, once each.
-    grown = insert_relation_v2(tables, env, RelationEntryV2(
-        Const("nat"), Const("N"), Const("rel"), Const("r")))
+    grown = tables_module._insert(tables, "relations_v2", env, RelationEntryV2(
+        Const("nat"), Const("N"), Const("rel"), Const("r")), "it")
     for _ in range(2):
         for a, b in SPELLINGS:
             list(relation_entries(grown, env, b, a))
@@ -570,22 +601,23 @@ def test_each_flipped_entry_is_inverted_once_per_table_state(monkeypatch):
 def test_a_new_table_state_never_sees_a_stale_index():
     env = LOOKUP_ENV
     le, n_le = Const("le"), Const("N.le")
-    first = insert_relation_v2(DeclTables(), env, RelationEntryV2(
-        le, n_le, Const("rel"), Const("p1")))
+    first = tables_module._insert(DeclTables(), "relations_v2", env,
+                                  RelationEntryV2(le, n_le, Const("rel"),
+                                                  Const("p1")), "it")
     assert lookup_relation_v2(first, env, n_le, n_le) is None
     first_inverted, via_inverse = lookup_relation_v2(first, env, n_le, le)
     assert via_inverse and first_inverted.proof == Const("p1")
     # An insert: the new state finds its entry, the old one still does not.
-    second = insert_relation_v2(first, env, RelationEntryV2(
-        n_le, n_le, Const("rel"), Const("p2")))
+    second = tables_module._insert(first, "relations_v2", env,
+                                   RelationEntryV2(n_le, n_le, Const("rel"),
+                                                   Const("p2")), "it")
     assert lookup_relation_v2(second, env, n_le, n_le)[0].proof == Const("p2")
     assert lookup_relation_v2(first, env, n_le, n_le) is None
     # A replaced store: its own entry, and that entry's own inversion.
-    key = table_key(env, le, n_le)
-    changed = first.relations_v2[key]._replace(proof=Const("p3"))
+    changed = first.relations_v2[0]._replace(proof=Const("p3"))
     third = DeclTables(
         surjections=first.surjections, transfers_v1=first.transfers_v1,
-        relations_v2={**first.relations_v2, key: changed})
+        relations_v2=(changed,))
     assert lookup_relation_v2(third, env, le, n_le) == (changed, False)
     assert lookup_relation_v2(third, env, le, n_le)[0] is changed
     third_inverted, via_inverse = lookup_relation_v2(third, env, n_le, le)
@@ -595,8 +627,8 @@ def test_a_new_table_state_never_sees_a_stale_index():
     transfer = TransferEntryV1(le, n_le, 2, Const("f"), Const("t"))
     assert lookup_surjection(first, env, le, n_le) is None
     assert lookup_transfer_v1(first, env, le, n_le) is None
-    fourth = DeclTables(surjections={key: surjection},
-                        transfers_v1={key: transfer},
+    fourth = DeclTables(surjections=(surjection,),
+                        transfers_v1=(transfer,),
                         relations_v2=first.relations_v2)
     assert lookup_surjection(fourth, env, le, n_le) is surjection
     assert lookup_transfer_v1(fourth, env, le, n_le) is transfer

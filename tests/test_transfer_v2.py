@@ -12,7 +12,7 @@ from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
     DeclTables, SynthesisError, declare_relation_v2, declare_surjection,
     lookup_relation_v2, lookup_surjection, prefill_core,
-    surjection_to_relational, table_key,
+    surjection_to_relational,
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.transfer_v2 import (
@@ -254,11 +254,12 @@ def test_wrong_entry_proof_is_caught_by_diagnostics_or_the_check(v2_env):
     # le_down_rel's entry now carries le_up_rel's proof; the derivation only
     # matches relations, so it still goes through the (inverted) entry
     env, tables = v2_env
-    key = table_key(env, Const("N.le"), Const("le"))
-    bad = tables.relations_v2[key]._replace(proof=Const("le_up_rel"))
+    stored = tables.relations_v2
+    assert stored[1].proof == Const("le_down_rel")
+    bad = stored[1]._replace(proof=Const("le_up_rel"))
     tables = DeclTables(surjections=tables.surjections,
                         transfers_v1=tables.transfers_v1,
-                        relations_v2={**tables.relations_v2, key: bad})
+                        relations_v2=stored[:1] + (bad,) + stored[2:])
     goal = parse_and_elaborate(
         env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
     with pytest.raises(SynthesisError, match="unsound judgment at Table:"):
