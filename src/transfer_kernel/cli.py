@@ -20,7 +20,6 @@ command's exception to its outcome: `SynthesisError` to 3, any other
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -285,6 +284,8 @@ def run_script(path: str, options: RunOptions = RunOptions(),
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line uses it; importing the package does not
+
     parser = argparse.ArgumentParser(
         prog="transfer-kernel",
         description="Run proof-transfer scripts against the kernel.")

@@ -11,6 +11,14 @@ environment and local context and fills in the implicit type arguments of
 `eq`, `respectful` and `inv` with metavariables solved by first-order
 unification.  Solutions must be closed types; anything else is reported as
 an elaboration error rather than guessed.
+
+The hot paths (`infer`, `resolve`, `_has_meta`, `unify`, `render`)
+dispatch on the exact class, `type(x) is PApp`, most frequent class
+first, as the kernel's traversals do, rather than with `match`.  So the
+nine pre-term classes and `Meta` must stay final, like the kernel's term
+classes: an instance of a subclass would take the default branch.  The
+parser reads the current token's fields directly, and the lexer counts
+lines with one `find` per line.
 """
 
 from __future__ import annotations
@@ -97,17 +105,24 @@ def tokenize(text: str) -> list[Token]:
     count code points, and only a line feed ends a line."""
     toks: list[Token] = []
     match = _TOKEN.match
-    pos = counted = 0  # line ends are counted in text[:counted]
+    end = len(text)
+    pos = 0
+    # `line_start` is where the current line starts, and `nl` is its line
+    # feed (or the end of the text): one `find` per line, not per token.
     line, line_start = 1, 0
+    nl = text.find("\n")
+    if nl < 0:
+        nl = end
     while True:
         m = match(text, pos)
         kind = m.lastindex
         start = m.start(kind) if kind else m.end()
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, start) + 1
-        counted, col = start, start - line_start + 1
+        while start > nl:
+            line, line_start = line + 1, nl + 1
+            nl = text.find("\n", line_start)
+            if nl < 0:
+                nl = end
+        col = start - line_start + 1
         if kind == _SYMBOL:
             toks.append(Token("sym", m.group(kind), line, col))
             pos = m.end()
@@ -127,7 +142,7 @@ def tokenize(text: str) -> list[Token]:
                     raise ParseError("unterminated comment", line, col)
                 depth += 1 if mark.group() == "(*" else -1
                 pos = mark.end()
-        elif start < len(text):
+        elif start < end:
             raise ParseError(f"unknown character {text[start]!r}", line, col)
         else:
             toks.append(Token("eof", "", line, col))
@@ -199,7 +214,11 @@ PreTerm = PRef | PSort | PApp | PLam | PPi | PArrow | PEq | PResp | PInv
 
 class _TokenStream:
     """The parser's cursor: `pos` indexes `toks` and never passes the final
-    "eof" token, so `peek` needs no bounds check."""
+    "eof" token, so reading `toks[pos]` needs no bounds check.  The parser
+    tests the current token's fields directly.  No name's text is a symbol
+    (the lexer tries symbols first, and only `λ` among them is a letter),
+    and "eof" has the empty text, so a symbol is recognised by its value
+    alone."""
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -208,23 +227,9 @@ class _TokenStream:
     def peek(self) -> Token:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def at_sym(self, *values: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "sym" and t.value in values
-
-    def at_ident(self, *values: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "ident" and (not values or t.value in values)
-
     def expect_sym(self, value: str) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "sym" or t.value != value:
+        if t.value != value:
             raise ParseError(f"expected '{value}', found '{t.value or 'end of input'}'",
                              t.line, t.col)
         self.pos += 1
@@ -240,112 +245,130 @@ class _TokenStream:
         return t
 
 
+def _names(ts: _TokenStream, stop: frozenset[str] = frozenset()) -> list[str]:
+    """One or more names; a name in `stop` ends the list after the first."""
+    names = [ts.expect_ident().value]
+    t = ts.peek()
+    while t.kind == "ident" and t.value not in stop:
+        names.append(t.value)
+        ts.pos += 1
+        t = ts.peek()
+    return names
+
+
 def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], ...]:
     """`(x y : T) (z : U)` or the single unparenthesized group `x y [: T]`."""
     binders: list[tuple[str, PreTerm | None]] = []
-    if ts.at_sym("("):
-        while ts.at_sym("("):
-            ts.next()
-            names = [ts.expect_ident().value]
-            while ts.at_ident() and not ts.peek().value in _TERM_KEYWORDS:
-                names.append(ts.next().value)
+    if ts.peek().value == "(":
+        while ts.peek().value == "(":
+            ts.pos += 1
+            names = _names(ts, _TERM_KEYWORDS)
             annot = None
-            if ts.at_sym(":"):
-                ts.next()
+            if ts.peek().value == ":":
+                ts.pos += 1
                 annot = _parse_term(ts)
             ts.expect_sym(")")
             binders.extend((nm, annot) for nm in names)
     else:
-        names = [ts.expect_ident().value]
-        while ts.at_ident() and ts.peek().value not in _TERM_KEYWORDS:
-            names.append(ts.next().value)
+        names = _names(ts, _TERM_KEYWORDS)
         annot = None
-        if ts.at_sym(":"):
-            ts.next()
+        if ts.peek().value == ":":
+            ts.pos += 1
             annot = _parse_term(ts)
         binders.extend((nm, annot) for nm in names)
     return tuple(binders)
 
 
-def _at_atom_start(ts: _TokenStream) -> bool:
-    t = ts.peek()
+_SORT_NAMES = frozenset(("Prop", "Set", "Type"))
+_ATOM_SYMBOLS = frozenset(("(", "@", "∀", "λ"))
+
+
+def _at_atom_start(t: Token) -> bool:
     if t.kind == "ident":
-        return t.value not in ("forall", "fun")
-    return t.kind == "sym" and t.value in ("(", "@", "∀", "λ")
+        return t.value != "forall" and t.value != "fun"
+    return t.value in _ATOM_SYMBOLS
 
 
 def _parse_atom(ts: _TokenStream) -> PreTerm:
-    t = ts.peek()
-    if ts.at_sym("("):
-        ts.next()
-        inner = _parse_term(ts)
-        ts.expect_sym(")")
-        result = inner
-    elif ts.at_sym("@"):
-        ts.next()
-        name = ts.expect_ident()
-        result = PRef(name.value, name.line, name.col)
-    elif t.kind == "ident":
-        ts.next()
-        if t.value in ("Prop", "Set", "Type"):
-            result = PSort(t.value, t.line, t.col)
-        elif t.value == "inv":
-            if not _at_atom_start(ts):
+    toks = ts.toks
+    t = toks[ts.pos]
+    if t.kind == "ident":
+        ts.pos += 1
+        value = t.value
+        if value in _SORT_NAMES:
+            result = PSort(value, t.line, t.col)
+        elif value == "inv":
+            if not _at_atom_start(toks[ts.pos]):
                 raise ParseError("'inv' expects a relation argument", t.line, t.col)
             result = PInv(_parse_atom(ts), t.line, t.col)
         else:
-            result = PRef(t.value, t.line, t.col)
+            result = PRef(value, t.line, t.col)
+    elif t.value == "(":
+        ts.pos += 1
+        result = _parse_term(ts)
+        ts.expect_sym(")")
+    elif t.value == "@":
+        ts.pos += 1
+        name = ts.expect_ident()
+        result = PRef(name.value, name.line, name.col)
     else:
         raise ParseError(f"unexpected token '{t.value or 'end of input'}'",
                          t.line, t.col)
-    while ts.at_sym("⁻¹"):
-        mark = ts.next()
+    mark = toks[ts.pos]
+    while mark.value == "⁻¹":
+        ts.pos += 1
         result = PInv(result, mark.line, mark.col)
+        mark = toks[ts.pos]
     return result
 
 
 def _parse_app(ts: _TokenStream) -> PreTerm:
     term = _parse_atom(ts)
-    while _at_atom_start(ts):
+    while _at_atom_start(ts.toks[ts.pos]):
         term = PApp(term, _parse_atom(ts))
     return term
 
 
 def _parse_resp(ts: _TokenStream) -> PreTerm:
     lhs = _parse_app(ts)
-    if ts.at_sym("##>"):
-        mark = ts.next()
+    mark = ts.toks[ts.pos]
+    if mark.value == "##>":
+        ts.pos += 1
         return PResp(lhs, _parse_resp(ts), mark.line, mark.col)
     return lhs
 
 
 def _parse_eq(ts: _TokenStream) -> PreTerm:
     lhs = _parse_resp(ts)
-    if ts.at_sym("="):
-        mark = ts.next()
+    mark = ts.toks[ts.pos]
+    if mark.value == "=":
+        ts.pos += 1
         return PEq(lhs, _parse_resp(ts), mark.line, mark.col)
     return lhs
 
 
 def _parse_arrow(ts: _TokenStream) -> PreTerm:
     lhs = _parse_eq(ts)
-    if ts.at_sym("->", "→"):
-        ts.next()
+    value = ts.toks[ts.pos].value
+    if value == "->" or value == "→":
+        ts.pos += 1
         return PArrow(lhs, _parse_term(ts))  # binders may follow an arrow
     return lhs
 
 
 def _parse_term(ts: _TokenStream) -> PreTerm:
-    if ts.at_sym("∀") or ts.at_ident("forall"):
-        kw = ts.next()
+    kw = ts.toks[ts.pos]
+    value = kw.value
+    if value == "∀" or value == "forall":
+        ts.pos += 1
         binders = _parse_binder_groups(ts)
         ts.expect_sym(",")
         return PPi(binders, _parse_term(ts), kw.line, kw.col)
-    if ts.at_sym("λ") or ts.at_ident("fun"):
-        kw = ts.next()
+    if value == "λ" or value == "fun":
+        ts.pos += 1
         binders = _parse_binder_groups(ts)
-        if ts.at_sym("=>"):
-            ts.next()
+        if ts.peek().value == "=>":
+            ts.pos += 1
         else:
             ts.expect_sym(",")
         return PLam(binders, _parse_term(ts), kw.line, kw.col)
@@ -425,9 +448,7 @@ def _parse_command(ts: _TokenStream) -> Command:
     head = ts.expect_ident()
     line = head.line
     if head.value == "Parameter":
-        names = [ts.expect_ident().value]
-        while ts.at_ident():
-            names.append(ts.next().value)
+        names = _names(ts)
         ts.expect_sym(":")
         ty = _parse_term(ts)
         ts.expect_sym(".")
@@ -441,22 +462,21 @@ def _parse_command(ts: _TokenStream) -> Command:
     if head.value == "Definition":
         name = ts.expect_ident().value
         params: list[tuple[str, PreTerm | None]] = []
-        first = ts.peek()
-        while not ts.at_sym(":="):
-            if ts.at_sym("("):
-                ts.next()
-                group = [ts.expect_ident().value]
-                while ts.at_ident():
-                    group.append(ts.next().value)
+        first = t = ts.peek()
+        while t.value != ":=":
+            if t.value == "(":
+                ts.pos += 1
+                group = _names(ts)
                 ts.expect_sym(":")
                 annot = _parse_term(ts)
                 ts.expect_sym(")")
                 params.extend((nm, annot) for nm in group)
-            elif ts.at_ident():
-                params.append((ts.next().value, None))
+            elif t.kind == "ident":
+                params.append((t.value, None))
+                ts.pos += 1
             else:
-                t = ts.peek()
                 raise ParseError("expected binder or ':='", t.line, t.col)
+            t = ts.peek()
         ts.expect_sym(":=")
         body = _parse_term(ts)
         ts.expect_sym(".")
@@ -541,18 +561,19 @@ class _Elaborator:
         in which nothing is replaced is returned as it is, not copied."""
         if not self.solutions:
             return t
-        match t:
-            case Meta(i):
-                sol = self.solutions.get(i)
-                return self.resolve(sol) if sol is not None else t
-            case App(f, a):
-                f2, a2 = self.resolve(f), self.resolve(a)
-                return t if f2 is f and a2 is a else App(f2, a2)
-            case Lam(x, ty, b) | Pi(x, ty, b):
-                ty2, b2 = self.resolve(ty), self.resolve(b)
-                return t if ty2 is ty and b2 is b else type(t)(x, ty2, b2)
-            case _:
-                return t
+        cls = type(t)
+        if cls is Pi or cls is Lam:
+            ty, body = t.ty, t.body
+            ty2, b2 = self.resolve(ty), self.resolve(body)
+            return t if ty2 is ty and b2 is body else cls(t.name, ty2, b2)
+        if cls is App:
+            f, a = t.fn, t.arg
+            f2, a2 = self.resolve(f), self.resolve(a)
+            return t if f2 is f and a2 is a else App(f2, a2)
+        if cls is Meta:
+            sol = self.solutions.get(t.id)
+            return self.resolve(sol) if sol is not None else t
+        return t
 
     def zonk(self, t: Term, line: int = 0, col: int = 0) -> Term:
         t = self.resolve(t)
@@ -563,15 +584,12 @@ class _Elaborator:
         return t
 
     def _has_meta(self, t: Term) -> bool:
-        match t:
-            case Meta(_):
-                return True
-            case App(f, a):
-                return self._has_meta(f) or self._has_meta(a)
-            case Lam(_, ty, b) | Pi(_, ty, b):
-                return self._has_meta(ty) or self._has_meta(b)
-            case _:
-                return False
+        cls = type(t)
+        if cls is App:
+            return self._has_meta(t.fn) or self._has_meta(t.arg)
+        if cls is Pi or cls is Lam:
+            return self._has_meta(t.ty) or self._has_meta(t.body)
+        return cls is Meta
 
     def head_normal(self, t: Term) -> Term:
         return whnf(self.env, self.resolve(t))
@@ -583,13 +601,14 @@ class _Elaborator:
         b = self.head_normal(b)
         if a == b:
             return
+        cls, other_cls = type(a), type(b)
         # Mirror the kernel's sort inclusion: sorts fit where Type is wanted.
-        if (isinstance(a, Sort) and b == TYPE) or (isinstance(b, Sort) and a == TYPE):
+        if (cls is Sort and b == TYPE) or (other_cls is Sort and a == TYPE):
             return
-        if isinstance(a, Meta) or isinstance(b, Meta):
-            meta, other = (a, b) if isinstance(a, Meta) else (b, a)
+        if cls is Meta or other_cls is Meta:
+            meta, other = (a, b) if cls is Meta else (b, a)
             other = self.resolve(other)
-            if isinstance(other, Meta) and other.id == meta.id:
+            if type(other) is Meta and other.id == meta.id:
                 return
             # Solutions must be closed so they can move across binders.
             if other.lbr > 0:
@@ -598,14 +617,16 @@ class _Elaborator:
                     "variable", line, col)
             self.solutions[meta.id] = other
             return
-        match a, b:
-            case App(f, x), App(g, y):
-                self.unify(f, g, ctx, line, col)
-                self.unify(x, y, ctx, line, col)
+        if cls is other_cls:
+            if cls is App:
+                self.unify(a.fn, b.fn, ctx, line, col)
+                self.unify(a.arg, b.arg, ctx, line, col)
                 return
-            case (Lam(v, ta, ba), Lam(_, tb, bb)) | (Pi(v, ta, ba), Pi(_, tb, bb)):
-                self.unify(ta, tb, ctx, line, col)
-                self.unify(ba, bb, ctx + [(v, ta)], line, col)
+            if cls is Pi or cls is Lam:
+                self.unify(a.ty, b.ty, ctx, line, col)
+                ctx.append((a.name, a.ty))
+                self.unify(a.body, b.body, ctx, line, col)
+                ctx.pop()
                 return
         typed = LocalContext(tuple(CtxEntry(v, self.resolve(ty)) for v, ty in ctx))
         raise ElabError(f"type mismatch: {print_term(a, self.env, typed)} vs "
@@ -614,67 +635,72 @@ class _Elaborator:
     # -- the main elaboration pass -----------------------------------------
 
     def infer(self, pre: PreTerm, ctx: list[tuple[str, Term]]) -> tuple[Term, Term]:
-        """Elaborate a pre-term to (term, type); ctx is innermost-last."""
-        match pre:
-            case PSort(tag, _, _):
-                return Sort(tag), TYPE
-            case PRef(name, line, col):
-                for depth, (nm, ty) in enumerate(reversed(ctx)):
-                    if nm == name:
-                        return Var(depth), shift(ty, depth + 1)
-                if name in self.env:
-                    return Const(name), self.env.type_of(name)
-                raise ElabError(f"unknown identifier '{name}'", line, col)
-            case PApp(fn, arg):
-                tf, ty_f = self.infer(fn, ctx)
-                ty_f = self.head_normal(ty_f)
-                if not isinstance(ty_f, Pi):
-                    raise ElabError("application of a non-function",
-                                    *_pos_of(fn))
-                ta, ty_a = self.infer(arg, ctx)
-                self.unify(ty_a, ty_f.ty, ctx, *_pos_of(arg))
-                return App(tf, ta), substitute(ty_f.body, 0, ta)
-            case PLam(binders, body):
-                return self._binders(binders, body, ctx, is_pi=False)
-            case PPi(binders, body):
-                return self._binders(binders, body, ctx, is_pi=True)
-            case PArrow(lhs, rhs):
-                tl, sl = self.infer(lhs, ctx)
-                tr, sr = self.infer(rhs, ctx)
-                return arrow(tl, tr), self.head_normal(sr)
-            case PEq(lhs, rhs, line, col):
-                tl, ty_l = self.infer(lhs, ctx)
-                tr, ty_r = self.infer(rhs, ctx)
-                self.unify(ty_l, ty_r, ctx, line, col)
-                ty = self.resolve(ty_l)
-                return app(Const(EQ), ty, tl, tr), PROP
-            case PResp(lhs, rhs, line, col):
-                tl, ty_l = self.infer(lhs, ctx)
-                tr, ty_r = self.infer(rhs, ctx)
-                x, y = self._relation_domains(ty_l, line, col)
-                x2, y2 = self._relation_domains(ty_r, line, col)
-                term = app(Const(RESPECTFUL), x, y, x2, y2, tl, tr)
-                return term, arrow(arrow(x, x2), arrow(arrow(y, y2), PROP))
-            case PInv(inner, line, col):
-                ti, ty_i = self.infer(inner, ctx)
-                x, y = self._relation_domains(ty_i, line, col)
-                return app(Const(INV), x, y, ti), arrow(y, arrow(x, PROP))
+        """Elaborate a pre-term to (term, type).  ctx is innermost-last, one
+        list per elaboration that binders push to and pop from; an error
+        abandons it."""
+        cls = type(pre)
+        if cls is PRef:
+            name = pre.name
+            for depth, (nm, ty) in enumerate(reversed(ctx)):
+                if nm == name:
+                    return Var(depth), shift(ty, depth + 1)
+            if name in self.env:
+                return Const(name), self.env.type_of(name)
+            raise ElabError(f"unknown identifier '{name}'", pre.line, pre.col)
+        if cls is PApp:
+            fn, arg = pre.fn, pre.arg
+            tf, ty_f = self.infer(fn, ctx)
+            ty_f = self.head_normal(ty_f)
+            if type(ty_f) is not Pi:
+                raise ElabError("application of a non-function", *_pos_of(fn))
+            ta, ty_a = self.infer(arg, ctx)
+            self.unify(ty_a, ty_f.ty, ctx, *_pos_of(arg))
+            return App(tf, ta), substitute(ty_f.body, 0, ta)
+        if cls is PArrow:
+            tl, sl = self.infer(pre.lhs, ctx)
+            tr, sr = self.infer(pre.rhs, ctx)
+            return arrow(tl, tr), self.head_normal(sr)
+        if cls is PPi:
+            return self._binders(pre.binders, pre.body, ctx, Pi)
+        if cls is PSort:
+            return Sort(pre.tag), TYPE
+        if cls is PEq:
+            tl, ty_l = self.infer(pre.lhs, ctx)
+            tr, ty_r = self.infer(pre.rhs, ctx)
+            self.unify(ty_l, ty_r, ctx, pre.line, pre.col)
+            ty = self.resolve(ty_l)
+            return app(Const(EQ), ty, tl, tr), PROP
+        if cls is PResp:
+            tl, ty_l = self.infer(pre.lhs, ctx)
+            tr, ty_r = self.infer(pre.rhs, ctx)
+            x, y = self._relation_domains(ty_l, pre.line, pre.col)
+            x2, y2 = self._relation_domains(ty_r, pre.line, pre.col)
+            term = app(Const(RESPECTFUL), x, y, x2, y2, tl, tr)
+            return term, arrow(arrow(x, x2), arrow(arrow(y, y2), PROP))
+        if cls is PLam:
+            return self._binders(pre.binders, pre.body, ctx, Lam)
+        if cls is PInv:
+            ti, ty_i = self.infer(pre.inner, ctx)
+            x, y = self._relation_domains(ty_i, pre.line, pre.col)
+            return app(Const(INV), x, y, ti), arrow(y, arrow(x, PROP))
         raise ElabError(f"cannot elaborate {pre!r}")
 
     def _binders(self, binders: tuple[tuple[str, PreTerm | None], ...],
                  body: PreTerm, ctx: list[tuple[str, Term]],
-                 is_pi: bool) -> tuple[Term, Term]:
-        if not binders:
-            return self.infer(body, ctx)
-        name, annot = binders[0]
-        if annot is not None:
-            ty, _ = self.infer(annot, ctx)
-        else:
-            ty = self.fresh()
-        inner, inner_ty = self._binders(binders[1:], body, ctx + [(name, ty)], is_pi)
-        if is_pi:
-            return Pi(name, ty, inner), self.head_normal(inner_ty)
-        return Lam(name, ty, inner), Pi(name, ty, inner_ty)
+                 cls: type[Pi] | type[Lam]) -> tuple[Term, Term]:
+        """A product or abstraction over `binders`, built innermost first;
+        each annotation is elaborated under the binders before it."""
+        for name, annot in binders:
+            ty = self.infer(annot, ctx)[0] if annot is not None else self.fresh()
+            ctx.append((name, ty))
+        term, term_ty = self.infer(body, ctx)
+        for _ in binders:
+            name, ty = ctx.pop()
+            if cls is Pi:
+                term, term_ty = Pi(name, ty, term), self.head_normal(term_ty)
+            else:
+                term, term_ty = Lam(name, ty, term), Pi(name, ty, term_ty)
+        return term, term_ty
 
     def _relation_domains(self, rel_ty: Term, line: int, col: int) -> tuple[Term, Term]:
         if (domains := relation_domains(self.env, self.resolve(rel_ty))) is None:
@@ -684,8 +710,10 @@ class _Elaborator:
 
 def _pos_of(pre: PreTerm) -> tuple[int, int]:
     """An application's head, an arrow's left side, else the form's token."""
-    while isinstance(pre, (PApp, PArrow)):
-        pre = pre.fn if isinstance(pre, PApp) else pre.lhs
+    cls = type(pre)
+    while cls is PApp or cls is PArrow:
+        pre = pre.fn if cls is PApp else pre.lhs
+        cls = type(pre)
     return pre.line, pre.col
 
 
@@ -753,21 +781,22 @@ class _Printer:
             return None
 
     def render(self, t: Term, level: int) -> str:
-        match t:
-            case Sort(tag):
-                return tag
-            case Var(i):
-                if i < len(self.names):
-                    return self.names[-1 - i]
-                return f"_x{i - len(self.names)}"  # out-of-context index
-            case Const(name):
-                return name
-            case Meta(i):  # unsolved, in an elaboration error
-                return f"?{i}"
-            case Pi(_, _, _) | Lam(_, _, _):
-                return self._render_binders(t, level)
-            case App(_, _):
-                return self._render_app(t, level)
+        cls = type(t)
+        if cls is Const:
+            return t.name
+        if cls is Var:
+            i, names = t.index, self.names
+            if i < len(names):
+                return names[-1 - i]
+            return f"_x{i - len(names)}"  # out-of-context index
+        if cls is App:
+            return self._render_app(t, level)
+        if cls is Pi or cls is Lam:
+            return self._render_binders(t, level)
+        if cls is Sort:
+            return t.tag
+        if cls is Meta:  # unsolved, in an elaboration error
+            return f"?{t.id}"
         raise ValueError(f"cannot print {t!r}")
 
     def _paren(self, s: str, level: int, required: int) -> str:
@@ -792,7 +821,7 @@ class _Printer:
         an arrow, or it is quantified."""
         cls = type(t)
         groups: list[tuple[str, str]] = []
-        while isinstance(t, cls):
+        while type(t) is cls:
             if cls is Pi and not occurs_free(t.body, 0) \
                     and not self._quantifier_preferred(t):
                 break
@@ -801,7 +830,7 @@ class _Printer:
             groups.append((name, ty_str))
             self._enter(name, t.ty)
             t = t.body
-        if isinstance(t, cls):  # the product decided on as an arrow
+        if type(t) is cls:  # the product decided on as an arrow
             lhs = self.render(t.ty, _LVL_EQ)
             self._enter("_", t.ty)
             body = f"{lhs} → {self.render(t.body, _LVL_TERM)}"
@@ -837,7 +866,7 @@ class _Printer:
     def _try_sugar(self, head: Term,
                    args: list[Term]) -> tuple[str, int, int] | None:
         """Sugar for a prefix of the spine: (text, args consumed, level)."""
-        if self.env is None or not isinstance(head, Const):
+        if self.env is None or type(head) is not Const:
             return None
         if head.name == EQ and len(args) == 3:
             ty = self._type_of(args[1])

@@ -98,8 +98,8 @@ class DeclTables:
         self.surjections = surjections
         self.transfers_v1 = transfers_v1
         self.relations_v2 = relations_v2
-        # Derived from the stores above on first use and private to this
-        # value; a new value (every insert makes one) starts with none.
+        # Derived from the stores above on first use, or inherited from the
+        # value an insert grew (`_with_entry`); never changed once here.
         # Store name -> shapes -> (whnf of pair, entry) in store order.
         self._index: dict[str, dict[tuple[Shape, Shape],
                                     list[tuple[Key, Entry]]]] = {}
@@ -247,17 +247,32 @@ def _insert(tables: DeclTables, store: str, env: GlobalEnv, entry: Entry,
     """A new table value with `entry` appended to `store`; an entry whose
     pair `_find` already finds is a DuplicateEntry."""
     a, b = entry[0], entry[1]
-    if _find(tables, store, env, whnf(env, a), whnf(env, b)) is not None:
+    heads = whnf(env, a), whnf(env, b)
+    if _find(tables, store, env, *heads) is not None:
         raise DuplicateEntry(f"{what} for ({print_term(a, env)}, "
                              f"{print_term(b, env)}) is already declared")
-    return _with_entry(tables, store, entry)
+    return _with_entry(tables, store, entry, heads)
 
 
-def _with_entry(tables: DeclTables, store: str, entry: Entry) -> DeclTables:
+def _with_entry(tables: DeclTables, store: str, entry: Entry,
+                heads: Key) -> DeclTables:
+    """A new table value with `entry`, whose pair has the weak head normal
+    form `heads`, appended to `store`.  It inherits the shape indexes its
+    parent has built: the other stores' as they are, and `store`'s as a
+    copy with the entry added to its bucket.  The parent's are never
+    changed."""
     stores = {name: getattr(tables, name)
               for name in ("surjections", "transfers_v1", "relations_v2")}
     stores[store] += (entry,)
-    return DeclTables(**stores)
+    new = DeclTables(**stores)
+    new._index = dict(tables._index)
+    index = new._index.pop(store, None)
+    if index is not None:
+        index = dict(index)
+        shapes = _shape(heads[0]), _shape(heads[1])
+        index[shapes] = [*index.get(shapes, ()), (heads, entry)]
+        new._index[store] = index
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +493,11 @@ def surjection_to_relational(
                 from None
         # An existing entry (user-declared, or the flipped twin of an
         # identity surjection) keeps priority: one lookup, no overwrite.
-        if _find(tables, "relations_v2", env, whnf(env, lhs),
-                 whnf(env, rhs)) is None:
+        heads = whnf(env, lhs), whnf(env, rhs)
+        if _find(tables, "relations_v2", env, *heads) is None:
             tables = _with_entry(tables, "relations_v2",
-                                 RelationEntryV2(lhs, rhs, relation, Const(name)))
+                                 RelationEntryV2(lhs, rhs, relation, Const(name)),
+                                 heads)
     return tables, env
 
 

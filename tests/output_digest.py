@@ -1,9 +1,11 @@
-"""Print sha256 digests of the program's observable outputs.
-
-A change that must not alter any output is checked by running this script
-on the parent commit and on the change and comparing the three lines:
+"""Print sha256 digests of the program's observable outputs and compare
+them with the recorded ones.
 
     python3 tests/output_digest.py
+
+prints one line per output and exits 1, naming each output whose digest
+differs from its entry in RECORDED, or 0 when all three match.  A change
+that alters an output on purpose updates RECORDED and says so.
 
 - corpus: the 7 `tests/scripts/*.tk` under six option sets, each run
   hashed as its exit code plus its report, with the human report's
@@ -54,6 +56,11 @@ OPTION_SETS = (
 )
 MS = re.compile(r"\(\d+\.\d ms, ")
 FUZZ_SEED, FUZZ_COUNT = 3, 1200
+RECORDED = {
+    "corpus": "5344e3bb7a913b0e68cd5e24a167feddad27aa12e332a035cb9114c651a114e5",
+    "mutated": "4af31c43a627b8767e74d49a84dad937ea1406521355ba88f1be80400fb9eafa",
+    "fuzz": "3683d8f137a9453a9f395ec986b5121f17ea536f6550cf95ac4593b095856e1b",
+}
 
 
 def _run(text: str, options: RunOptions) -> str:
@@ -113,11 +120,20 @@ def digest(items) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def main() -> int:
+    changed = []
     for name, items in (("corpus", corpus_items), ("mutated", mutated_items),
                         ("fuzz", fuzz_items)):
-        print(f"{name} {digest(items())}")
+        value = digest(items())
+        print(f"{name} {value}")
+        if value != RECORDED[name]:
+            changed.append(name)
+    if changed:
+        print(f"differs from the recorded digest: {', '.join(changed)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -191,6 +191,13 @@ def test_elaboration_unifies_applications_argument_by_argument():
     assert state.errors == ["line 8: 8:19: type mismatch: one vs zero"]
 
 
+def test_an_unsolved_metavariable_prints_as_its_number():
+    # The binder type of `fun x => x` is metavariable ?1, never solved.
+    code, state = run_text("Axiom t : (fun x => x) = Prop.\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 1: 1:24: type mismatch: ?1 → ?1 vs Type"]
+
+
 def test_declaring_a_dependent_relation_is_a_script_error():
     text = ("Parameter A : Set.\nParameter B : A → Set.\n"
             "Parameter R : ∀ (x : A) (y : B x), Prop.\n"
@@ -635,18 +642,30 @@ def test_cli_main_entry(tmp_path, capsys):
     assert "product-surjection" in out
 
 
-def test_python_dash_m_runs_the_cli_once():
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run from the repository root, importing the
+    package from its `src/`."""
     root = SCRIPTS.parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "transfer_kernel", "run",
-         "tests/scripts/example1.tk"],
-        cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+    return subprocess.run(
+        [sys.executable, *args], cwd=root,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, encoding="utf-8", timeout=60)
+
+
+def test_python_dash_m_runs_the_cli_once():
+    proc = _python("-m", "transfer_kernel", "run", "tests/scripts/example1.tk")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.endswith("1/1 theorems proved\n")
+
+
+def test_importing_the_package_does_not_load_argparse():
+    """Only `cli.main` parses a command line, so only it imports argparse."""
+    proc = _python(
+        "-c", "import sys, transfer_kernel; print('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_cli_machine_format(capsys):

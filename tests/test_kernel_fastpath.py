@@ -13,6 +13,9 @@ with the path passed down to every node; they discharge binders with
 `naive_instantiate`.  `ref_whnf` also rebuilds the term after every step,
 where `whnf` reduces against one argument list and splices the arguments
 of a head that becomes an application.
+Exact-class dispatch needs final classes, so two tests check that neither
+the kernel's term classes nor the classes the surface layer dispatches on
+(the pre-terms and `Meta`) have a subclass.
 
 The term classes are frozen, slotted dataclasses with a hand-written
 `__init__`; the tests after the inference references check that they stay
@@ -44,7 +47,10 @@ from transfer_kernel.kernel import (
     prelude_env, shift, subsumes, substitute, whnf,
 )
 from transfer_kernel.outcome import TransferFailure
-from transfer_kernel.surface import Meta, parse_script
+from transfer_kernel.surface import (
+    Meta, PApp, PArrow, PEq, PInv, PLam, PPi, PRef, PResp, PreTerm, PSort,
+    parse_script,
+)
 from transfer_kernel.tables import LIBRARY, DeclTables, library_env, prefill_core
 from transfer_kernel.terms import occurs_free, replace_var
 from transfer_kernel.transfer_v1 import exact_modulo
@@ -508,12 +514,29 @@ def test_emitted_proofs_type_as_in_the_reference(monkeypatch):
 KERNEL_CLASSES = (Sort, Var, Const, Lam, App, Pi)
 
 
+def _import_every_module():
+    for info in pkgutil.walk_packages(transfer_kernel.__path__, "transfer_kernel."):
+        importlib.import_module(info.name)
+
+
 def test_term_classes_have_no_subclasses():
     """The kernel dispatches on `type(t) is C`: an instance of a subclass
     would silently take the default branch, so the classes stay final."""
-    for info in pkgutil.walk_packages(transfer_kernel.__path__, "transfer_kernel."):
-        importlib.import_module(info.name)
+    _import_every_module()
     for cls in KERNEL_CLASSES:
+        assert cls.__subclasses__() == [], cls
+
+
+SURFACE_CLASSES = (PRef, PSort, PApp, PLam, PPi, PArrow, PEq, PResp, PInv,
+                   Meta)
+
+
+def test_surface_dispatch_classes_have_no_subclasses():
+    """The elaborator and printer dispatch on `type(x) is C` too, over the
+    nine pre-term classes and the elaborator's `Meta`."""
+    _import_every_module()
+    assert set(PreTerm.__args__) == set(SURFACE_CLASSES[:-1])
+    for cls in SURFACE_CLASSES:
         assert cls.__subclasses__() == [], cls
 
 

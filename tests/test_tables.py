@@ -632,3 +632,89 @@ def test_a_new_table_state_never_sees_a_stale_index():
                         relations_v2=first.relations_v2)
     assert lookup_surjection(fourth, env, le, n_le) is surjection
     assert lookup_transfer_v1(fourth, env, le, n_le) is transfer
+
+
+def _index_snapshot(tables: DeclTables):
+    """Every bucket of every built index, by identity and by content."""
+    return {store: {shapes: (bucket, list(bucket))
+                    for shapes, bucket in index.items()}
+            for store, index in tables._index.items()}
+
+
+def test_an_insert_extends_a_copy_of_its_parents_index():
+    env = LOOKUP_ENV
+    all_nat, all_n = App(Const(ALL), Const("nat")), App(Const(ALL), Const("N"))
+    le, n_le = Const("le"), Const("N.le")
+    parent = tables_module._insert(DeclTables(), "relations_v2", env,
+                                   RelationEntryV2(all_nat, all_n, Const("rel"),
+                                                   Const("p1")), "it")
+    assert lookup_surjection(parent, env, le, n_le) is None
+    index = parent._index["relations_v2"]
+    before = _index_snapshot(parent)
+    assert set(before) == {"relations_v2", "surjections"}
+    # The flipped pair has the same head shapes: it joins the parent's
+    # bucket.  (le, N.le) starts a bucket of its own.
+    same_bucket = tables_module._insert(parent, "relations_v2", env,
+                                        RelationEntryV2(all_n, all_nat,
+                                                        Const("rel"),
+                                                        Const("p2")), "it")
+    new_bucket = tables_module._insert(parent, "relations_v2", env,
+                                       RelationEntryV2(le, n_le, Const("rel"),
+                                                       Const("p3")), "it")
+    assert len(same_bucket._index["relations_v2"]) == 1
+    assert len(new_bucket._index["relations_v2"]) == 2
+    # The parent's index dicts and bucket lists are the same objects with
+    # the same contents; each child finds only its own new entry.
+    assert parent._index["relations_v2"] is index
+    after = _index_snapshot(parent)
+    assert after.keys() == before.keys()
+    for store in before:
+        assert after[store].keys() == before[store].keys()
+        for shapes, (bucket, contents) in before[store].items():
+            assert after[store][shapes][0] is bucket
+            assert after[store][shapes][1] == contents
+    assert lookup_relation_v2(same_bucket, env, all_n, all_nat) \
+        == (same_bucket.relations_v2[1], False)
+    assert lookup_relation_v2(new_bucket, env, all_n, all_nat)[1]
+    assert lookup_relation_v2(parent, env, all_n, all_nat)[1]
+    assert lookup_relation_v2(new_bucket, env, le, n_le)[0].proof == Const("p3")
+    assert lookup_relation_v2(same_bucket, env, le, n_le) is None
+    # An unchanged store's index is shared, the grown one's is the index a
+    # fresh value would build.
+    assert new_bucket._index["surjections"] is parent._index["surjections"]
+    for child in (same_bucket, new_bucket):
+        rebuilt = DeclTables(relations_v2=child.relations_v2)
+        tables_module._find(rebuilt, "relations_v2", env, le, n_le)
+        assert child._index["relations_v2"] == rebuilt._index["relations_v2"]
+
+
+def _relation_script(n: int, same_head: bool) -> str:
+    lines = ["Parameter A : Set."]
+    for i in range(n):
+        lines.append(f"Parameter p{i} q{i} : A.")
+        if same_head:
+            lines.append(f"Axiom e{i} : impl (p{i} = q{i}) (p{i} = q{i}).")
+        else:
+            lines += [f"Parameter r{i} : A → A → Prop.",
+                      f"Axiom e{i} : r{i} p{i} q{i}."]
+        lines.append(f"Declare Relation e{i}.")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("same_head", [True, False])
+def test_declaring_relations_reduces_each_pair_a_bounded_number_of_times(
+        monkeypatch, same_head):
+    """Each insert extends its parent's index rather than rebuilding it, so
+    400 declarations cost a few `whnf` calls each, not one per stored pair
+    (162,002 when every insert rebuilt the index)."""
+    calls = []
+    reduce = tables_module.whnf
+
+    def counting_whnf(*args, **kwargs):
+        calls.append(None)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(tables_module, "whnf", counting_whnf)
+    state = execute_script(_relation_script(400, same_head))
+    assert state.errors == [] and len(state.tables.relations_v2) == 401
+    assert len(calls) <= 3000
