@@ -31,12 +31,14 @@ The term classes are frozen, slotted dataclasses (see the comment above
 Var).  `whnf` reduces a redex against one argument list collected once.
 
 The hot traversals dispatch on the exact class, `type(t) is App`, most
-frequent class first, rather than with `match`, which costs an
-`isinstance` test and attribute reads per case tried.  So the term classes
-must stay final: an instance of a subclass would take the default branch,
-as the elaborator's `Meta` does.  `infer_type` reports where a term is ill
-typed by a path from the root; each node adds its component while the
-error unwinds, so a check that succeeds builds no path.
+frequent class first, rather than with `match`, which costs an `isinstance`
+test and attribute reads per case tried.  So the term classes must stay
+final: an instance of a subclass would take the default branch, as the
+elaborator's `Meta` does.  The recursive ones are module-level functions: a
+nested function that calls itself is a reference cycle, left to the cyclic
+collector at every call.  `infer_type` reports where a term is ill typed by
+a path from the root; each node adds its component while the error unwinds,
+so a check that succeeds builds no path.
 """
 
 from __future__ import annotations
@@ -233,21 +235,24 @@ def substitute(body: Term, target: int, replacement: Term) -> Term:
     Occurrences of Var(target) become `replacement`; indices above it are
     decremented, so the result lives one binder shallower.
     """
-    def go(t: Term, depth: int) -> Term:
-        if t.lbr <= target + depth:
-            return t
-        cls = type(t)
-        if cls is Var:
-            if t.index == target + depth:
-                return shift(replacement, depth)
-            return Var(t.index - 1)
-        if cls is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if cls is Pi or cls is Lam:
-            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
-        return t
+    return _substitute(body, 0, target, replacement)
 
-    return go(body, 0)
+
+def _substitute(t: Term, depth: int, target: int, replacement: Term) -> Term:
+    if t.lbr <= target + depth:
+        return t
+    cls = type(t)
+    if cls is Var:
+        if t.index == target + depth:
+            return shift(replacement, depth)
+        return Var(t.index - 1)
+    if cls is App:
+        return App(_substitute(t.fn, depth, target, replacement),
+                   _substitute(t.arg, depth, target, replacement))
+    if cls is Pi or cls is Lam:
+        return cls(t.name, _substitute(t.ty, depth, target, replacement),
+                   _substitute(t.body, depth + 1, target, replacement))
+    return t
 
 
 def instantiate(body: Term, args: list[Term]) -> Term:
@@ -262,22 +267,22 @@ def instantiate(body: Term, args: list[Term]) -> Term:
     k = len(args)
     if body.lbr == 0 or k == 0:
         return body
-    rev = args[::-1]
+    return _instantiate(body, 0, args[::-1], k)
 
-    def go(t: Term, depth: int) -> Term:
-        if t.lbr <= depth:
-            return t
-        cls = type(t)
-        if cls is Var:
-            j = t.index - depth
-            return shift(rev[j], depth) if j < k else Var(t.index - k)
-        if cls is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if cls is Pi or cls is Lam:
-            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
+
+def _instantiate(t: Term, depth: int, rev: list[Term], k: int) -> Term:
+    if t.lbr <= depth:
         return t
-
-    return go(body, 0)
+    cls = type(t)
+    if cls is Var:
+        j = t.index - depth
+        return shift(rev[j], depth) if j < k else Var(t.index - k)
+    if cls is App:
+        return App(_instantiate(t.fn, depth, rev, k), _instantiate(t.arg, depth, rev, k))
+    if cls is Pi or cls is Lam:
+        return cls(t.name, _instantiate(t.ty, depth, rev, k),
+                   _instantiate(t.body, depth + 1, rev, k))
+    return t
 
 
 def unshift(t: Term) -> Term:

@@ -11,22 +11,30 @@ from .kernel import (
 
 
 def replace_var(t: Term, target: int, replacement: Term) -> Term:
-    """Replace Var(target) without discharging the binder (indices keep)."""
-    def go(t: Term, depth: int) -> Term:
-        if t.lbr <= target + depth:
-            return t
-        cls = type(t)
-        if cls is Var:
-            if t.index == target + depth:
-                return shift(replacement, depth)
-            return t
-        if cls is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if cls is Pi or cls is Lam:
-            return cls(t.name, go(t.ty, depth), go(t.body, depth + 1))
-        return t
+    """Replace Var(target) without discharging the binder (indices keep).
 
-    return go(t, 0)
+    The walk is the module-level `_replace_var`, like the kernel's
+    traversals: a nested function that calls itself is a reference cycle,
+    garbage that only the cyclic collector frees, on every call.
+    """
+    return _replace_var(t, 0, target, replacement)
+
+
+def _replace_var(t: Term, depth: int, target: int, replacement: Term) -> Term:
+    if t.lbr <= target + depth:
+        return t
+    cls = type(t)
+    if cls is Var:
+        if t.index == target + depth:
+            return shift(replacement, depth)
+        return t
+    if cls is App:
+        return App(_replace_var(t.fn, depth, target, replacement),
+                   _replace_var(t.arg, depth, target, replacement))
+    if cls is Pi or cls is Lam:
+        return cls(t.name, _replace_var(t.ty, depth, target, replacement),
+                   _replace_var(t.body, depth + 1, target, replacement))
+    return t
 
 
 def occurs_free(t: Term, target: int) -> bool:

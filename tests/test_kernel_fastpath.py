@@ -23,23 +23,33 @@ immutable and compare, hash and print as before.  With the kernel's three
 context and declaration records they are the package's only dataclasses.
 
 Generated table entries cite library lemmas by name, so an emitted proof
-holds no inline entry proof to infer again.  The last tests compare
+holds no inline entry proof to infer again.  Later tests compare
 single-node mutations of emitted proofs against `ref_infer_type`, check
 that every prefill and encoding entry cites a definition that proves its
 statement, and count that admission infers no node of a library body.
+
+`substitute`, `instantiate` and `replace_var` recurse through module-level
+functions, not through a nested `go` per call, which was a reference cycle
+for the collector to free.  The final tests check that a pass over both
+engines and two corpus scripts leaves no cyclic garbage, and that no
+function in `kernel` or `terms` defines a nested function.
 """
 
+import ast
 import dataclasses
+import gc
 import importlib
 import pkgutil
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import transfer_kernel
-from transfer_kernel import kernel
-from transfer_kernel.cli import RunOptions, SessionState, execute_script
+from transfer_kernel import kernel, terms
+from transfer_kernel.cli import RunOptions, SessionState, execute_script, report
 from transfer_kernel.kernel import (
     FALSE, IMPL, IMPL_RESPECTFUL, PROP, SET, TYPE, App, Const, GlobalEnv,
     KernelError, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
@@ -746,3 +756,74 @@ def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
                  "N.of_nat_rel_func"}
     assert generated <= cited
     assert all(env.is_definition(name) for name in generated)
+
+
+# --- no cyclic garbage ------------------------------------------------------------
+
+def _engine_problems():
+    """(engine, env, tables, source, target) for a few runs of each engine.
+    Built before measuring: the generators recurse through closures."""
+    rng = random.Random(22)
+    (env1, tables1), (env2, tables2) = v1_fixture(), v2_fixture()
+    problems = []
+    for mutate in (None, None, "head", "drop"):
+        src, tgt = v1_problem(rng, 4, mutate)
+        problems.append(("v1", env1.add_axiom("h", src), tables1, src, tgt))
+        src, tgt = v2_problem(rng, 4, mutate)
+        problems.append(("v2", env2.add_axiom("h", src), tables2, src, tgt))
+    return problems
+
+
+def _traversals_and_verdicts(problems) -> None:
+    """Each traversal on an open term, two corpus scripts through the CLI
+    path, and the engine runs with their proofs checked."""
+    t = Pi("x", Var(2), App(Lam("y", Var(0), App(Var(1), Var(3))), Var(0)))
+    assert substitute(t, 1, App(Var(0), Const("c"))) != t
+    assert instantiate(t, [Const("c"), Var(5)]) != t
+    assert replace_var(t, 1, Var(4)) != t
+    for name in ("v2_letrans.tk", "example2.tk"):
+        assert report(execute_script(script_text(name), RunOptions()))
+    for engine, env, tables, src, tgt in problems:
+        if engine == "v1":
+            out = exact_modulo(env, tables, LocalContext(), src, tgt, Const("h"))
+        else:
+            out = transfer_modulo(env, tables, src, tgt, Const("h"))
+            out = out if isinstance(out, TransferFailure) else out[0]
+        if not isinstance(out, TransferFailure):
+            assert kernel.check_proof(env, LocalContext(), out, tgt)
+
+
+def test_traversals_and_verdicts_leave_no_cyclic_garbage():
+    """A nested function that calls itself is a reference cycle (function,
+    cell, captured arguments) that only the cyclic collector frees, so a
+    traversal written that way leaves garbage at every call.  With the
+    collector off and every unreachable object kept, a pass over the kernel
+    and both engines must leave none.  A first pass fills the caches."""
+    problems = _engine_problems()
+    _traversals_and_verdicts(problems)
+    enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _traversals_and_verdicts(problems)
+        found = gc.collect()
+        kinds = Counter(type(o).__name__ for o in gc.garbage[kept:])
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+        if enabled:
+            gc.enable()
+        gc.collect()
+    assert found == 0, kinds.most_common(5)
+
+
+@pytest.mark.parametrize("module", [kernel, terms], ids=["kernel", "terms"])
+def test_no_function_in_the_kernel_or_terms_defines_a_nested_function(module):
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, functions):
+            for node in ast.walk(fn):
+                assert node is fn or not isinstance(node, functions), \
+                    f"{module.__name__}, line {node.lineno}"
