@@ -20,9 +20,9 @@ command's exception to its outcome: `SynthesisError` to 3, any other
 
 from __future__ import annotations
 
-import json
 import sys
 import time
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .kernel import (
@@ -123,22 +123,23 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
 
 def _declare(state: SessionState, cmd) -> None:
     env, tables = state.env, state.tables
-    match cmd:
-        case CmdParameter(names, ty_pre, _):
-            ty = elaborate(env, ty_pre)
-            for name in names:
-                env = env.add_parameter(name, ty)
-            state.env = env
-        case CmdAxiom(name, stmt_pre, _):
-            state.env = env.add_axiom(name, elaborate(env, stmt_pre))
-        case CmdDefinition(name, body_pre, _):
-            state.env = env.add_definition(name, elaborate(env, body_pre))
-        case CmdDeclareSurjection(fn, inverse, proof, _):
-            state.tables = declare_surjection(tables, env, fn, inverse, proof)
-        case CmdDeclareTransfer(lemma, _):
-            state.tables = declare_transfer_v1(tables, env, lemma)
-        case CmdDeclareRelation(lemma, _):
-            state.tables = declare_relation_v2(tables, env, lemma)
+    cls = type(cmd)
+    if cls is CmdParameter:
+        ty = elaborate(env, cmd.ty)
+        for name in cmd.names:
+            env = env.add_parameter(name, ty)
+        state.env = env
+    elif cls is CmdAxiom:
+        state.env = env.add_axiom(cmd.name, elaborate(env, cmd.statement))
+    elif cls is CmdDefinition:
+        state.env = env.add_definition(cmd.name, elaborate(env, cmd.body))
+    elif cls is CmdDeclareSurjection:
+        state.tables = declare_surjection(tables, env, cmd.fn_name,
+                                          cmd.inverse_name, cmd.proof_name)
+    elif cls is CmdDeclareTransfer:
+        state.tables = declare_transfer_v1(tables, env, cmd.lemma_name)
+    elif cls is CmdDeclareRelation:
+        state.tables = declare_relation_v2(tables, env, cmd.lemma_name)
 
 
 def _execute_theorem(state: SessionState, cmd: CmdTheorem,
@@ -256,7 +257,28 @@ def _machine_report(state: SessionState) -> str:
         "errors": list(state.errors),
         "internal_errors": list(state.internal_errors),
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    return _json(doc, "\n")
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)` for
+    the report's values (objects, lists, strings and None), where `indent`
+    is a line feed and the value's own indentation.  The standard encoder
+    takes its pure-Python path when indenting, and its nested closures leave
+    a reference cycle per call; this function recurses by its module name."""
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [f"{encode_basestring(key)}: {_json(value[key], inner)}"
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [_json(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def run_script(path: str, options: RunOptions = RunOptions(),

@@ -12,13 +12,17 @@ environment and local context and fills in the implicit type arguments of
 unification.  Solutions must be closed types; anything else is reported as
 an elaboration error rather than guessed.
 
-The hot paths (`infer`, `resolve`, `_has_meta`, `unify`, `render`)
-dispatch on the exact class, `type(x) is PApp`, most frequent class
-first, as the kernel's traversals do, rather than with `match`.  So the
-nine pre-term classes and `Meta` must stay final, like the kernel's term
-classes: an instance of a subclass would take the default branch.  The
-parser reads the current token's fields directly, and the lexer counts
-lines with one `find` per line.
+The hot paths (`infer`, `resolve`, `_has_meta`, `unify`, `render`, and
+the CLI's command dispatch) test the exact class, `type(x) is PApp`, most
+frequent first, as the kernel's traversals do, rather than with `match`.
+So the pre-term and command classes and `Meta` must stay final: an
+instance of a subclass would take the default branch.  The lexer takes
+every token of a comment-free stretch from one `findall`, and the parser
+reads token fields by index.  The elaborator skips what would change
+nothing: it reduces a function type only if it is not a product or a meta
+is solved, unifies an argument's type only if it differs from the domain,
+and elaborates an arrow's right side under the arrow's binder rather than
+shifting it there.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import NamedTuple
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
     App, Const, CtxEntry, GlobalEnv, Lam, LocalContext, Pi, Sort, Term,
-    TypeCheckError, Var, app, arrow, infer_type, shift, spine, substitute,
-    whnf,
+    TypeCheckError, UnboundName, Var, app, arrow, infer_type, shift, spine,
+    substitute, unshift, whnf,
 )
 from .terms import occurs_free, relation_domains, relation_types
 
@@ -77,15 +81,16 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-# One match per token: the whitespace before it, then a comment opening, a
-# symbol (longest first, and before names, since λ is alphabetic) or a name.
-# `\s` is `str.isspace` and `[\w']` is a name character (`str.isalnum`, `_`
-# or `'`).  `[^\W\d]` also admits numerals such as `²` that `str.isalpha`
-# rejects, so `tokenize` checks where each name segment starts.
+# One match per token: the whitespace before it, then a symbol (longest
+# first, and before names, since λ is alphabetic), a name, or any other
+# character.  The token is optional, so a stretch's trailing space is one
+# match.  `\s` is `str.isspace` and `[\w']` is a name character
+# (`str.isalnum`, `_` or `'`).  `[^\W\d]` also admits numerals such as `²`
+# that `str.isalpha` rejects, so `tokenize` checks where each segment of a
+# non-ASCII name starts (the ASCII matches are letters and `_`).
 _TOKEN = re.compile(
-    r"\s*(?:(\(\*)|(" + "|".join(map(re.escape, _SYMBOLS)) + r")"
-    r"|([^\W\d][\w']*(?:\.(?!λ)[^\W\d][\w']*)*))?")
-_COMMENT, _SYMBOL, _NAME = 1, 2, 3
+    r"(\s*)(?:(" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|([^\W\d][\w']*(?:\.(?!λ)[^\W\d][\w']*)*)|(\S))?")
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
@@ -102,51 +107,55 @@ def _qualified_prefix(name: str) -> str:
 
 def tokenize(text: str) -> list[Token]:
     """Tokens with 1-based positions, ending in one "eof" token.  Columns
-    count code points, and only a line feed ends a line."""
+    count code points, and only a line feed ends a line.  One `findall`
+    gives every token of a stretch between comments with the space before
+    it, so positions follow from lengths, and line feeds are counted once
+    per space run.  A stretch is scanned again where a name is cut short."""
     toks: list[Token] = []
-    match = _TOKEN.match
+    append, new, scan = toks.append, tuple.__new__, _TOKEN.findall
     end = len(text)
-    pos = 0
-    # `line_start` is where the current line starts, and `nl` is its line
-    # feed (or the end of the text): one `find` per line, not per token.
-    line, line_start = 1, 0
-    nl = text.find("\n")
-    if nl < 0:
-        nl = end
+    # `pos - base` is the column of `pos`: `base` is just before `line`.
+    pos, line, base = 0, 1, -1
     while True:
-        m = match(text, pos)
-        kind = m.lastindex
-        start = m.start(kind) if kind else m.end()
-        while start > nl:
-            line, line_start = line + 1, nl + 1
-            nl = text.find("\n", line_start)
-            if nl < 0:
-                nl = end
-        col = start - line_start + 1
-        if kind == _SYMBOL:
-            toks.append(Token("sym", m.group(kind), line, col))
-            pos = m.end()
-        elif kind == _NAME:
-            name = m.group(kind)
-            if not _is_ident_start(name[0]):
-                raise ParseError(f"unknown character {name[0]!r}", line, col)
-            if "." in name:
-                name = _qualified_prefix(name)
-            toks.append(Token("ident", name, line, col))
-            pos = start + len(name)
-        elif kind == _COMMENT:
-            depth, pos = 1, m.end()
+        stop = text.find("(*", pos)
+        if stop < 0:
+            stop = end
+        for space, sym, name, other in scan(text, pos, stop):
+            if space:
+                if "\n" in space:
+                    line += space.count("\n")
+                    base = pos + space.rindex("\n")
+                pos += len(space)
+            if sym:
+                append(new(Token, ("sym", sym, line, pos - base)))
+                pos += len(sym)
+            elif name:
+                if not name.isascii():  # an ASCII match is a name
+                    if not _is_ident_start(name[0]):
+                        raise ParseError(f"unknown character {name[0]!r}",
+                                         line, pos - base)
+                    if "." in name and (short := _qualified_prefix(name)) != name:
+                        append(new(Token, ("ident", short, line, pos - base)))
+                        pos += len(short)
+                        break
+                append(new(Token, ("ident", name, line, pos - base)))
+                pos += len(name)
+            elif other:
+                raise ParseError(f"unknown character {other!r}", line, pos - base)
+        else:  # the stretch is read up to `stop`
+            if stop == end:
+                append(new(Token, ("eof", "", line, pos - base)))
+                return toks
+            depth, pos = 1, stop + 2
             while depth:
                 mark = _COMMENT_MARK.search(text, pos)
                 if mark is None:
-                    raise ParseError("unterminated comment", line, col)
+                    raise ParseError("unterminated comment", line, stop - base)
                 depth += 1 if mark.group() == "(*" else -1
                 pos = mark.end()
-        elif start < end:
-            raise ParseError(f"unknown character {text[start]!r}", line, col)
-        else:
-            toks.append(Token("eof", "", line, col))
-            return toks
+            if (lines := text.count("\n", stop, pos)):
+                line += lines
+                base = text.rindex("\n", stop, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +223,13 @@ PreTerm = PRef | PSort | PApp | PLam | PPi | PArrow | PEq | PResp | PInv
 
 class _TokenStream:
     """The parser's cursor: `pos` indexes `toks` and never passes the final
-    "eof" token, so reading `toks[pos]` needs no bounds check.  The parser
-    tests the current token's fields directly.  No name's text is a symbol
-    (the lexer tries symbols first, and only `λ` among them is a letter),
-    and "eof" has the empty text, so a symbol is recognised by its value
-    alone."""
+    "eof" token, so reading `toks[pos]` needs no bounds check.  Below the
+    command level the parser reads a token's fields by index (`t[1]` is its
+    text).  No name's text is a symbol (the lexer tries symbols first, and
+    only `λ` among them is a letter), and "eof" has the empty text, so a
+    symbol is recognised by its text alone."""
+
+    __slots__ = ("toks", "pos")
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -229,42 +240,43 @@ class _TokenStream:
 
     def expect_sym(self, value: str) -> Token:
         t = self.toks[self.pos]
-        if t.value != value:
-            raise ParseError(f"expected '{value}', found '{t.value or 'end of input'}'",
-                             t.line, t.col)
+        if t[1] != value:
+            raise ParseError(f"expected '{value}', found '{t[1] or 'end of input'}'",
+                             t[2], t[3])
         self.pos += 1
         return t
 
     def expect_ident(self, *values: str) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "ident" or (values and t.value not in values):
+        if t[0] != "ident" or (values and t[1] not in values):
             what = " or ".join(f"'{v}'" for v in values) if values else "identifier"
-            raise ParseError(f"expected {what}, found '{t.value or 'end of input'}'",
-                             t.line, t.col)
+            raise ParseError(f"expected {what}, found '{t[1] or 'end of input'}'",
+                             t[2], t[3])
         self.pos += 1
         return t
 
 
 def _names(ts: _TokenStream, stop: frozenset[str] = frozenset()) -> list[str]:
     """One or more names; a name in `stop` ends the list after the first."""
-    names = [ts.expect_ident().value]
-    t = ts.peek()
-    while t.kind == "ident" and t.value not in stop:
-        names.append(t.value)
+    names = [ts.expect_ident()[1]]
+    t = ts.toks[ts.pos]
+    while t[0] == "ident" and t[1] not in stop:
+        names.append(t[1])
         ts.pos += 1
-        t = ts.peek()
+        t = ts.toks[ts.pos]
     return names
 
 
 def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], ...]:
     """`(x y : T) (z : U)` or the single unparenthesized group `x y [: T]`."""
     binders: list[tuple[str, PreTerm | None]] = []
-    if ts.peek().value == "(":
-        while ts.peek().value == "(":
+    toks = ts.toks
+    if toks[ts.pos][1] == "(":
+        while toks[ts.pos][1] == "(":
             ts.pos += 1
             names = _names(ts, _TERM_KEYWORDS)
             annot = None
-            if ts.peek().value == ":":
+            if toks[ts.pos][1] == ":":
                 ts.pos += 1
                 annot = _parse_term(ts)
             ts.expect_sym(")")
@@ -272,7 +284,7 @@ def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], 
     else:
         names = _names(ts, _TERM_KEYWORDS)
         annot = None
-        if ts.peek().value == ":":
+        if toks[ts.pos][1] == ":":
             ts.pos += 1
             annot = _parse_term(ts)
         binders.extend((nm, annot) for nm in names)
@@ -280,99 +292,88 @@ def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], 
 
 
 _SORT_NAMES = frozenset(("Prop", "Set", "Type"))
-_ATOM_SYMBOLS = frozenset(("(", "@", "∀", "λ"))
-
-
-def _at_atom_start(t: Token) -> bool:
-    if t.kind == "ident":
-        return t.value != "forall" and t.value != "fun"
-    return t.value in _ATOM_SYMBOLS
+# The texts of the tokens that end an application: every symbol that cannot
+# start an atom, the binder keywords, and "eof"'s empty text.
+_APP_END = frozenset(_SYMBOLS) - {"(", "@", "∀", "λ"} | {"forall", "fun", ""}
+_new = tuple.__new__  # builds a pre-term without its class's `__new__` frame
 
 
 def _parse_atom(ts: _TokenStream) -> PreTerm:
     toks = ts.toks
     t = toks[ts.pos]
-    if t.kind == "ident":
+    value = t[1]
+    if t[0] == "ident":
         ts.pos += 1
-        value = t.value
         if value in _SORT_NAMES:
-            result = PSort(value, t.line, t.col)
+            result = PSort(value, t[2], t[3])
         elif value == "inv":
-            if not _at_atom_start(toks[ts.pos]):
-                raise ParseError("'inv' expects a relation argument", t.line, t.col)
-            result = PInv(_parse_atom(ts), t.line, t.col)
+            if toks[ts.pos][1] in _APP_END:
+                raise ParseError("'inv' expects a relation argument", t[2], t[3])
+            result = PInv(_parse_atom(ts), t[2], t[3])
         else:
-            result = PRef(value, t.line, t.col)
-    elif t.value == "(":
+            result = _new(PRef, (value, t[2], t[3]))
+    elif value == "(":
         ts.pos += 1
         result = _parse_term(ts)
         ts.expect_sym(")")
-    elif t.value == "@":
+    elif value == "@":
         ts.pos += 1
         name = ts.expect_ident()
-        result = PRef(name.value, name.line, name.col)
+        result = _new(PRef, (name[1], name[2], name[3]))
     else:
-        raise ParseError(f"unexpected token '{t.value or 'end of input'}'",
-                         t.line, t.col)
+        raise ParseError(f"unexpected token '{value or 'end of input'}'",
+                         t[2], t[3])
     mark = toks[ts.pos]
-    while mark.value == "⁻¹":
+    while mark[1] == "⁻¹":
         ts.pos += 1
-        result = PInv(result, mark.line, mark.col)
+        result = PInv(result, mark[2], mark[3])
         mark = toks[ts.pos]
     return result
 
 
-def _parse_app(ts: _TokenStream) -> PreTerm:
+def _parse_resp(ts: _TokenStream) -> PreTerm:
+    """An application, or `##>` (to the right) between applications."""
     term = _parse_atom(ts)
-    while _at_atom_start(ts.toks[ts.pos]):
-        term = PApp(term, _parse_atom(ts))
+    toks = ts.toks
+    mark = toks[ts.pos]
+    while mark[1] not in _APP_END:
+        term = _new(PApp, (term, _parse_atom(ts)))
+        mark = toks[ts.pos]
+    if mark[1] == "##>":
+        ts.pos += 1
+        return PResp(term, _parse_resp(ts), mark[2], mark[3])
     return term
 
 
-def _parse_resp(ts: _TokenStream) -> PreTerm:
-    lhs = _parse_app(ts)
-    mark = ts.toks[ts.pos]
-    if mark.value == "##>":
-        ts.pos += 1
-        return PResp(lhs, _parse_resp(ts), mark.line, mark.col)
-    return lhs
-
-
-def _parse_eq(ts: _TokenStream) -> PreTerm:
-    lhs = _parse_resp(ts)
-    mark = ts.toks[ts.pos]
-    if mark.value == "=":
-        ts.pos += 1
-        return PEq(lhs, _parse_resp(ts), mark.line, mark.col)
-    return lhs
-
-
-def _parse_arrow(ts: _TokenStream) -> PreTerm:
-    lhs = _parse_eq(ts)
-    value = ts.toks[ts.pos].value
-    if value == "->" or value == "→":
-        ts.pos += 1
-        return PArrow(lhs, _parse_term(ts))  # binders may follow an arrow
-    return lhs
-
-
 def _parse_term(ts: _TokenStream) -> PreTerm:
-    kw = ts.toks[ts.pos]
-    value = kw.value
+    """A binder form, or an arrow over one `=` over `##>` operands."""
+    toks = ts.toks
+    kw = toks[ts.pos]
+    value = kw[1]
     if value == "∀" or value == "forall":
         ts.pos += 1
         binders = _parse_binder_groups(ts)
         ts.expect_sym(",")
-        return PPi(binders, _parse_term(ts), kw.line, kw.col)
+        return PPi(binders, _parse_term(ts), kw[2], kw[3])
     if value == "λ" or value == "fun":
         ts.pos += 1
         binders = _parse_binder_groups(ts)
-        if ts.peek().value == "=>":
+        if toks[ts.pos][1] == "=>":
             ts.pos += 1
         else:
             ts.expect_sym(",")
-        return PLam(binders, _parse_term(ts), kw.line, kw.col)
-    return _parse_arrow(ts)
+        return PLam(binders, _parse_term(ts), kw[2], kw[3])
+    lhs = _parse_resp(ts)
+    mark = toks[ts.pos]
+    if mark[1] == "=":
+        ts.pos += 1
+        lhs = PEq(lhs, _parse_resp(ts), mark[2], mark[3])
+        mark = toks[ts.pos]
+    value = mark[1]
+    if value == "->" or value == "→":
+        ts.pos += 1
+        return _new(PArrow, (lhs, _parse_term(ts)))  # binders may follow
+    return lhs
 
 
 def parse_term(text: str) -> PreTerm:
@@ -575,12 +576,14 @@ class _Elaborator:
             return self.resolve(sol) if sol is not None else t
         return t
 
-    def zonk(self, t: Term, line: int = 0, col: int = 0) -> Term:
+    def zonk(self, t: Term, at: PreTerm | None = None) -> Term:
+        """t with its solved metas replaced; an unsolved one is an error,
+        reported at `_pos_of(at)`."""
         t = self.resolve(t)
         # Only `fresh` makes a Meta, so without one there is nothing to find.
         if self._next and self._has_meta(t):
             raise ElabError("cannot infer an implicit argument or binder type",
-                            line, col)
+                            *(_pos_of(at) if at is not None else (0, 0)))
         return t
 
     def _has_meta(self, t: Term) -> bool:
@@ -595,8 +598,9 @@ class _Elaborator:
         return whnf(self.env, self.resolve(t))
 
     def unify(self, a: Term, b: Term, ctx: list[tuple[str, Term]],
-              line: int, col: int) -> None:
-        """Solve metas so that a and b, both typed in ctx, are convertible."""
+              at: PreTerm) -> None:
+        """Solve metas so that a and b, both typed in ctx, are convertible;
+        an error is reported at `_pos_of(at)`."""
         a = self.head_normal(a)
         b = self.head_normal(b)
         if a == b:
@@ -614,23 +618,23 @@ class _Elaborator:
             if other.lbr > 0:
                 raise ElabError(
                     "cannot infer an implicit argument that depends on a bound "
-                    "variable", line, col)
+                    "variable", *_pos_of(at))
             self.solutions[meta.id] = other
             return
         if cls is other_cls:
             if cls is App:
-                self.unify(a.fn, b.fn, ctx, line, col)
-                self.unify(a.arg, b.arg, ctx, line, col)
+                self.unify(a.fn, b.fn, ctx, at)
+                self.unify(a.arg, b.arg, ctx, at)
                 return
             if cls is Pi or cls is Lam:
-                self.unify(a.ty, b.ty, ctx, line, col)
+                self.unify(a.ty, b.ty, ctx, at)
                 ctx.append((a.name, a.ty))
-                self.unify(a.body, b.body, ctx, line, col)
+                self.unify(a.body, b.body, ctx, at)
                 ctx.pop()
                 return
         typed = LocalContext(tuple(CtxEntry(v, self.resolve(ty)) for v, ty in ctx))
         raise ElabError(f"type mismatch: {print_term(a, self.env, typed)} vs "
-                        f"{print_term(b, self.env, typed)}", line, col)
+                        f"{print_term(b, self.env, typed)}", *_pos_of(at))
 
     # -- the main elaboration pass -----------------------------------------
 
@@ -644,22 +648,33 @@ class _Elaborator:
             for depth, (nm, ty) in enumerate(reversed(ctx)):
                 if nm == name:
                     return Var(depth), shift(ty, depth + 1)
-            if name in self.env:
+            try:
                 return Const(name), self.env.type_of(name)
-            raise ElabError(f"unknown identifier '{name}'", pre.line, pre.col)
+            except UnboundName:
+                raise ElabError(f"unknown identifier '{name}'", pre.line,
+                                pre.col) from None
         if cls is PApp:
             fn, arg = pre.fn, pre.arg
             tf, ty_f = self.infer(fn, ctx)
-            ty_f = self.head_normal(ty_f)
-            if type(ty_f) is not Pi:
-                raise ElabError("application of a non-function", *_pos_of(fn))
+            # A product with no solved meta in it is its own head normal form.
+            if type(ty_f) is not Pi or self.solutions:
+                ty_f = self.head_normal(ty_f)
+                if type(ty_f) is not Pi:
+                    raise ElabError("application of a non-function", *_pos_of(fn))
             ta, ty_a = self.infer(arg, ctx)
-            self.unify(ty_a, ty_f.ty, ctx, *_pos_of(arg))
+            if ty_a != ty_f.ty:  # else `unify` has nothing to do
+                self.unify(ty_a, ty_f.ty, ctx, arg)
             return App(tf, ta), substitute(ty_f.body, 0, ta)
         if cls is PArrow:
-            tl, sl = self.infer(pre.lhs, ctx)
+            # The right side is elaborated under the arrow's binder, which no
+            # name resolves to (none is empty), so it needs no shift.
+            tl, _ = self.infer(pre.lhs, ctx)
+            ctx.append(("", tl))
             tr, sr = self.infer(pre.rhs, ctx)
-            return arrow(tl, tr), self.head_normal(sr)
+            ctx.pop()
+            if type(sr) is not Sort:
+                sr = self.head_normal(unshift(sr) if sr.lbr else sr)
+            return Pi("_", tl, tr), sr
         if cls is PPi:
             return self._binders(pre.binders, pre.body, ctx, Pi)
         if cls is PSort:
@@ -667,7 +682,7 @@ class _Elaborator:
         if cls is PEq:
             tl, ty_l = self.infer(pre.lhs, ctx)
             tr, ty_r = self.infer(pre.rhs, ctx)
-            self.unify(ty_l, ty_r, ctx, pre.line, pre.col)
+            self.unify(ty_l, ty_r, ctx, pre)
             ty = self.resolve(ty_l)
             return app(Const(EQ), ty, tl, tr), PROP
         if cls is PResp:
@@ -697,9 +712,12 @@ class _Elaborator:
         for _ in binders:
             name, ty = ctx.pop()
             if cls is Pi:
-                term, term_ty = Pi(name, ty, term), self.head_normal(term_ty)
+                term = Pi(name, ty, term)
             else:
                 term, term_ty = Lam(name, ty, term), Pi(name, ty, term_ty)
+        # A product's type is its body's, in head normal form; a sort is.
+        if cls is Pi and type(term_ty) is not Sort:
+            term_ty = self.head_normal(term_ty)
         return term, term_ty
 
     def _relation_domains(self, rel_ty: Term, line: int, col: int) -> tuple[Term, Term]:
@@ -722,7 +740,7 @@ def elaborate(env: GlobalEnv, pre: PreTerm, ctx: LocalContext | None = None) -> 
     el = _Elaborator(env)
     named = [(e.name, e.ty) for e in (ctx.entries if ctx else ())]
     term, _ = el.infer(pre, named)
-    return el.zonk(term, *_pos_of(pre))
+    return el.zonk(term, pre)
 
 
 def parse_and_elaborate(env: GlobalEnv, text: str,

@@ -21,6 +21,8 @@ one-way matching against hypothesis and table relations (by conversion, in
 no context), and solutions are restricted to closed terms so they can move
 across binders; a failed rule's solutions are undone.  The rule order and
 operand order are fixed, so identical inputs produce identical derivations.
+Matching and resolving test an expectation's exact class, most frequent
+first, so `Known`, `Unknown` and `RelArrow` must stay final.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
@@ -101,22 +103,24 @@ def match_relation(env: GlobalEnv, stored: Term, expect: RelExpectation,
 
 def _match(env: GlobalEnv, stored: Term, expect: RelExpectation,
            trial: dict[int, Term]) -> bool:
-    match expect:
-        case Unknown(i):
-            if i in trial:
-                return convertible(env, trial[i], stored)
-            if stored.lbr > 0:
-                return False
-            trial[i] = stored
-            return True
-        case Known(rel):
-            return convertible(env, rel, stored)
-        case RelArrow(dom, cod):
-            view = respectful_view(env, stored)
-            if view is None:
-                return False
-            _, _, _, _, r, s = view
-            return _match(env, r, dom, trial) and _match(env, s, cod, trial)
+    cls = type(expect)
+    if cls is Known:
+        return convertible(env, expect.rel, stored)
+    if cls is RelArrow:
+        view = respectful_view(env, stored)
+        if view is None:
+            return False
+        _, _, _, _, r, s = view
+        return (_match(env, r, expect.dom, trial)
+                and _match(env, s, expect.cod, trial))
+    if cls is Unknown:
+        i = expect.id
+        if i in trial:
+            return convertible(env, trial[i], stored)
+        if stored.lbr > 0:
+            return False
+        trial[i] = stored
+        return True
     return False
 
 
@@ -154,22 +158,22 @@ class _Synth:
     def resolve(self, expect: RelExpectation,
                 ctx: LocalContext) -> Term | None:
         """Expectation as a concrete relation term, if fully solved."""
-        match expect:
-            case Known(rel):
-                return rel
-            case Unknown(i):
-                return self.metas.get(i)
-            case RelArrow(dom, cod):
-                d = self.resolve(dom, ctx)
-                c = self.resolve(cod, ctx)
-                if d is None or c is None:
-                    return None
-                try:
-                    x, y = relation_types(self.env, ctx, d)
-                    x2, y2 = relation_types(self.env, ctx, c)
-                except TypeCheckError:
-                    return None
-                return app(Const(RESPECTFUL), x, y, x2, y2, d, c)
+        cls = type(expect)
+        if cls is Known:
+            return expect.rel
+        if cls is RelArrow:
+            d = self.resolve(expect.dom, ctx)
+            c = self.resolve(expect.cod, ctx)
+            if d is None or c is None:
+                return None
+            try:
+                x, y = relation_types(self.env, ctx, d)
+                x2, y2 = relation_types(self.env, ctx, c)
+            except TypeCheckError:
+                return None
+            return app(Const(RESPECTFUL), x, y, x2, y2, d, c)
+        if cls is Unknown:
+            return self.metas.get(expect.id)
         return None
 
     def match(self, stored: Term, expect: RelExpectation) -> bool:

@@ -17,8 +17,9 @@ that alters an output on purpose updates RECORDED and says so.
   by its trace lines.
 
 Each item is hashed as `f"{exit code}\\n{report}\\n"` (or the fuzz item's
-lines), and the items of one input are concatenated in order.  pytest does
-not collect this file.  It imports the package from the `src/` next to it.
+lines), and the items of one input are concatenated in order.
+`tests/test_output_digest.py` asserts the three recorded digests on every
+pytest run.  It imports the package from the `src/` next to it.
 """
 
 from __future__ import annotations

@@ -675,3 +675,43 @@ def test_cli_machine_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["theorems"][0]["theorem"] == "emptyA'"
+
+
+def standard_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+# Every key and value shape a machine report has, with no theorem, a failed
+# one and errors, and strings that need escaping.
+EDGE_DOCS = [
+    {"errors": [], "internal_errors": [], "theorems": []},
+    {"errors": ["line 1: 1:5: unknown character '²'", 'a "quoted" \\ name'],
+     "internal_errors": ["line 9: engine v2 produced a rejected proof"],
+     "theorems": []},
+    {"errors": [], "internal_errors": [], "theorems": [
+        {"engine": "v2", "failure": {"kind": "no-derivation",
+                                     "message": "cannot relate ∀ x, é\n\t\x00\x1f "},
+         "proof": None, "status": "failed", "theorem": "t'", "trace": []},
+        {"engine": "v1", "failure": None, "proof": "fun x : A => x",
+         "status": "proved", "theorem": "u", "trace": ["a", "", "b ⇝[R⁻¹] c"]},
+    ]},
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCS, ids=["empty", "errors", "theorems"])
+def test_machine_json_is_the_standard_encoders(doc):
+    from transfer_kernel.cli import _json
+    assert _json(doc, "\n") == standard_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.tk")))
+def test_machine_report_is_the_standard_encoders(name):
+    """Each corpus script's machine report, traced under each engine and
+    after a script error, is what `json.dumps` gives for its document."""
+    text = script_text(name)
+    for script, engine in ((text, None), (text, "v1"), (text, "v2"),
+                           (text + "\nAxiom bad : ghost.\n", None)):
+        options = RunOptions(engine=engine, keep_going=True, trace=True,
+                             fmt="machine")
+        out = report(execute_script(script, options), "machine", options)
+        assert out == standard_json(json.loads(out))

@@ -776,13 +776,17 @@ def _engine_problems():
 
 def _traversals_and_verdicts(problems) -> None:
     """Each traversal on an open term, two corpus scripts through the CLI
-    path, and the engine runs with their proofs checked."""
+    path, one of them also traced and reported in the machine format, and
+    the engine runs with their proofs checked."""
     t = Pi("x", Var(2), App(Lam("y", Var(0), App(Var(1), Var(3))), Var(0)))
     assert substitute(t, 1, App(Var(0), Const("c"))) != t
     assert instantiate(t, [Const("c"), Var(5)]) != t
     assert replace_var(t, 1, Var(4)) != t
     for name in ("v2_letrans.tk", "example2.tk"):
         assert report(execute_script(script_text(name), RunOptions()))
+    traced = RunOptions(trace=True, fmt="machine")
+    state = execute_script(script_text("v2_letrans.tk"), traced)
+    assert report(state, "machine", traced).startswith("{")
     for engine, env, tables, src, tgt in problems:
         if engine == "v1":
             out = exact_modulo(env, tables, LocalContext(), src, tgt, Const("h"))
@@ -827,3 +831,12 @@ def test_no_function_in_the_kernel_or_terms_defines_a_nested_function(module):
             for node in ast.walk(fn):
                 assert node is fn or not isinstance(node, functions), \
                     f"{module.__name__}, line {node.lineno}"
+
+
+def test_no_module_of_the_package_has_a_match_statement():
+    """Dispatch on a value's kind tests its exact class, most frequent
+    first; a `match` class pattern is a chain of `isinstance` calls."""
+    for path in sorted(Path(transfer_kernel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(n, ast.Match) for n in ast.walk(tree)), \
+            path.name

@@ -142,6 +142,18 @@ def test_binder_type_inference_in_definitions(env):
     assert isinstance(t.body, Lam) and t.body.ty == Const("N")
 
 
+def test_an_arrows_binder_takes_no_name(env):
+    """An arrow's right side is elaborated under the arrow's binder, which
+    no name resolves to, not even `_`; an open type of that side comes back
+    out of the binder, so an ill-typed arrow names the right variable."""
+    env = env.add_parameter("_", SET)
+    assert parse_and_elaborate(env, "_ → _") == Pi("_", Const("_"), Const("_"))
+    assert parse_and_elaborate(env, "∀ _ : nat, le _ _ → le _ _") \
+        == parse_and_elaborate(env, "∀ n : nat, le n n → le n n")
+    with pytest.raises(ElabError, match="^1:28: type mismatch: B vs Prop$"):
+        parse_and_elaborate(env, "∀ (B : Set) (b : B), impl (nat → b) (nat → b)")
+
+
 def test_uninferable_binder_is_an_error(env):
     with pytest.raises(ElabError):
         parse_and_elaborate(env, "fun a => a")
