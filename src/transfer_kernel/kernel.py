@@ -23,22 +23,19 @@ well-typed terms have no normal form, so reduction is not bounded on every
 input.  Terms, contexts, declarations and environments are immutable.
 
 Every term carries `lbr`, its loose-bound-variable range: one more than the
-largest de Bruijn index free in it, 0 if it is closed.  It is fixed at
-construction and ignored by equality, hashing and printing.  The
-traversals below return a subterm untouched when `lbr` shows that no index
-they rewrite can occur in it, so a new term class must define `lbr` too.
-The term classes are frozen, slotted dataclasses (see the comment above
-Var).  `whnf` reduces a redex against one argument list collected once.
+largest de Bruijn index free in it, 0 if it is closed, fixed at
+construction and ignored by equality, hashing and printing.  Traversals
+return a subterm untouched when `lbr` shows that no index they rewrite can
+occur in it, so a new term class must define `lbr` too.
 
-The hot traversals dispatch on the exact class, `type(t) is App`, most
-frequent class first, rather than with `match`, which costs an `isinstance`
-test and attribute reads per case tried.  So the term classes must stay
-final: an instance of a subclass would take the default branch, as the
-elaborator's `Meta` does.  The recursive ones are module-level functions: a
-nested function that calls itself is a reference cycle, left to the cyclic
-collector at every call.  `infer_type` reports where a term is ill typed by
-a path from the root; each node adds its component while the error unwinds,
-so a check that succeeds builds no path.
+The checker builds little it then discards: nodes and context records
+have hand-written `__init__`s (see the comment above Var), traversals share
+the Vars of small indices, and `whnf` and `infer_type` collect a spine's
+arguments once, the last first, and instantiate from that list.  The hot
+traversals dispatch on the exact class, `type(t) is App`, so the term
+classes must stay final (a subclass would take the default branch, as the
+elaborator's `Meta` does), and the recursive ones are module-level
+functions, since a nested function that calls itself is a reference cycle.
 """
 
 from __future__ import annotations
@@ -88,13 +85,10 @@ TYPE = Sort("Type")
 
 
 # Building a node is the kernel's most frequent operation, so the term
-# classes are slotted (no per-instance `__dict__`), and Var, App, Lam and Pi
-# have a hand-written __init__ that stores each field through its slot
-# descriptor's setter, bound once below the class (`_app_fn = App.fn.__set__`),
-# and computes `lbr` with a conditional rather than `max()`.  The generated
-# frozen __init__ goes through `object.__setattr__` by name, and a
-# `__post_init__` for `lbr` would add a call per node.  Assigning to a field
-# afterwards still raises FrozenInstanceError.
+# classes are slotted, and Var, Const, App, Lam and Pi have a hand-written
+# __init__ that stores each field through its slot's setter, bound below the
+# class (`_app_fn = App.fn.__set__`), not by name through `object.__setattr__`
+# as the generated one does.  Fields stay frozen.  Traversals share `_VARS`.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -111,15 +105,23 @@ class Var:
 
 
 _var_index, _var_lbr = Var.index.__set__, Var.lbr.__set__
+_VARS = tuple(Var(i) for i in range(32))
+_NVARS = len(_VARS)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Const:
     name: str
     lbr: ClassVar[int] = 0
 
+    def __init__(self, name: str):
+        _const_name(self, name)
+
     def __repr__(self) -> str:
         return self.name
+
+
+_const_name = Const.name.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -221,7 +223,8 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         return t
     cls = type(t)
     if cls is Var:
-        return Var(t.index + by)
+        i = t.index + by
+        return _VARS[i] if 0 <= i < _NVARS else Var(i)
     if cls is App:
         return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
     if cls is Pi or cls is Lam:
@@ -243,9 +246,10 @@ def _substitute(t: Term, depth: int, target: int, replacement: Term) -> Term:
         return t
     cls = type(t)
     if cls is Var:
-        if t.index == target + depth:
+        i = t.index - 1
+        if i < target + depth:
             return shift(replacement, depth)
-        return Var(t.index - 1)
+        return _VARS[i] if 0 <= i < _NVARS else Var(i)
     if cls is App:
         return App(_substitute(t.fn, depth, target, replacement),
                    _substitute(t.arg, depth, target, replacement))
@@ -258,11 +262,9 @@ def _substitute(t: Term, depth: int, target: int, replacement: Term) -> Term:
 def instantiate(body: Term, args: list[Term]) -> Term:
     """Discharge the len(args) innermost binders of `body` in one pass.
 
-    `args` are in application order: the outermost of the discharged
-    binders, Var(len(args) - 1), becomes args[0] and Var(0) becomes
-    args[-1]; indices above them drop by len(args).  Equal to substituting
-    the arguments one at a time, as `whnf` does for `(fun x1 .. xk => body)
-    a1 .. ak`.
+    `args` are in application order: Var(len(args) - 1) becomes args[0] and
+    Var(0) becomes args[-1]; indices above them drop by len(args).  Equal to
+    substituting the arguments one at a time.
     """
     k = len(args)
     if body.lbr == 0 or k == 0:
@@ -271,12 +273,16 @@ def instantiate(body: Term, args: list[Term]) -> Term:
 
 
 def _instantiate(t: Term, depth: int, rev: list[Term], k: int) -> Term:
+    # The k arguments are the last k items of `rev`, the last applied first:
+    # Var(depth + j) becomes rev[j - k], whatever comes before them in `rev`.
     if t.lbr <= depth:
         return t
     cls = type(t)
     if cls is Var:
-        j = t.index - depth
-        return shift(rev[j], depth) if j < k else Var(t.index - k)
+        i = t.index - k
+        if i < depth:
+            return shift(rev[i - depth], depth)
+        return _VARS[i] if i < _NVARS else Var(i)
     if cls is App:
         return App(_instantiate(t.fn, depth, rev, k), _instantiate(t.arg, depth, rev, k))
     if cls is Pi or cls is Lam:
@@ -294,15 +300,22 @@ def unshift(t: Term) -> Term:
 # Contexts and global environment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CtxEntry:
     name: str
     ty: Term
 
+    def __init__(self, name: str, ty: Term):
+        _entry_name(self, name)
+        _entry_ty(self, ty)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class LocalContext:
     entries: tuple[CtxEntry, ...] = ()
+
+    def __init__(self, entries: tuple[CtxEntry, ...] = ()):
+        _ctx_entries(self, entries)
 
     def push(self, name: str, ty: Term) -> "LocalContext":
         return LocalContext(self.entries + (CtxEntry(name, ty),))
@@ -310,15 +323,16 @@ class LocalContext:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def entry(self, index: int) -> CtxEntry:
-        """Entry for Var(index); 0 is the most recent binder."""
+    def type_of(self, index: int) -> Term:
+        """Type of Var(index); 0 is the most recent binder.  The stored type
+        lives at its own binding depth, so it is shifted into scope."""
         if index < 0 or index >= len(self.entries):
             raise UnboundName(f"variable index {index} out of range")
-        return self.entries[-1 - index]
+        return shift(self.entries[-1 - index].ty, index + 1)
 
-    def type_of(self, index: int) -> Term:
-        # The stored type lives at its own binding depth; shift into scope.
-        return shift(self.entry(index).ty, index + 1)
+
+_entry_name, _entry_ty, _ctx_entries = (
+    CtxEntry.name.__set__, CtxEntry.ty.__set__, LocalContext.entries.__set__)
 
 
 @dataclass(frozen=True)
@@ -397,34 +411,35 @@ def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
             return t
     elif cls is not Lam or head is t:
         return t
-    # `head` reduces.  Collect the arguments once and reduce against them:
-    # a beta step peels every leading binder that has an argument in one
-    # `instantiate`, a delta step replaces the head by the definition's
-    # body, and a new head that is an application splices its arguments
-    # in front.  The term is rebuilt once, at the end.
-    decls = env._decls
-    head, args = spine(t)
+    # `head` reduces, against one list of the arguments, the last first: an
+    # application head appends its own, a delta step replaces a definition
+    # by its body, and a beta step peels every leading binder that has an
+    # argument and instantiates them from the list's end, which it drops.
+    args: list[Term] = []
+    head = t
     while True:
-        if cls is Lam:
-            k = 0
-            while k < len(args) and type(head) is Lam:
-                head = head.body
-                k += 1
-            head = instantiate(head, args[:k])
-            del args[:k]
-        else:
-            head = decl.body
-        if type(head) is App:
-            head, front = spine(head)
-            args[:0] = front
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.fn
         cls = type(head)
         if cls is Const:
-            decl = decls.get(head.name) if delta else None
+            decl = env._decls.get(head.name) if delta else None
             if decl is None or decl.body is None:
                 break
-        elif cls is not Lam or not args:
+            head = decl.body
+        elif cls is Lam and args:
+            n = len(args)
+            k = 0
+            while k < n and type(head) is Lam:
+                head = head.body
+                k += 1
+            head = _instantiate(head, 0, args, k)
+            del args[n - k:]
+        else:
             break
-    return app(head, *args)
+    for a in reversed(args):
+        head = App(head, a)
+    return head
 
 
 def normalize(env: GlobalEnv, t: Term) -> Term:
@@ -448,7 +463,7 @@ def subsumes(env: GlobalEnv, have: Term, want: Term) -> bool:
 
 def convertible(env: GlobalEnv, a: Term, b: Term) -> bool:
     """Equality modulo alpha, beta and delta (no eta), in any context."""
-    if a == b:  # alpha-equality is structural equality
+    if a is b or a == b:  # alpha-equality is structural equality
         return True
     a = whnf(env, a)
     b = whnf(env, b)
@@ -478,80 +493,89 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
     """Type of t, or TypeCheckError with a path to the failing subterm.
 
     Sorts: Prop : Type, Set : Type, Type : Type.  Products take the sort
-    of the codomain, which makes Prop impredicative.  An error's `path` is
-    relative to the node that raised it; each enclosing node prepends its
-    own component as the error passes, so a check that succeeds builds no
-    path at all.
+    of the codomain, which makes Prop impredicative.  Each enclosing node
+    prepends its own component to an error's `path` as the error passes.
     """
     cls = type(t)
     if cls is Var:
         i = t.index
-        if i >= len(ctx):
+        entries = ctx.entries
+        if i >= len(entries):
             raise TypeCheckError(f"unbound variable index {i}")
-        return ctx.type_of(i)
+        if i < 0:
+            return ctx.type_of(i)  # raises UnboundName
+        return shift(entries[-1 - i].ty, i + 1)  # as ctx.type_of(i)
     if cls is Const:
-        return env.type_of(t.name)
+        return (env._decls.get(t.name) or env.lookup(t.name)).ty
     if cls is App:
-        # Walk the spine h a1 .. an once.  `ty` is the pending type under
-        # the binders of the arguments in `done`, which are instantiated
-        # only where a domain or the result is needed.
-        head, args = spine(t)
-        n = len(args)
+        # Collect the arguments of h a1 .. an, the last first.  `ty` is the
+        # pending type under the binders of args[i + 1:], the ones applied
+        # since it was last reduced, instantiated only where an open domain,
+        # a reduction or the result needs them.
+        args: list[Term] = []
+        head = t
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.fn
         try:
             ty = infer_type(env, ctx, head)
         except TypeCheckError as e:
-            e.path = ("fn",) * n + e.path
+            e.path = ("fn",) * len(args) + e.path
             raise
-        done: list[Term] = []
-        for i, a in enumerate(args):
-            # ("fn",) * (n - 1 - i) leads from t to the App applying a.
+        for i in range(len(args) - 1, -1, -1):
+            # ("fn",) * i leads from t to the App applying args[i].
             if type(ty) is not Pi:
-                ty = whnf(env, instantiate(ty, done))
-                done = []
+                k = len(args) - i - 1
+                if k:
+                    ty = _instantiate(ty, 0, args, k)
+                    del args[i + 1:]
+                ty = whnf(env, ty)
                 if type(ty) is not Pi:
                     raise TypeCheckError(
                         f"applied term has non-function type {ty!r}",
-                        ("fn",) * (n - i))
+                        ("fn",) * (i + 1))
             try:
-                arg_ty = infer_type(env, ctx, a)
+                arg_ty = infer_type(env, ctx, args[i])
             except TypeCheckError as e:
-                e.path = ("fn",) * (n - 1 - i) + ("arg",) + e.path
+                e.path = ("fn",) * i + ("arg",) + e.path
                 raise
-            dom = instantiate(ty.ty, done)
-            if not subsumes(env, arg_ty, dom):
+            dom = ty.ty
+            k = len(args) - i - 1
+            if k and dom.lbr:
+                dom = _instantiate(dom, 0, args, k)
+            if not (arg_ty is dom or arg_ty == dom or subsumes(env, arg_ty, dom)):
                 raise TypeCheckError(
                     f"argument type {arg_ty!r} does not match domain {dom!r}",
-                    ("fn",) * (n - 1 - i) + ("arg",))
-            done.append(a)
+                    ("fn",) * i + ("arg",))
             ty = ty.body
-        return instantiate(ty, done)
+        return _instantiate(ty, 0, args, len(args)) if args else ty
     if cls is Pi:
         ty, body = t.ty, t.body
         try:
-            s1 = whnf(env, infer_type(env, ctx, ty))
+            s1 = infer_type(env, ctx, ty)
         except TypeCheckError as e:
             e.path = ("domain",) + e.path
             raise
-        if type(s1) is not Sort:
+        if type(s1) is not Sort and type(whnf(env, s1)) is not Sort:
             raise TypeCheckError(
                 f"product domain {ty!r} is not a type", ("domain",))
         try:
-            s2 = whnf(env, infer_type(env, ctx.push(t.name, ty), body))
+            s2 = infer_type(env, ctx.push(t.name, ty), body)
         except TypeCheckError as e:
             e.path = ("codomain",) + e.path
             raise
-        if type(s2) is not Sort:
+        if type(s2) is not Sort and type(s2 := whnf(env, s2)) is not Sort:
             raise TypeCheckError(
                 f"product codomain {body!r} is not a type", ("codomain",))
         return s2
     if cls is Lam:
         x, ty = t.name, t.ty
         try:
-            s = whnf(env, infer_type(env, ctx, ty))
+            s = infer_type(env, ctx, ty)
         except TypeCheckError as e:
             e.path = ("binder-type",) + e.path
             raise
-        if type(s) is not Sort:
+        if type(s) is not Sort and type(whnf(env, s)) is not Sort:
             raise TypeCheckError(
                 f"binder type {ty!r} is not a type", ("binder-type",))
         try:
@@ -579,8 +603,7 @@ def check_proof_report(env: GlobalEnv, ctx: LocalContext, proof: Term,
 
 def check_proof(env: GlobalEnv, ctx: LocalContext, proof: Term, statement: Term) -> bool:
     """True iff the proof's inferred type is convertible with statement."""
-    ok, _ = check_proof_report(env, ctx, proof, statement)
-    return ok
+    return check_proof_report(env, ctx, proof, statement)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The benchmark still fits the package.  Its outside-in tracing
 (`bench/tracing.py`) finds every function it wraps where it looks,
 removing the wrappers restores every binding, and the render span times
-the one place a trace is printed.  Every package name the workloads read
+the one place a trace is printed.  Every call of the kernel's counted
+functions is counted, its calls to itself included.  Every package name
+the workloads read
 at call time, and every name the problem generator imports, exists.  A
 function that is renamed or moved breaks `bench/run.py`; these tests fail
 first."""
@@ -10,10 +12,11 @@ import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import transfer_kernel  # noqa: F401  (loads every module, as the benchmark does)
-from transfer_kernel import cli
+from transfer_kernel import cli, kernel
 
 from conftest import script_text
 
@@ -79,6 +82,39 @@ def _render_calls(options) -> int:
 def test_render_span_records_only_traces_a_report_prints():
     assert _render_calls(cli.RunOptions(trace=True, fmt="machine")) == 1
     assert _render_calls(cli.RunOptions()) == 0
+
+
+def test_counters_see_every_call_of_the_kernels_hot_functions():
+    """The kernel's hot functions call each other through module
+    attributes, so the counters see every call admission makes inside the
+    kernel, not only its entry calls: each count equals the number of times
+    the function's code ran.  A kernel that bound them locally would hide
+    that work from the per-layer counters."""
+    env = cli.execute_script(script_text("v2_letrans.tk"), cli.RunOptions()).env
+    proof, statement = env.body_of("N.le_trans"), env.type_of("N.le_trans")
+    names = {"infer_type": "kernel.infer", "whnf": "kernel.whnf",
+             "convertible": "kernel.convertible", "shift": "kernel.shift"}
+    codes = {getattr(kernel, attr).__code__: name for attr, name in names.items()}
+    ran: Counter[str] = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            ran[codes[frame.f_code]] += 1
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        with tracer.root("admit"):
+            sys.setprofile(profile)
+            try:
+                env.add_definition("N.le_trans_again", proof, statement)
+            finally:
+                sys.setprofile(None)
+    finally:
+        assert tracer.remove() == []
+    counts = tracer.counts["admit"]
+    for name in names.values():
+        assert counts[name] == ran[name] > 0, name
 
 
 def _parse(name: str) -> ast.Module:

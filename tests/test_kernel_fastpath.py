@@ -19,12 +19,15 @@ the kernel's term classes nor the classes the surface layer dispatches on
 
 The term classes are frozen, slotted dataclasses with a hand-written
 `__init__`; the tests after the inference references check that they stay
-immutable and compare, hash and print as before.  With the kernel's three
-context and declaration records they are the package's only dataclasses.
+immutable and compare, hash and print as before, that the context records
+built the same way do too, and that the traversals share one `Var` per
+small index.  With the kernel's three context and declaration records they
+are the package's only dataclasses.
 
 Generated table entries cite library lemmas by name, so an emitted proof
 holds no inline entry proof to infer again.  Later tests compare
-single-node mutations of emitted proofs against `ref_infer_type`, check
+single-node mutations of emitted proofs and of the corpus admissions
+against `ref_infer_type`, check
 that every prefill and encoding entry cites a definition that proves its
 statement, and count that admission infers no node of a library body.
 
@@ -603,6 +606,53 @@ def test_only_the_kernel_defines_dataclasses():
         == (1, [None], 1)
 
 
+def test_context_records_are_slotted_and_frozen():
+    """`CtxEntry`, `LocalContext` and `Const` are built by a hand-written
+    `__init__` too, and stay immutable and compare, hash and print as the
+    generated ones did."""
+    entry = kernel.CtxEntry("x", PROP)
+    ctx = LocalContext().push("x", PROP)
+    for record in (entry, ctx, LocalContext()):
+        assert not hasattr(record, "__dict__"), record
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            setattr(record, "extra", 7)
+    assert [f.name for f in dataclasses.fields(LocalContext)] == ["entries"]
+    assert LocalContext().entries == () and ctx.entries == (entry,)
+    assert ctx.push("y", SET).entries == (entry, kernel.CtxEntry("y", SET))
+    assert ctx == LocalContext((entry,)) and hash(ctx) == hash(LocalContext((entry,)))
+    assert entry != kernel.CtxEntry("y", PROP)
+    assert repr(ctx) == "LocalContext(entries=(CtxEntry(name='x', ty=Prop),))"
+    assert Const("c") == Const("c") != Const("d")
+    assert hash(Const("c")) == hash(Const("c")) and Const("c").name == "c"
+
+
+def test_traversals_share_the_vars_of_small_indices():
+    """`shift`, `instantiate` and `substitute` return one pre-built Var per
+    small index, equal to, hashing and printing as a new one.  An index
+    past the shared range, or below zero, is built."""
+    n = len(kernel._VARS)
+    for i, v in enumerate(kernel._VARS):
+        fresh = Var(i)
+        assert (v == fresh, hash(v) == hash(fresh), repr(v), v.lbr) \
+            == (True, True, f"Var({i})", i + 1)
+        if i:
+            assert shift(Var(0), i) is v and shift(Var(i - 1), 1) is v
+        assert instantiate(Var(i + 2), [PROP, SET]) is v
+        assert substitute(Var(i + 1), 0, PROP) is v
+    t = substitute(App(Var(4), Lam("x", Var(4), Var(5))), 0, PROP)
+    assert t == App(Var(3), Lam("x", Var(3), Var(4)))
+    assert t.fn is t.arg.ty is kernel._VARS[3] and t.arg.body is kernel._VARS[4]
+    for past in (shift(Var(0), n), instantiate(Var(n + 1), [PROP]),
+                 substitute(Var(n + 1), 0, PROP)):
+        assert past == Var(n) and past is not shift(Var(0), n)
+    assert shift(Var(0), -1) == Var(-1)
+
+
 def test_equality_and_hashing_ignore_binder_names():
     ty, body = app(Const("eq"), SET, Var(0), Var(2)), App(Var(0), Var(1))
     for cls in (Lam, Pi):
@@ -709,6 +759,52 @@ def test_memo_types_mutated_proofs_as_the_reference():
                 == typing(ref_infer_type, env, LocalContext(), term)
             mutated += 1
     assert mutated >= 80, mutated
+
+
+def test_mutated_admissions_and_v1_proofs_type_as_the_reference(monkeypatch):
+    """Single-node mutations of every admission of the corpus scripts, the
+    library's included, and of 200 emitted v1 proofs type as in the
+    reference.  v1's `eq_ind` motives are dependent, so their spines need
+    open domains instantiated and non-product types reduced."""
+    admitted: list[tuple[GlobalEnv, Term]] = []
+    add_definition = GlobalEnv.add_definition
+
+    def recording(self, name, body, ty=None):
+        admitted.append((self, body))
+        return add_definition(self, name, body, ty)
+
+    monkeypatch.setattr(GlobalEnv, "add_definition", recording)
+    library_env.cache_clear()  # so the library's admissions are recorded too
+    for path in sorted(SCRIPTS.glob("*.tk")):
+        execute_script(path.read_text(encoding="utf-8"), RunOptions())
+    monkeypatch.undo()
+    rng = random.Random(24)
+    env1, tables1 = v1_fixture()
+    proofs = list(admitted)
+    for _ in range(200):
+        src, tgt = v1_problem(rng, rng.randint(3, 6), None)
+        env = env1.add_axiom("h", src)
+        out = exact_modulo(env, tables1, LocalContext(), src, tgt, Const("h"))
+        assert not isinstance(out, TransferFailure)
+        proofs.append((env, out))
+    outcomes = Counter()
+    for env, proof in proofs:
+        nodes = list(_nodes(proof))
+        for path, node in rng.sample(nodes, min(4, len(nodes))):
+            term = _replace(proof, path, _mutant(rng, node))
+            ty = typing(infer_type, env, LocalContext(), term)
+            outcomes[ty[2] if isinstance(ty, tuple) else "typed"] += 1
+            if isinstance(ty, tuple) and ty[0] is UnboundName:
+                # The reference re-raises an unknown name's UnboundName as
+                # its base class, with the same message and path.
+                ty = (TypeCheckError, *ty[1:])
+            assert ty == typing(ref_infer_type, env, LocalContext(), term)
+    assert len(admitted) > 20 and sum(outcomes.values()) > 500
+    assert outcomes["typed"] > 20
+    # Every error infer_type raises on kernel terms whose indices are not
+    # negative is reached (by its message's first word).
+    assert {m.split(" ")[0] for m in outcomes} == {
+        "typed", "argument", "applied", "product", "binder", "unbound", "unknown"}
 
 
 def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
