@@ -259,22 +259,11 @@ def _substitute(t: Term, depth: int, target: int, replacement: Term) -> Term:
     return t
 
 
-def instantiate(body: Term, args: list[Term]) -> Term:
-    """Discharge the len(args) innermost binders of `body` in one pass.
-
-    `args` are in application order: Var(len(args) - 1) becomes args[0] and
-    Var(0) becomes args[-1]; indices above them drop by len(args).  Equal to
-    substituting the arguments one at a time.
-    """
-    k = len(args)
-    if body.lbr == 0 or k == 0:
-        return body
-    return _instantiate(body, 0, args[::-1], k)
-
-
 def _instantiate(t: Term, depth: int, rev: list[Term], k: int) -> Term:
-    # The k arguments are the last k items of `rev`, the last applied first:
-    # Var(depth + j) becomes rev[j - k], whatever comes before them in `rev`.
+    # Discharge the k binders innermost under `depth` in one pass, as
+    # substituting the arguments one at a time would.  They are the last k
+    # items of `rev`, the last applied first: Var(depth + j) becomes
+    # rev[j - k], whatever comes before them in `rev`.
     if t.lbr <= depth:
         return t
     cls = type(t)
@@ -443,7 +432,9 @@ def whnf(env: GlobalEnv, t: Term, delta: bool = True) -> Term:
 
 
 def normalize(env: GlobalEnv, t: Term) -> Term:
-    """Full beta-delta normal form.  Used for table keys."""
+    """Full beta-delta normal form.  The checker never calls it; it is
+    reached through `tables.table_key`, the tests' reference for table
+    lookup, and the benchmark harness's normalization counter."""
     t = whnf(env, t)
     cls = type(t)
     if cls is App:

@@ -16,10 +16,13 @@ Nothing is normalized, so a pair that names a large term through
 definitions costs what its weak head normal form costs, not its normal
 form.  Under `Type : Type` a well-typed term need not have a normal form,
 and on such a term `convertible` is not bounded; only a reduction budget
-would bound it.  The shape index and the inverted form of each flipped
-relation entry are built on first use and kept on the table value they
-derive from, so each is computed at most once per table state.  A table
-value is used with the environment it was built in, or an extension of it.
+would bound it.  A table value gets entries only by insertion: `DeclTables()`
+is empty, and `_insert` gives the value it grows its parent's shape
+indexes with the new entry added, so `_find` only reads them.  The inverted
+form of each flipped relation entry is the one thing built on first use; it
+is kept on the table value it derives from, so it is computed at most once
+per table state.  A table value is used with the environment it was built
+in, or an extension of it.
 Generated entries cite their proofs by name: prefill's the prelude's
 `impl_respectful`, an encoding's instances of `LIBRARY`.
 """
@@ -91,18 +94,16 @@ class DeclTables:
     __slots__ = ("surjections", "transfers_v1", "relations_v2",
                  "_index", "_inverted")
 
-    def __init__(self, *, surjections: tuple[SurjectionEntry, ...] = (),
-                 transfers_v1: tuple[TransferEntryV1, ...] = (),
-                 relations_v2: tuple[RelationEntryV2, ...] = ()):
+    def __init__(self):
         # Each store is its entries in declaration order, never mutated.
-        self.surjections = surjections
-        self.transfers_v1 = transfers_v1
-        self.relations_v2 = relations_v2
-        # Derived from the stores above on first use, or inherited from the
-        # value an insert grew (`_with_entry`); never changed once here.
-        # Store name -> shapes -> (whnf of pair, entry) in store order.
+        self.surjections: tuple[SurjectionEntry, ...] = ()
+        self.transfers_v1: tuple[TransferEntryV1, ...] = ()
+        self.relations_v2: tuple[RelationEntryV2, ...] = ()
+        # Store name -> shapes -> (whnf of pair, entry) in store order,
+        # grown with the store by `_insert`; never changed once here.
         self._index: dict[str, dict[tuple[Shape, Shape],
-                                    list[tuple[Key, Entry]]]] = {}
+                                    list[tuple[Key, Entry]]]] = {
+            "surjections": {}, "transfers_v1": {}, "relations_v2": {}}
         # Pair of a relation entry -> its inverted form (`invert_entry`).
         self._inverted: dict[Key, RelationEntryV2] = {}
 
@@ -245,33 +246,23 @@ def declare_relation_v2(tables: DeclTables, env: GlobalEnv,
 def _insert(tables: DeclTables, store: str, env: GlobalEnv, entry: Entry,
             what: str) -> DeclTables:
     """A new table value with `entry` appended to `store`; an entry whose
-    pair `_find` already finds is a DuplicateEntry."""
+    pair `_find` already finds is a DuplicateEntry.  The new value inherits
+    its parent's shape indexes: the other stores' as they are, and
+    `store`'s as a copy with the entry added to its bucket.  The parent's
+    are never changed."""
     a, b = entry[0], entry[1]
     heads = whnf(env, a), whnf(env, b)
     if _find(tables, store, env, *heads) is not None:
         raise DuplicateEntry(f"{what} for ({print_term(a, env)}, "
                              f"{print_term(b, env)}) is already declared")
-    return _with_entry(tables, store, entry, heads)
-
-
-def _with_entry(tables: DeclTables, store: str, entry: Entry,
-                heads: Key) -> DeclTables:
-    """A new table value with `entry`, whose pair has the weak head normal
-    form `heads`, appended to `store`.  It inherits the shape indexes its
-    parent has built: the other stores' as they are, and `store`'s as a
-    copy with the entry added to its bucket.  The parent's are never
-    changed."""
-    stores = {name: getattr(tables, name)
-              for name in ("surjections", "transfers_v1", "relations_v2")}
-    stores[store] += (entry,)
-    new = DeclTables(**stores)
-    new._index = dict(tables._index)
-    index = new._index.pop(store, None)
-    if index is not None:
-        index = dict(index)
-        shapes = _shape(heads[0]), _shape(heads[1])
-        index[shapes] = [*index.get(shapes, ()), (heads, entry)]
-        new._index[store] = index
+    new = DeclTables()
+    new.surjections, new.transfers_v1, new.relations_v2 = (
+        tables.surjections, tables.transfers_v1, tables.relations_v2)
+    setattr(new, store, getattr(tables, store) + (entry,))
+    index = dict(tables._index[store])
+    shapes = _shape(heads[0]), _shape(heads[1])
+    index[shapes] = [*index.get(shapes, ()), (heads, entry)]
+    new._index = {**tables._index, store: index}
     return new
 
 
@@ -299,17 +290,7 @@ def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
     None; a and b are in weak head normal form.  `_insert` rejects a pair
     convertible with a stored one, and conversion is transitive, so at
     most one stored pair is convertible with (a, b)."""
-    index = tables._index.get(store)
-    if index is None:
-        index = {}
-        for entry in getattr(tables, store):
-            heads = whnf(env, entry[0]), whnf(env, entry[1])
-            index.setdefault((_shape(heads[0]), _shape(heads[1])), []) \
-                .append((heads, entry))
-        # Published only when complete: a concurrent lookup on this value
-        # sees no index (and builds its own) or all of it.
-        tables._index[store] = index
-    for heads, entry in index.get((_shape(a), _shape(b)), ()):
+    for heads, entry in tables._index[store].get((_shape(a), _shape(b)), ()):
         if convertible(env, a, heads[0]) and convertible(env, b, heads[1]):
             return entry
     return None
@@ -493,11 +474,12 @@ def surjection_to_relational(
                 from None
         # An existing entry (user-declared, or the flipped twin of an
         # identity surjection) keeps priority: one lookup, no overwrite.
-        heads = whnf(env, lhs), whnf(env, rhs)
-        if _find(tables, "relations_v2", env, *heads) is None:
-            tables = _with_entry(tables, "relations_v2",
-                                 RelationEntryV2(lhs, rhs, relation, Const(name)),
-                                 heads)
+        try:
+            tables = _insert(tables, "relations_v2", env,
+                             RelationEntryV2(lhs, rhs, relation, Const(name)),
+                             "a relation entry")
+        except DuplicateEntry:
+            pass
     return tables, env
 
 

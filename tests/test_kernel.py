@@ -454,7 +454,7 @@ def test_readme_states_the_kernels_line_count():
 KERNEL_API = {
     "KernelError", "TypeCheckError", "UnboundName",
     "Sort", "PROP", "SET", "TYPE", "Var", "Const", "Lam", "App", "Pi", "Term",
-    "app", "spine", "arrow", "shift", "substitute", "instantiate", "unshift",
+    "app", "spine", "arrow", "shift", "substitute", "unshift",
     "CtxEntry", "LocalContext", "Decl", "GlobalEnv",
     "whnf", "normalize", "subsumes", "convertible", "infer_type",
     "check_proof_report", "check_proof",

@@ -1,16 +1,20 @@
 """Table tests: declaration validation, stores, lookups, encodings."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transfer_kernel import tables as tables_module
+from transfer_kernel import cli, tables as tables_module
 from transfer_kernel.kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, SET,
     App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
     convertible, normalize, prelude_env, shift, spine, whnf,
 )
-from transfer_kernel.cli import execute_script
-from transfer_kernel.surface import parse_and_elaborate, parse_script, print_term
+from transfer_kernel.cli import RunOptions, execute_script
+from transfer_kernel.surface import (
+    CmdDeclareRelation, parse_and_elaborate, parse_script, print_term,
+)
 from transfer_kernel.tables import (
     LIBRARY, DeclTables, DuplicateEntry, RelationEntryV2, ShapeError,
     SurjectionEntry, SynthesisError, TransferEntryV1,
@@ -431,17 +435,16 @@ POOL = [SET] + [Const(name) for name in (
 
 def _lookup_tables(env) -> DeclTables:
     tables = DeclTables()
-    surjections, transfers = [], []
     for i, (a, b) in enumerate(SPELLINGS):
-        surjections.append(SurjectionEntry(a, b, Const("f"), Const("g"),
-                                           Const(f"s{i}")))
-        transfers.append(TransferEntryV1(a, b, 1, Const("f"), Const(f"t{i}")))
-        tables = tables_module._insert(
-            tables, "relations_v2", env,
-            RelationEntryV2(a, b, Const("rel"), Const(f"r{i}")), "it")
-    return DeclTables(surjections=tuple(surjections),
-                      transfers_v1=tuple(transfers),
-                      relations_v2=tables.relations_v2)
+        for store, entry in (
+                ("surjections", SurjectionEntry(a, b, Const("f"), Const("g"),
+                                                Const(f"s{i}"))),
+                ("transfers_v1", TransferEntryV1(a, b, 1, Const("f"),
+                                                 Const(f"t{i}"))),
+                ("relations_v2", RelationEntryV2(a, b, Const("rel"),
+                                                 Const(f"r{i}")))):
+            tables = tables_module._insert(tables, store, env, entry, "it")
+    return tables
 
 
 def _relabel(t: Term, picks: list[int]) -> Term:
@@ -613,11 +616,11 @@ def test_a_new_table_state_never_sees_a_stale_index():
                                                    Const("p2")), "it")
     assert lookup_relation_v2(second, env, n_le, n_le)[0].proof == Const("p2")
     assert lookup_relation_v2(first, env, n_le, n_le) is None
-    # A replaced store: its own entry, and that entry's own inversion.
+    # A state whose entry for the same pair has another proof: its own
+    # entry, and that entry's own inversion.
     changed = first.relations_v2[0]._replace(proof=Const("p3"))
-    third = DeclTables(
-        surjections=first.surjections, transfers_v1=first.transfers_v1,
-        relations_v2=(changed,))
+    third = tables_module._insert(DeclTables(), "relations_v2", env, changed,
+                                  "it")
     assert lookup_relation_v2(third, env, le, n_le) == (changed, False)
     assert lookup_relation_v2(third, env, le, n_le)[0] is changed
     third_inverted, via_inverse = lookup_relation_v2(third, env, n_le, le)
@@ -627,9 +630,8 @@ def test_a_new_table_state_never_sees_a_stale_index():
     transfer = TransferEntryV1(le, n_le, 2, Const("f"), Const("t"))
     assert lookup_surjection(first, env, le, n_le) is None
     assert lookup_transfer_v1(first, env, le, n_le) is None
-    fourth = DeclTables(surjections=(surjection,),
-                        transfers_v1=(transfer,),
-                        relations_v2=first.relations_v2)
+    fourth = tables_module._insert(first, "surjections", env, surjection, "it")
+    fourth = tables_module._insert(fourth, "transfers_v1", env, transfer, "it")
     assert lookup_surjection(fourth, env, le, n_le) is surjection
     assert lookup_transfer_v1(fourth, env, le, n_le) is transfer
 
@@ -651,7 +653,7 @@ def test_an_insert_extends_a_copy_of_its_parents_index():
     assert lookup_surjection(parent, env, le, n_le) is None
     index = parent._index["relations_v2"]
     before = _index_snapshot(parent)
-    assert set(before) == {"relations_v2", "surjections"}
+    assert set(before) == {"relations_v2", "surjections", "transfers_v1"}
     # The flipped pair has the same head shapes: it joins the parent's
     # bucket.  (le, N.le) starts a bucket of its own.
     same_bucket = tables_module._insert(parent, "relations_v2", env,
@@ -679,13 +681,93 @@ def test_an_insert_extends_a_copy_of_its_parents_index():
     assert lookup_relation_v2(parent, env, all_n, all_nat)[1]
     assert lookup_relation_v2(new_bucket, env, le, n_le)[0].proof == Const("p3")
     assert lookup_relation_v2(same_bucket, env, le, n_le) is None
-    # An unchanged store's index is shared, the grown one's is the index a
-    # fresh value would build.
+    # An unchanged store's index is shared, the grown one's is the index
+    # inserting its entries into an empty value builds.
     assert new_bucket._index["surjections"] is parent._index["surjections"]
     for child in (same_bucket, new_bucket):
-        rebuilt = DeclTables(relations_v2=child.relations_v2)
-        tables_module._find(rebuilt, "relations_v2", env, le, n_le)
+        rebuilt = DeclTables()
+        for entry in child.relations_v2:
+            rebuilt = tables_module._insert(rebuilt, "relations_v2", env,
+                                            entry, "it")
         assert child._index["relations_v2"] == rebuilt._index["relations_v2"]
+
+
+# --- the shape index against a rebuild --------------------------------------
+
+STORES = ("surjections", "transfers_v1", "relations_v2")
+
+
+def ref_index(tables: DeclTables, env):
+    """Each store's shape index rebuilt from its entries: the loop `_find`
+    once ran on a value whose index was not yet built."""
+    index = {}
+    for store in STORES:
+        built = index[store] = {}
+        for entry in getattr(tables, store):
+            heads = whnf(env, entry[0]), whnf(env, entry[1])
+            built.setdefault((tables_module._shape(heads[0]),
+                              tables_module._shape(heads[1])), []) \
+                .append((heads, entry))
+    return index
+
+
+def assert_index_is_a_rebuild(tables: DeclTables, env):
+    """Equal heads, identical entries, store order, in every bucket."""
+    expected = ref_index(tables, env)
+    assert tables._index.keys() == expected.keys()
+    for store, buckets in expected.items():
+        index = tables._index[store]
+        assert index.keys() == buckets.keys()
+        for shapes, bucket in buckets.items():
+            assert [heads for heads, _ in index[shapes]] \
+                == [heads for heads, _ in bucket]
+            assert all(got is entry for (_, got), (_, entry)
+                       in zip(index[shapes], bucket, strict=True))
+
+
+def _run_checking_the_index(monkeypatch, text, options, kinds=object):
+    """Run `text`, asserting the index after each command of `kinds`;
+    returns the final state and the commands checked."""
+    checked = []
+
+    def checking(run):
+        def wrapped(state, cmd, *rest):
+            try:
+                run(state, cmd, *rest)
+            finally:
+                if isinstance(cmd, kinds):
+                    assert_index_is_a_rebuild(state.tables, state.env)
+                    checked.append(cmd)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_declare", checking(cli._declare))
+    monkeypatch.setattr(cli, "_execute_theorem",
+                        checking(cli._execute_theorem))
+    state = execute_script(text, options)
+    monkeypatch.undo()
+    return state, checked
+
+
+def test_a_table_value_gets_entries_only_by_insertion():
+    assert not inspect.signature(DeclTables).parameters
+    empty = DeclTables()
+    assert (empty.surjections, empty.transfers_v1, empty.relations_v2) \
+        == ((), (), ())
+    assert empty._index == {store: {} for store in STORES}
+
+
+@pytest.mark.parametrize("options", [
+    RunOptions(keep_going=True), RunOptions(engine="v2", keep_going=True)],
+    ids=["tactic", "v2"])
+def test_the_index_is_a_rebuild_after_every_corpus_command(monkeypatch,
+                                                           options):
+    encoded = 0
+    for path in sorted(SCRIPTS.glob("*.tk")):
+        text = path.read_text(encoding="utf-8")
+        state, checked = _run_checking_the_index(monkeypatch, text, options)
+        assert len(checked) == len(parse_script(text).commands)
+        encoded += state.encoded
+    assert encoded > 0  # surjection_to_relational's inserts were checked
 
 
 def _relation_script(n: int, same_head: bool) -> str:
@@ -718,3 +800,13 @@ def test_declaring_relations_reduces_each_pair_a_bounded_number_of_times(
     state = execute_script(_relation_script(400, same_head))
     assert state.errors == [] and len(state.tables.relations_v2) == 401
     assert len(calls) <= 3000
+
+
+@pytest.mark.parametrize("same_head", [True, False])
+def test_the_index_is_a_rebuild_after_every_relation_declaration(
+        monkeypatch, same_head):
+    state, checked = _run_checking_the_index(
+        monkeypatch, _relation_script(400, same_head), RunOptions(),
+        CmdDeclareRelation)
+    assert state.errors == [] and len(checked) == 400
+    assert len(state.tables.relations_v2) == 401

@@ -10,8 +10,8 @@ from transfer_kernel.kernel import (
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
-    DeclTables, SynthesisError, declare_relation_v2, declare_surjection,
-    lookup_relation_v2, lookup_surjection, prefill_core,
+    DeclTables, SynthesisError, _insert, declare_relation_v2,
+    declare_surjection, lookup_relation_v2, lookup_surjection, prefill_core,
     surjection_to_relational,
 )
 from transfer_kernel.outcome import TransferFailure
@@ -257,9 +257,13 @@ def test_wrong_entry_proof_is_caught_by_diagnostics_or_the_check(v2_env):
     stored = tables.relations_v2
     assert stored[1].proof == Const("le_down_rel")
     bad = stored[1]._replace(proof=Const("le_up_rel"))
-    tables = DeclTables(surjections=tables.surjections,
-                        transfers_v1=tables.transfers_v1,
-                        relations_v2=stored[:1] + (bad,) + stored[2:])
+    rebuilt = DeclTables()
+    for store in ("surjections", "transfers_v1", "relations_v2"):
+        for entry in getattr(tables, store):
+            rebuilt = _insert(rebuilt, store, env,
+                              bad if entry is stored[1] else entry, "it")
+    tables = rebuilt
+    assert tables.relations_v2 == stored[:1] + (bad,) + stored[2:]
     goal = parse_and_elaborate(
         env, "∀ x' y' z' : N, N.le x' y' → N.le y' z' → N.le x' z'")
     with pytest.raises(SynthesisError, match="unsound judgment at Table:"):
