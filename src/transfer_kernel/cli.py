@@ -11,7 +11,8 @@ trace is kept unprinted and printed only when a report reads it (the
 machine format, or `--trace`).
 
 Exit codes: 0 all theorems proved, 1 a transfer failed, 2 parse or
-semantic error, 3 an engine produced a proof the kernel rejected.  The
+semantic error, 3 an engine produced a proof the kernel rejected, 4 the
+report could not be written (a full device, a closed pipe).  The
 per-command `try` in `execute_script` is the one place that maps a
 command's exception to its outcome: `SynthesisError` to 3, any other
 `ScriptError`, `SurfaceError`, `KernelError` or `TableError`, and
@@ -20,6 +21,7 @@ command's exception to its outcome: `SynthesisError` to 3, any other
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from json.encoder import encode_basestring
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_PROOF_FAILURE = 1
 EXIT_SCRIPT_ERROR = 2
 EXIT_INTERNAL = 3
+EXIT_UNWRITTEN = 4
 
 
 class TheoremResult(NamedTuple):
@@ -297,12 +300,21 @@ def run_script(path: str, options: RunOptions = RunOptions(),
         return EXIT_SCRIPT_ERROR
     state = execute_script(text, options)
     try:
-        rendered = report(state, options.fmt, options)
+        rendered, code = report(state, options.fmt, options), exit_code(state)
     except RecursionError:
-        print(f"error: {NESTED_TOO_DEEPLY}", file=out)
-        return EXIT_SCRIPT_ERROR
-    print(rendered, file=out)
-    return exit_code(state)
+        rendered, code = f"error: {NESTED_TOO_DEEPLY}", EXIT_SCRIPT_ERROR
+    try:
+        print(rendered, file=out)
+        out.flush()
+    except OSError as e:
+        print(f"error: cannot write the report: {e}", file=sys.stderr)
+        if out is sys.stdout:
+            # What the failed write left buffered is flushed again at exit;
+            # to the null device that flush cannot fail.
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), out.fileno())
+        return EXIT_UNWRITTEN
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,9 +6,10 @@ runs (terms, de Bruijn plumbing, contexts, `GlobalEnv`, `whnf`,
 no more interface than checking needs: a context entry is a name and a
 type, conversion takes no context since it never reads one, and all
 ill-typed input, an unknown name included, raises `TypeCheckError`.
-`arrow`, `unshift`, `normalize` and the prelude's five definitions are not
-checker code; they stay because the benchmark harness uses them from here.
-The engines' term helpers are in the untrusted module `terms`.
+`arrow`, `unshift`, `normalize`, `substitute` and the prelude's five
+definitions are not checker code; they stay because the benchmark harness
+uses them from here.  The engines' term helpers, `spine` among them, are in
+the untrusted module `terms`.
 
 Terms are a minimal dependent lambda calculus: three sorts (Prop, Set,
 Type with Type : Type), variables as de Bruijn indices, global constants,
@@ -31,7 +32,8 @@ occur in it, so a new term class must define `lbr` too.
 The checker builds little it then discards: nodes and context records
 have hand-written `__init__`s (see the comment above Var), traversals share
 the Vars of small indices, and `whnf` and `infer_type` collect a spine's
-arguments once, the last first, and instantiate from that list.  The hot
+arguments once, the last first, and instantiate from that list with
+`_instantiate`, the one walker that discharges binders.  The hot
 traversals dispatch on the exact class, `type(t) is App`, so the term
 classes must stay final (a subclass would take the default branch, as the
 elaborator's `Meta` does), and the recursive ones are module-level
@@ -198,16 +200,6 @@ def app(fn: Term, *args: Term) -> Term:
     return t
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Decompose `h a1 ... an` into (h, [a1, ..., an])."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def arrow(a: Term, b: Term) -> Pi:
     """Non-dependent product `a -> b` (b is shifted under the binder)."""
     return Pi("_", a, shift(b, 1))
@@ -232,31 +224,13 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return t
 
 
-def substitute(body: Term, target: int, replacement: Term) -> Term:
-    """Capture-avoiding substitution that discharges binder `target`.
+def substitute(body: Term, replacement: Term) -> Term:
+    """Capture-avoiding substitution that discharges binder 0.
 
-    Occurrences of Var(target) become `replacement`; indices above it are
+    Occurrences of Var(0) become `replacement`; higher indices are
     decremented, so the result lives one binder shallower.
     """
-    return _substitute(body, 0, target, replacement)
-
-
-def _substitute(t: Term, depth: int, target: int, replacement: Term) -> Term:
-    if t.lbr <= target + depth:
-        return t
-    cls = type(t)
-    if cls is Var:
-        i = t.index - 1
-        if i < target + depth:
-            return shift(replacement, depth)
-        return _VARS[i] if 0 <= i < _NVARS else Var(i)
-    if cls is App:
-        return App(_substitute(t.fn, depth, target, replacement),
-                   _substitute(t.arg, depth, target, replacement))
-    if cls is Pi or cls is Lam:
-        return cls(t.name, _substitute(t.ty, depth, target, replacement),
-                   _substitute(t.body, depth + 1, target, replacement))
-    return t
+    return _instantiate(body, 0, [replacement], 1)
 
 
 def _instantiate(t: Term, depth: int, rev: list[Term], k: int) -> Term:
@@ -282,7 +256,7 @@ def _instantiate(t: Term, depth: int, rev: list[Term], k: int) -> Term:
 
 def unshift(t: Term) -> Term:
     """Strip one unused binder level (the term must not mention Var(0))."""
-    return substitute(t, 0, PROP)  # the placeholder is never reached
+    return substitute(t, PROP)  # the placeholder is never reached
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +290,7 @@ class LocalContext:
         """Type of Var(index); 0 is the most recent binder.  The stored type
         lives at its own binding depth, so it is shifted into scope."""
         if index < 0 or index >= len(self.entries):
-            raise UnboundName(f"variable index {index} out of range")
+            raise UnboundName(f"unbound variable index {index}")
         return shift(self.entries[-1 - index].ty, index + 1)
 
 
@@ -335,8 +309,8 @@ class GlobalEnv:
 
     __slots__ = ("_decls",)
 
-    def __init__(self, decls: dict[str, Decl] | None = None):
-        self._decls: dict[str, Decl] = dict(decls) if decls else {}
+    def __init__(self):
+        self._decls: dict[str, Decl] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -360,9 +334,9 @@ class GlobalEnv:
     def _extended(self, name: str, decl: Decl) -> "GlobalEnv":
         if name in self._decls:
             raise KernelError(f"'{name}' is already declared")
-        new = dict(self._decls)
-        new[name] = decl
-        return GlobalEnv(new)
+        new = GlobalEnv()
+        new._decls = {**self._decls, name: decl}
+        return new
 
     def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
         s = whnf(self, infer_type(self, LocalContext(), ty))
@@ -491,10 +465,8 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
     if cls is Var:
         i = t.index
         entries = ctx.entries
-        if i >= len(entries):
-            raise TypeCheckError(f"unbound variable index {i}")
-        if i < 0:
-            return ctx.type_of(i)  # raises UnboundName
+        if i >= len(entries) or i < 0:
+            raise UnboundName(f"unbound variable index {i}")
         return shift(entries[-1 - i].ty, i + 1)  # as ctx.type_of(i)
     if cls is Const:
         return (env._decls.get(t.name) or env.lookup(t.name)).ty

@@ -33,10 +33,10 @@ from typing import NamedTuple
 from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
     App, Const, CtxEntry, GlobalEnv, Lam, LocalContext, Pi, Sort, Term,
-    TypeCheckError, UnboundName, Var, app, arrow, infer_type, shift, spine,
+    TypeCheckError, UnboundName, Var, app, arrow, infer_type, shift,
     substitute, unshift, whnf,
 )
-from .terms import occurs_free, relation_domains, relation_types
+from .terms import occurs_free, relation_domains, relation_types, spine
 
 
 class SurfaceError(Exception):
@@ -664,7 +664,7 @@ class _Elaborator:
             ta, ty_a = self.infer(arg, ctx)
             if ty_a != ty_f.ty:  # else `unify` has nothing to do
                 self.unify(ty_a, ty_f.ty, ctx, arg)
-            return App(tf, ta), substitute(ty_f.body, 0, ta)
+            return App(tf, ta), substitute(ty_f.body, ta)
         if cls is PArrow:
             # The right side is elaborated under the arrow's binder, which no
             # name resolves to (none is empty), so it needs no shift.

@@ -37,10 +37,12 @@ from .kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Sort, Term, TypeCheckError,
     Var, app, arrow, convertible, infer_type, normalize, prelude_env, shift,
-    spine, unshift, whnf,
+    unshift, whnf,
 )
 from .surface import elaborate, parse_script, print_term
-from .terms import inv_view, occurs_free, relation_types, respectful_view
+from .terms import (
+    inv_view, occurs_free, relation_types, respectful_view, spine,
+)
 
 
 class TableError(Exception):

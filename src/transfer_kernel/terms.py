@@ -1,13 +1,24 @@
-"""Term helpers for the engines, the tables and the printer.  The kernel's
-checker never calls them, so they are not trusted (see `kernel`)."""
+"""Term helpers for the engines, the tables, the elaborator and the
+printer.  The kernel's checker never calls them, so they are not trusted
+(see `kernel`)."""
 
 from __future__ import annotations
 
 from .kernel import (
     INV, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
-    app, infer_type, shift, spine, unshift, whnf,
+    app, infer_type, shift, unshift, whnf,
 )
+
+
+def spine(t: Term) -> tuple[Term, list[Term]]:
+    """Decompose `h a1 ... an` into (h, [a1, ..., an])."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return t, args
 
 
 def replace_var(t: Term, target: int, replacement: Term) -> Term:

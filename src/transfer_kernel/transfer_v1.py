@@ -20,12 +20,12 @@ from __future__ import annotations
 from .kernel import (
     EQ_IND,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, Var,
-    app, convertible, shift, spine, whnf,
+    app, convertible, shift, whnf,
 )
 from .outcome import TraceStep, TransferFailure
 from .surface import print_term
 from .tables import DeclTables, lookup_surjection, lookup_transfer_v1
-from .terms import replace_var
+from .terms import replace_var, spine
 
 
 def subst_polarized(formula: Term, target: int, replacement: Term,

@@ -38,15 +38,16 @@ from typing import NamedTuple
 from .kernel import (
     ALL, IMPL, PROP, RESPECTFUL,
     App, Const, GlobalEnv, Lam, LocalContext, Pi, Term, TypeCheckError, Var,
-    app, check_proof_report, convertible, infer_type, shift, spine, unshift,
-    whnf,
+    app, check_proof_report, convertible, infer_type, shift, unshift, whnf,
 )
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
 from .tables import (  # the benchmark's tracer wraps invert_entry here
     DeclTables, SynthesisError, invert_entry, relation_entries,
 )
-from .terms import occurs_free, relation_types, replace_var, respectful_view
+from .terms import (
+    occurs_free, relation_types, replace_var, respectful_view, spine,
+)
 
 
 # ---------------------------------------------------------------------------

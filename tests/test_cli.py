@@ -11,7 +11,7 @@ import pytest
 
 from transfer_kernel.cli import (
     EXIT_INTERNAL, EXIT_OK, EXIT_PROOF_FAILURE, EXIT_SCRIPT_ERROR,
-    RunOptions, execute_script, exit_code, report, run_script,
+    EXIT_UNWRITTEN, RunOptions, execute_script, exit_code, report, run_script,
 )
 from transfer_kernel.kernel import LocalContext, check_proof
 from transfer_kernel.surface import parse_and_elaborate, tokenize
@@ -642,16 +642,66 @@ def test_cli_main_entry(tmp_path, capsys):
     assert "product-surjection" in out
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter run from the repository root, importing the
-    package from its `src/`."""
+def _python_args(*args: str) -> dict:
+    """Popen arguments for a fresh interpreter run from the repository
+    root, importing the package from its `src/`."""
     root = SCRIPTS.parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=root,
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-        text=True, encoding="utf-8", timeout=60)
+    return dict(args=[sys.executable, *args], cwd=root,
+                env=dict(os.environ, PYTHONPATH=path), text=True,
+                encoding="utf-8")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(**_python_args(*args), capture_output=True,
+                          timeout=60)
+
+
+TRACED_REPORT = ("-m", "transfer_kernel", "run", "tests/scripts/v2_letrans.tk",
+                 "--trace", "--format", "machine")
+
+
+def _one_unwritten_error(stderr: str) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr, stderr
+    assert lines[0].startswith("error: cannot write the report: "), stderr
+
+
+def test_a_report_that_cannot_be_written_is_exit_four(capsys):
+    class Broken:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    code = run_script(str(SCRIPTS / "example1.tk"), out=Broken())
+    assert code == EXIT_UNWRITTEN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_is_exit_four_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(**_python_args(*TRACED_REPORT), stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == EXIT_UNWRITTEN, proc.stderr
+    _one_unwritten_error(proc.stderr)
+
+
+def test_a_closed_pipe_is_exit_four_without_a_traceback():
+    proc = subprocess.Popen(**_python_args(*TRACED_REPORT),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the run has written anything
+    try:
+        stderr = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == EXIT_UNWRITTEN, stderr
+    _one_unwritten_error(stderr)
 
 
 def test_python_dash_m_runs_the_cli_once():

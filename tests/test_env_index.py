@@ -12,12 +12,12 @@ import pytest
 
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
-    EQ, SET, Const, LocalContext, Var, app, convertible, prelude_env, spine,
-    whnf,
+    EQ, SET, Const, LocalContext, Var, app, convertible, prelude_env, whnf,
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import parse_and_elaborate
 from transfer_kernel.tables import DeclTables
+from transfer_kernel.terms import spine
 from transfer_kernel.transfer_v2 import Judgment, _Synth, synth, transfer_modulo
 
 from conftest import declare, script_text

@@ -26,7 +26,7 @@ def beta_step(t: Term) -> Term | None:
     """One leftmost-outermost beta step, ignoring definitions entirely."""
     match t:
         case App(Lam(_, _, body), arg):
-            return substitute(body, 0, arg)
+            return substitute(body, arg)
         case App(f, a):
             fs = beta_step(f)
             if fs is not None:
@@ -61,18 +61,20 @@ def beta_normal_form(t: Term, budget: int = 1000) -> Term:
 # --- substitution ------------------------------------------------------------
 
 def test_substitute_variable_itself():
-    assert substitute(Var(0), 0, Const("False")) == Const("False")
+    assert substitute(Var(0), Const("False")) == Const("False")
 
 
 def test_substitute_under_binder_shifts():
     t = app(Const("h"), Var(0))
-    out = substitute(Pi("x", Const("A"), Var(1)), 0, t)
+    out = substitute(Pi("x", Const("A"), Var(1)), t)
     assert out == Pi("x", Const("A"), shift(t, 1))
 
 
 def test_substitute_decrements_higher_indices():
-    assert substitute(Var(3), 1, Const("c")) == Var(2)
-    assert substitute(Var(0), 1, Const("c")) == Var(0)
+    assert substitute(Var(3), Const("c")) == Var(2)
+    # A variable bound below the discharged binder keeps its index.
+    assert substitute(Lam("x", PROP, App(Var(0), Var(2))), Const("c")) \
+        == Lam("x", PROP, App(Var(0), Var(1)))
 
 
 def test_all_body_instantiation_matches_beta_oracle():
@@ -83,7 +85,7 @@ def test_all_body_instantiation_matches_beta_oracle():
     env = env.add_parameter("n0", Const("nat"))
     applied = whnf(env, app(Const(ALL), Const("nat"), Const("P0")))
     assert isinstance(applied, Pi)
-    inst = substitute(applied.body, 0, Const("n0"))
+    inst = substitute(applied.body, Const("n0"))
     # frozen expected value, computed with the beta oracle
     assert beta_normal_form(inst) == App(Const("P0"), Const("n0"))
 
@@ -352,8 +354,8 @@ def test_substitution_lemma_on_generated_corpus(rng):
     ctx = LocalContext().push("h", hole_ty)
     replacement = App(Const("sf"), Const("n0"))
     for body in _generated_terms(rng, env, hole_ty, 60):
-        lhs = infer_type(env, LocalContext(), substitute(body, 0, replacement))
-        rhs = substitute(infer_type(env, ctx, body), 0, replacement)
+        lhs = infer_type(env, LocalContext(), substitute(body, replacement))
+        rhs = substitute(infer_type(env, ctx, body), replacement)
         assert convertible(env, lhs, rhs)
 
 
@@ -383,7 +385,7 @@ def test_prelude_unfoldings():
     all_app = app(Const(ALL), Const("nat"), Const("P0"))
     unfolded = whnf(env, all_app)
     assert isinstance(unfolded, Pi)
-    assert convertible(env, substitute(unfolded.body, 0, Const("n0")),
+    assert convertible(env, substitute(unfolded.body, Const("n0")),
                        App(Const("P0"), Const("n0")))
 
 
@@ -435,7 +437,7 @@ def test_the_kernel_imports_only_the_standard_library():
 
 @pytest.mark.parametrize("name", [
     "replace_var", "occurs_free", "max_free_index", "respectful_view",
-    "inv_view", "relation_types"])
+    "inv_view", "relation_types", "spine"])
 def test_engine_helpers_live_outside_the_kernel(name):
     assert not hasattr(kernel, name)
 
@@ -454,7 +456,7 @@ def test_readme_states_the_kernels_line_count():
 KERNEL_API = {
     "KernelError", "TypeCheckError", "UnboundName",
     "Sort", "PROP", "SET", "TYPE", "Var", "Const", "Lam", "App", "Pi", "Term",
-    "app", "spine", "arrow", "shift", "substitute", "unshift",
+    "app", "arrow", "shift", "substitute", "unshift",
     "CtxEntry", "LocalContext", "Decl", "GlobalEnv",
     "whnf", "normalize", "subsumes", "convertible", "infer_type",
     "check_proof_report", "check_proof",
@@ -494,6 +496,73 @@ def test_the_kernels_interface_is_the_checkers():
         == ["self", "name", "ty"]
     assert not hasattr(GlobalEnv, "fresh_name")
     assert not hasattr(GlobalEnv, "names")
+    # An environment is made only by extending one: none takes declarations.
+    assert not inspect.signature(GlobalEnv).parameters
+    # `substitute` discharges binder 0 only, with `_instantiate`.
+    assert list(inspect.signature(substitute).parameters) \
+        == ["body", "replacement"]
+
+
+# Public functions the checker never runs, each kept in `kernel` because
+# the benchmark harness under `bench/` uses it by its kernel name.
+NOT_CHECKER_CODE = {
+    "arrow": "bench/fuzz.py imports it to build fuzz problems",
+    "unshift": "bench/fuzz.py imports it to build fuzz problems",
+    "normalize": "bench/tracing.py counts its calls",
+    "substitute": "bench/tracing.py counts its calls",
+}
+# The checker's entry points; a class stands for all its methods.
+CHECKER_ROOTS = ("prelude_env", "check_proof", "check_proof_report",
+                 "GlobalEnv")
+
+
+def _reached(tree: ast.Module, roots: tuple[str, ...]) -> set[str]:
+    """Module-level functions and methods ("Class.method") that the roots
+    can reach: by a name, by naming a class (all its methods), or by an
+    attribute with a method's name (every method of that name)."""
+    bodies: dict[str, ast.FunctionDef] = {}
+    methods_of: dict[str, list[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            methods_of[node.name] = []
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    key = f"{node.name}.{item.name}"
+                    bodies[key] = item
+                    methods_of[node.name].append(key)
+    by_attr: dict[str, list[str]] = {}
+    for key in bodies:
+        if "." in key:
+            by_attr.setdefault(key.split(".")[1], []).append(key)
+
+    def named(name: str) -> list[str]:
+        return [name] if name in bodies else methods_of.get(name, [])
+
+    reached: set[str] = set()
+    todo = [key for name in roots for key in named(name)]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        for n in ast.walk(bodies[key]):
+            if isinstance(n, ast.Name):
+                todo += named(n.id)
+            elif isinstance(n, ast.Attribute):
+                todo += by_attr.get(n.attr, [])
+    return reached
+
+
+def test_the_kernel_holds_only_checker_code():
+    """Every public function of `kernel` is reached from the prelude, the
+    checks or the environment's methods, or is named, with its reason, in
+    NOT_CHECKER_CODE.  Engine helpers belong in `terms`."""
+    tree = ast.parse(KERNEL_SOURCE)
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name[0] != "_"}
+    assert public - _reached(tree, CHECKER_ROOTS) == set(NOT_CHECKER_CODE)
 
 
 def test_an_unknown_name_is_a_type_error_with_its_path():
@@ -503,3 +572,20 @@ def test_an_unknown_name_is_a_type_error_with_its_path():
                    Lam("f", arrow(PROP, PROP), App(Var(0), Const("c"))))
     assert isinstance(err.value, TypeCheckError)
     assert str(err.value) == "unknown constant 'c' (at body/arg)"
+
+
+@pytest.mark.parametrize("index", [4, -1])
+def test_an_unbound_variable_is_one_error_at_either_bound(index):
+    """An index past the context and a negative one raise the same class,
+    with the message `UnboundName` promises and the path to the variable."""
+    env, ctx = prelude_env(), LocalContext().push("A", SET).push("x", Var(0))
+    with pytest.raises(kernel.UnboundName) as err:
+        infer_type(env, ctx, Lam("y", PROP, Pi("z", PROP, Var(index))))
+    assert (err.value.message, err.value.path) \
+        == (f"unbound variable index {index}", ("body", "codomain"))
+    assert str(err.value) \
+        == f"unbound variable index {index} (at body/codomain)"
+    with pytest.raises(kernel.UnboundName) as err:
+        ctx.type_of(index - 2)
+    assert (err.value.message, err.value.path) \
+        == (f"unbound variable index {index - 2}", ())

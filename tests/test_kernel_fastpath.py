@@ -33,11 +33,12 @@ against `ref_infer_type`, check
 that every prefill and encoding entry cites a definition that proves its
 statement, and count that admission infers no node of a library body.
 
-`substitute`, `_instantiate` and `replace_var` recurse through module-level
-functions, not through a nested `go` per call, which was a reference cycle
-for the collector to free.  The final tests check that a pass over both
-engines and two corpus scripts leaves no cyclic garbage, and that no
-function in `kernel` or `terms` defines a nested function.
+`_instantiate`, which `substitute` calls, and `replace_var` recurse
+through module-level functions, not through a nested `go` per call, which
+was a reference cycle for the collector to free.  The final tests check
+that a pass over both engines and two corpus scripts leaves no cyclic
+garbage, and that no function in `kernel` or `terms` defines a nested
+function.
 """
 
 import ast
@@ -107,11 +108,12 @@ def _rebuild(t: Term, depth: int, on_var) -> Term:
     return t
 
 
-def naive_substitute(body: Term, target: int, replacement: Term) -> Term:
+def naive_substitute(body: Term, replacement: Term) -> Term:
+    """Discharge binder 0: Var(0) becomes `replacement`."""
     def on_var(i: int, depth: int) -> Term:
-        if i == target + depth:
+        if i == depth:
             return naive_shift(replacement, depth)
-        return Var(i - 1) if i > target + depth else Var(i)
+        return Var(i - 1) if i > depth else Var(i)
     return _rebuild(body, 0, on_var)
 
 
@@ -158,7 +160,7 @@ def naive_instantiate(body: Term, args: list[Term]) -> Term:
     for _ in args:
         t = Lam("_", PROP, t)
     for a in args:
-        t = naive_substitute(t.body, 0, a)
+        t = naive_substitute(t.body, a)
     return t
 
 
@@ -168,7 +170,7 @@ def naive_whnf_beta(t: Term) -> Term:
         head, args = _spine(t)
         if not (isinstance(head, Lam) and args):
             return t
-        t = app(naive_substitute(head.body, 0, args[0]), *args[1:])
+        t = app(naive_substitute(head.body, args[0]), *args[1:])
 
 
 def _spine(t: Term) -> tuple[Term, list[Term]]:
@@ -226,7 +228,7 @@ def test_fast_paths_match_naive(t, other, args, index, by):
     assert t.lbr == naive_max_free_index(t) + 1
     assert occurs_free(t, index) == naive_occurs_free(t, index)
     assert shift(t, by, index) == naive_shift(t, by, index)
-    assert substitute(t, index, other) == naive_substitute(t, index, other)
+    assert substitute(t, other) == naive_substitute(t, other)
     assert replace_var(t, index, other) == naive_replace_var(t, index, other)
     out = instantiate(t, args)
     assert out == naive_instantiate(t, args)
@@ -319,8 +321,8 @@ def ref_infer_type(env: GlobalEnv, ctx: LocalContext, t: Term,
         case Sort(_):
             return TYPE
         case Var(i):
-            if i >= len(ctx):
-                raise TypeCheckError(f"unbound variable index {i}", _path)
+            if not 0 <= i < len(ctx):
+                raise UnboundName(f"unbound variable index {i}", _path)
             return ctx.type_of(i)
         case Const(name):
             try:
@@ -653,12 +655,12 @@ def test_traversals_share_the_vars_of_small_indices():
         if i:
             assert shift(Var(0), i) is v and shift(Var(i - 1), 1) is v
         assert instantiate(Var(i + 2), [PROP, SET]) is v
-        assert substitute(Var(i + 1), 0, PROP) is v
-    t = substitute(App(Var(4), Lam("x", Var(4), Var(5))), 0, PROP)
+        assert substitute(Var(i + 1), PROP) is v
+    t = substitute(App(Var(4), Lam("x", Var(4), Var(5))), PROP)
     assert t == App(Var(3), Lam("x", Var(3), Var(4)))
     assert t.fn is t.arg.ty is kernel._VARS[3] and t.arg.body is kernel._VARS[4]
     for past in (shift(Var(0), n), instantiate(Var(n + 1), [PROP]),
-                 substitute(Var(n + 1), 0, PROP)):
+                 substitute(Var(n + 1), PROP)):
         assert past == Var(n) and past is not shift(Var(0), n)
     assert shift(Var(0), -1) == Var(-1)
 
@@ -690,7 +692,7 @@ def test_a_meta_takes_the_default_branch():
     env, m = DELTA_ENV, Meta(1)
     t = App(Var(0), m)
     assert shift(m, 2) is m and shift(t, 2) == App(Var(2), m)
-    assert substitute(m, 0, PROP) is m and substitute(t, 0, PROP) == App(PROP, m)
+    assert substitute(m, PROP) is m and substitute(t, PROP) == App(PROP, m)
     assert instantiate(m, [PROP]) is m and instantiate(t, [SET]) == App(SET, m)
     assert replace_var(m, 0, PROP) is m and replace_var(t, 0, PROP) == App(PROP, m)
     assert not occurs_free(m, 0)
@@ -881,7 +883,7 @@ def _traversals_and_verdicts(problems) -> None:
     path, one of them also traced and reported in the machine format, and
     the engine runs with their proofs checked."""
     t = Pi("x", Var(2), App(Lam("y", Var(0), App(Var(1), Var(3))), Var(0)))
-    assert substitute(t, 1, App(Var(0), Const("c"))) != t
+    assert substitute(t, App(Var(0), Const("c"))) != t
     assert instantiate(t, [Const("c"), Var(5)]) != t
     assert replace_var(t, 1, Var(4)) != t
     for name in ("v2_letrans.tk", "example2.tk"):

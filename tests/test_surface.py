@@ -4,14 +4,14 @@ import pytest
 
 from transfer_kernel.kernel import (
     EQ, PROP, RESPECTFUL, SET,
-    App, Const, Lam, LocalContext, Pi, Var, app, convertible,
-    prelude_env, spine,
+    App, Const, Lam, LocalContext, Pi, Var, app, convertible, prelude_env,
 )
 from transfer_kernel.surface import (
     CmdAxiom, CmdDeclareSurjection, CmdDefinition, CmdParameter, CmdTheorem,
     EXACT_MODULO, ElabError, PLam, ParseError, _Elaborator,
     parse_and_elaborate, parse_script, parse_term, print_term, tokenize,
 )
+from transfer_kernel.terms import spine
 
 from conftest import script_text
 

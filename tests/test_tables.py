@@ -9,7 +9,7 @@ from transfer_kernel import cli, tables as tables_module
 from transfer_kernel.kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, SET,
     App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
-    convertible, normalize, prelude_env, shift, spine, whnf,
+    convertible, normalize, prelude_env, shift, whnf,
 )
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.surface import (
@@ -23,6 +23,7 @@ from transfer_kernel.tables import (
     lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
     relation_entries, surjection_to_relational, table_key,
 )
+from transfer_kernel.terms import spine
 
 from conftest import SCRIPTS, declare
 from test_kernel_fastpath import decode
