@@ -302,7 +302,8 @@ def run_script(path: str, options: RunOptions = RunOptions(),
     try:
         rendered, code = report(state, options.fmt, options), exit_code(state)
     except RecursionError:
-        rendered, code = f"error: {NESTED_TOO_DEEPLY}", EXIT_SCRIPT_ERROR
+        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
+        return EXIT_SCRIPT_ERROR
     try:
         print(rendered, file=out)
         out.flush()

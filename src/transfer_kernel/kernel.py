@@ -338,10 +338,13 @@ class GlobalEnv:
         new._decls = {**self._decls, name: decl}
         return new
 
-    def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
-        s = whnf(self, infer_type(self, LocalContext(), ty))
-        if not isinstance(s, Sort):
+    def _check_type(self, ty: Term) -> None:
+        """A declared type must have a sort as its type."""
+        if not isinstance(whnf(self, infer_type(self, LocalContext(), ty)), Sort):
             raise TypeCheckError(f"declared type {ty!r} is not a type")
+
+    def add_parameter(self, name: str, ty: Term) -> "GlobalEnv":
+        self._check_type(ty)
         return self._extended(name, Decl(ty))
 
     def add_axiom(self, name: str, ty: Term) -> "GlobalEnv":
@@ -351,9 +354,11 @@ class GlobalEnv:
         inferred = infer_type(self, LocalContext(), body)
         if ty is None:
             ty = inferred
-        elif not convertible(self, inferred, ty):
-            raise TypeCheckError(
-                f"definition '{name}' has type {inferred!r}, expected {ty!r}")
+        else:
+            self._check_type(ty)
+            if not convertible(self, inferred, ty):
+                raise TypeCheckError(
+                    f"definition '{name}' has type {inferred!r}, expected {ty!r}")
         return self._extended(name, Decl(ty, body))
 
 

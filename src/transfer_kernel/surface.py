@@ -10,7 +10,8 @@ Parsing yields name-based pre-terms; `elaborate` resolves names against an
 environment and local context and fills in the implicit type arguments of
 `eq`, `respectful` and `inv` with metavariables solved by first-order
 unification.  Solutions must be closed types; anything else is reported as
-an elaboration error rather than guessed.
+an elaboration error rather than guessed.  `print_term` prints a term
+against its environment, and the text elaborates back against it.
 
 The hot paths (`infer`, `resolve`, `_has_meta`, `unify`, `render`, and
 the CLI's command dispatch) test the exact class, `type(x) is PApp`, most
@@ -20,9 +21,10 @@ instance of a subclass would take the default branch.  The lexer takes
 every token of a comment-free stretch from one `findall`, and the parser
 reads token fields by index.  The elaborator skips what would change
 nothing: it reduces a function type only if it is not a product or a meta
-is solved, unifies an argument's type only if it differs from the domain,
-and elaborates an arrow's right side under the arrow's binder rather than
-shifting it there.
+is solved, unifies an argument's type only if it differs from the domain
+and the kernel's `subsumes`, the one home of sort inclusion, rejects it
+(so `unify` only solves metas), and elaborates an arrow's right side
+under the arrow's binder rather than shifting it there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .kernel import (
     EQ, INV, PROP, RESPECTFUL, TYPE,
     App, Const, CtxEntry, GlobalEnv, Lam, LocalContext, Pi, Sort, Term,
     TypeCheckError, UnboundName, Var, app, arrow, infer_type, shift,
-    substitute, unshift, whnf,
+    substitute, subsumes, unshift, whnf,
 )
 from .terms import occurs_free, relation_domains, relation_types, spine
 
@@ -271,24 +273,20 @@ def _parse_binder_groups(ts: _TokenStream) -> tuple[tuple[str, PreTerm | None], 
     """`(x y : T) (z : U)` or the single unparenthesized group `x y [: T]`."""
     binders: list[tuple[str, PreTerm | None]] = []
     toks = ts.toks
-    if toks[ts.pos][1] == "(":
-        while toks[ts.pos][1] == "(":
+    parenthesized = toks[ts.pos][1] == "("
+    while True:
+        if parenthesized:
             ts.pos += 1
-            names = _names(ts, _TERM_KEYWORDS)
-            annot = None
-            if toks[ts.pos][1] == ":":
-                ts.pos += 1
-                annot = _parse_term(ts)
-            ts.expect_sym(")")
-            binders.extend((nm, annot) for nm in names)
-    else:
         names = _names(ts, _TERM_KEYWORDS)
         annot = None
         if toks[ts.pos][1] == ":":
             ts.pos += 1
             annot = _parse_term(ts)
+        if parenthesized:
+            ts.expect_sym(")")
         binders.extend((nm, annot) for nm in names)
-    return tuple(binders)
+        if not parenthesized or toks[ts.pos][1] != "(":
+            return tuple(binders)
 
 
 _SORT_NAMES = frozenset(("Prop", "Set", "Type"))
@@ -576,14 +574,14 @@ class _Elaborator:
             return self.resolve(sol) if sol is not None else t
         return t
 
-    def zonk(self, t: Term, at: PreTerm | None = None) -> Term:
+    def zonk(self, t: Term, at: PreTerm) -> Term:
         """t with its solved metas replaced; an unsolved one is an error,
         reported at `_pos_of(at)`."""
         t = self.resolve(t)
         # Only `fresh` makes a Meta, so without one there is nothing to find.
         if self._next and self._has_meta(t):
             raise ElabError("cannot infer an implicit argument or binder type",
-                            *(_pos_of(at) if at is not None else (0, 0)))
+                            *_pos_of(at))
         return t
 
     def _has_meta(self, t: Term) -> bool:
@@ -606,9 +604,6 @@ class _Elaborator:
         if a == b:
             return
         cls, other_cls = type(a), type(b)
-        # Mirror the kernel's sort inclusion: sorts fit where Type is wanted.
-        if (cls is Sort and b == TYPE) or (other_cls is Sort and a == TYPE):
-            return
         if cls is Meta or other_cls is Meta:
             meta, other = (a, b) if cls is Meta else (b, a)
             other = self.resolve(other)
@@ -662,7 +657,8 @@ class _Elaborator:
                 if type(ty_f) is not Pi:
                     raise ElabError("application of a non-function", *_pos_of(fn))
             ta, ty_a = self.infer(arg, ctx)
-            if ty_a != ty_f.ty:  # else `unify` has nothing to do
+            # `ty_f` is resolved above, and `subsumes` cannot see solutions.
+            if ty_a != ty_f.ty and not subsumes(self.env, self.resolve(ty_a), ty_f.ty):
                 self.unify(ty_a, ty_f.ty, ctx, arg)
             return App(tf, ta), substitute(ty_f.body, ta)
         if cls is PArrow:
@@ -682,9 +678,10 @@ class _Elaborator:
         if cls is PEq:
             tl, ty_l = self.infer(pre.lhs, ctx)
             tr, ty_r = self.infer(pre.rhs, ctx)
-            self.unify(ty_l, ty_r, ctx, pre)
-            ty = self.resolve(ty_l)
-            return app(Const(EQ), ty, tl, tr), PROP
+            ty_l = self.resolve(ty_l)
+            if not subsumes(self.env, self.resolve(ty_r), ty_l):
+                self.unify(ty_l, ty_r, ctx, pre)
+            return app(Const(EQ), self.resolve(ty_l), tl, tr), PROP
         if cls is PResp:
             tl, ty_l = self.infer(pre.lhs, ctx)
             tr, ty_r = self.infer(pre.rhs, ctx)
@@ -760,14 +757,11 @@ _RESERVED_NAMES = _TERM_KEYWORDS | {"Parameter", "Axiom", "Definition", "Theorem
 
 
 class _Printer:
-    """Renders kernel terms back to concrete syntax.
+    """Renders kernel terms back to concrete syntax, with the `=`, `##>` and
+    `⁻¹` sugar only where re-elaborating it against the environment gives
+    back the same implicit arguments (so print/parse is a round trip)."""
 
-    When an environment (and typed context) is available, the printer emits
-    the `=`, `##>` and `⁻¹` sugar only if re-elaboration would reconstruct
-    the same implicit arguments, which keeps print/parse a round trip.
-    """
-
-    def __init__(self, env: GlobalEnv | None, ctx: LocalContext | None):
+    def __init__(self, env: GlobalEnv, ctx: LocalContext | None):
         self.env = env
         ctx = ctx if ctx is not None else LocalContext()
         self.names: list[str] = [e.name for e in ctx.entries]
@@ -777,8 +771,7 @@ class _Printer:
 
     def fresh_name(self, hint: str) -> str:
         name = hint if hint and hint != "_" else "x"
-        while (name in self.names or name in _RESERVED_NAMES
-               or (self.env is not None and name in self.env)):
+        while name in self.names or name in _RESERVED_NAMES or name in self.env:
             name += "'"
         return name
 
@@ -791,8 +784,6 @@ class _Printer:
         self.ctxs.pop()
 
     def _type_of(self, t: Term) -> Term | None:
-        if self.env is None:
-            return None
         try:
             return infer_type(self.env, self.ctxs[-1], t)
         except TypeCheckError:
@@ -823,8 +814,6 @@ class _Printer:
     def _quantifier_preferred(self, t: Pi) -> bool:
         """Quantify (rather than use an arrow) over non-propositional domains
         in formulas, e.g. `∀ x : A, False` instead of `A → False`."""
-        if self.env is None:
-            return False
         dom_sort = self._type_of(t.ty)
         if dom_sort is None or whnf(self.env, dom_sort) == PROP:
             return False
@@ -884,7 +873,7 @@ class _Printer:
     def _try_sugar(self, head: Term,
                    args: list[Term]) -> tuple[str, int, int] | None:
         """Sugar for a prefix of the spine: (text, args consumed, level)."""
-        if self.env is None or type(head) is not Const:
+        if type(head) is not Const:
             return None
         if head.name == EQ and len(args) == 3:
             ty = self._type_of(args[1])
@@ -905,7 +894,6 @@ class _Printer:
         return None
 
     def _domains_match(self, rel: Term, x: Term, y: Term) -> bool:
-        assert self.env is not None
         try:
             dx, dy = relation_types(self.env, self.ctxs[-1], rel)
         except TypeCheckError:
@@ -913,8 +901,8 @@ class _Printer:
         return dx == x and dy == y
 
 
-def print_term(t: Term, env: GlobalEnv | None = None,
-               ctx: LocalContext | None = None) -> str:
-    """Concrete syntax for t; parse_term(print_term(t)) elaborates back to
-    a term alpha-equal to t (sugar is only used when it survives the trip)."""
+def print_term(t: Term, env: GlobalEnv, ctx: LocalContext | None = None) -> str:
+    """Concrete syntax for t, typed in env and ctx; the printed text
+    elaborates back against env (and ctx) to a term alpha-equal to t (sugar
+    is only used when it survives the trip)."""
     return _Printer(env, ctx).render(t, _LVL_TERM)

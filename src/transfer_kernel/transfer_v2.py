@@ -6,10 +6,12 @@ each pair in a fixed order: Forall/Arrow (a product viewed as an
 application of `all` or `impl`), Env (a context hypothesis), Table (a
 declared relation entry, or a stored one flipped), App (one application)
 and Lambda (binders, when the expected relation is a relator arrow).  A
-rule returns its derivation or the reason it does not apply; Forall/Arrow
-only rewrites the pair and gives no reason.  A failure names the deepest
-pair no rule relates, with each rule's reason.  Lambda names its
-hypothesis `H`, `H1`, … by the Lambda steps enclosing it, which it counts.
+rule returns its derivation, or the reason it does not apply, or None: it
+gives no reason when it applied and a pair below it failed, as that
+failure is deeper, and Forall/Arrow gives none, as it only rewrites the
+pair.  A failure names the deepest failing pair, where no rule applied,
+with each rule's reason.  Lambda names its hypothesis `H`, `H1`, … by the
+Lambda steps enclosing it, which it counts.
 
 Env reads a per-context index: the candidate hypotheses `Var(i) : R a b` of
 a context are found once per engine run, since a context changes only when
@@ -336,13 +338,13 @@ class _Synth:
         if args_are_vars:
             arg_sub = self.synth(ctx, arg_l, arg_r, self.fresh(), depth + 1)
             if arg_sub is None:
-                return "argument pair is unrelatable"
+                return None
             fn_expect = RelArrow(Known(arg_sub[0].relation), expect)
         else:
             fn_expect = RelArrow(self.fresh(), expect)
         fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
         if fn_sub is None:
-            return "function pair is unrelatable"
+            return None
         fn_j, fn_steps = fn_sub
         view = respectful_view(self.env, fn_j.relation)
         if view is None:
@@ -353,7 +355,7 @@ class _Synth:
         else:
             arg_sub = self.synth(ctx, arg_l, arg_r, Known(view[4]), depth + 1)
             if arg_sub is None:
-                return "argument pair is unrelatable"
+                return None
             arg_j, arg_steps = arg_sub
             steps = fn_steps + arg_steps
 
@@ -391,7 +393,7 @@ class _Synth:
                          depth + 1)
         self._lambdas = n
         if sub is None:
-            return "bodies are unrelatable"
+            return None
         body_j, body_steps = sub
         proof = Lam(wl.name, wl.ty,
                     Lam(wr.name, shift(wr.ty, 1),
@@ -405,13 +407,11 @@ class _Synth:
 # ---------------------------------------------------------------------------
 
 def synth(env: GlobalEnv, tables: DeclTables, ctx: LocalContext, lhs: Term,
-          rhs: Term, expect: RelExpectation | None = None,
-          diagnostics: bool = False
+          rhs: Term, expect: RelExpectation, diagnostics: bool = False
           ) -> tuple[Judgment, DerivationTrace] | TransferFailure:
     """Derive a single judgment relating lhs to rhs under the expectation."""
     engine = _Synth(env, tables, diagnostics)
-    result = engine.synth(ctx, lhs, rhs,
-                          expect if expect is not None else engine.fresh())
+    result = engine.synth(ctx, lhs, rhs, expect)
     if result is None:
         return TransferFailure("no-derivation", engine.failure_message)
     judgment, steps = result

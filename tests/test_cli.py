@@ -220,6 +220,13 @@ def test_semantic_error_gives_exit_two():
     assert any("ghost" in e for e in state.errors)
 
 
+def test_a_sort_the_kernel_would_reject_is_a_positioned_elaboration_error():
+    code, state = run_text("Parameter p : Prop → Prop.\n"
+                           "Definition d := p Prop.\n")
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == ["line 2: 2:19: type mismatch: Type vs Prop"]
+
+
 def test_duplicate_declaration_gives_exit_two():
     text = script_text("example1.tk") + "\nDeclare Surjection f by (g, surjf).\n"
     code, state = run_text(text)
@@ -629,7 +636,8 @@ def test_report_that_nests_too_deeply_is_a_script_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "print_term", too_deep)
     code = run_script(str(SCRIPTS / "example1.tk"), RunOptions(fmt="machine"))
     assert code == EXIT_SCRIPT_ERROR
-    assert capsys.readouterr().out == "error: input nested too deeply\n"
+    # stdout, where the machine report goes, gets no line that is not JSON
+    assert capsys.readouterr() == ("", "error: input nested too deeply\n")
 
 
 def test_cli_main_entry(tmp_path, capsys):

@@ -18,7 +18,9 @@ from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import parse_and_elaborate
 from transfer_kernel.tables import DeclTables
 from transfer_kernel.terms import spine
-from transfer_kernel.transfer_v2 import Judgment, _Synth, synth, transfer_modulo
+from transfer_kernel.transfer_v2 import (
+    Judgment, Unknown, _Synth, synth, transfer_modulo,
+)
 
 from conftest import declare, script_text
 from fuzz_helpers import v2_fixture, v2_problem
@@ -116,6 +118,9 @@ def eq_env():
     return env
 
 
+ANY = Unknown(0)  # any relation: the engine numbers the holes it makes from 1
+
+
 def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):
     """An entry that no Lambda step pushed, as `fun (p : eq nat a b) => …`
     does, is found by Env; an entry with fewer than two arguments is
@@ -128,7 +133,7 @@ def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):
     inner = ctx.push("q", parse_and_elaborate(env, "le a b"))
 
     def run():
-        return [synth(env, tables, c, a, b) for c in (ctx, inner, ctx)]
+        return [synth(env, tables, c, a, b, ANY) for c in (ctx, inner, ctx)]
 
     indexed, scanned = both_rules(monkeypatch, run)
     assert [outcome(r) for r in indexed] == [outcome(r) for r in scanned]
@@ -140,4 +145,4 @@ def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):
         assert [step.rule for step in trace.steps] == ["Env"]
         assert (judgment.proof, judgment.relation) == (proof, relation)
     # Nothing relates b to a: the reversed pair fails in both.
-    assert isinstance(synth(env, tables, ctx, b, a), TransferFailure)
+    assert isinstance(synth(env, tables, ctx, b, a, ANY), TransferFailure)

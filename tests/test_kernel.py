@@ -409,6 +409,22 @@ def test_definition_body_must_match_declared_type():
         env.add_definition("bad", Lam("x", PROP, Var(0)), PROP)
 
 
+def test_a_declared_type_is_checked_before_it_is_stored():
+    """A declared type that is ill-typed is rejected, even when it reduces
+    to the body's type: `(fun x : Prop => B) (Prop Prop)` beta-reduces to
+    `B`, but `Prop Prop` applies a sort."""
+    env = prelude_env().add_parameter("B", PROP)
+    env = env.add_parameter("b", Const("B"))
+    ill_typed = App(Lam("x", PROP, Const("B")), App(PROP, PROP))
+    assert convertible(env, infer_type(env, LocalContext(), Const("b")),
+                       ill_typed)
+    with pytest.raises(TypeCheckError, match="non-function type Type"):
+        env.add_definition("d", Const("b"), ill_typed)
+    with pytest.raises(TypeCheckError, match="is not a type"):
+        env.add_definition("d", Const("b"), Const("b"))  # a proof, not a type
+    assert "d" in env.add_definition("d", Const("b"), Const("B"))
+
+
 def test_redeclaration_is_an_error():
     env = prelude_env().add_parameter("A", SET)
     with pytest.raises(Exception, match="already declared"):

@@ -359,6 +359,22 @@ def test_parsers_agree_on_mutated_corpus_scripts():
         assert_same_parse(text)
 
 
+# Well-formed and broken binder groups, mixing the parenthesized and bare
+# forms, which only one of them may take.
+BINDER_GROUPS = ("x", "x y", "x y : A", "(x)", "(x y : A)", "(x : A) (y)",
+                 "(x : A) y", "x (y : A)", "x : A (y : A)", "(x : A) : A",
+                 "(x : A", "(x : A) (", "()", "x : ∀ (y : A), A", "Prop",
+                 "x Type", "(x fun)", "")
+
+
+def test_parsers_agree_on_binder_groups():
+    for group in BINDER_GROUPS:
+        for text in (f"fun {group} => x", f"λ {group}, x", f"∀ {group}, x",
+                     f"forall {group}, x"):
+            assert_same_term(text)
+            assert_same_parse(f"Axiom a : {text}.")
+
+
 @PARSER
 @given(streams)
 def test_parsers_agree_on_generated_token_streams(text):

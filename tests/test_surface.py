@@ -1,14 +1,17 @@
 """Surface syntax tests: parsing, elaboration, printing, round trips."""
 
+import inspect
+
 import pytest
 
 from transfer_kernel.kernel import (
-    EQ, PROP, RESPECTFUL, SET,
-    App, Const, Lam, LocalContext, Pi, Var, app, convertible, prelude_env,
+    EQ, PROP, RESPECTFUL, SET, TYPE,
+    App, Const, Lam, LocalContext, Pi, TypeCheckError, Var, app,
+    arrow, convertible, infer_type, prelude_env,
 )
 from transfer_kernel.surface import (
     CmdAxiom, CmdDeclareSurjection, CmdDefinition, CmdParameter, CmdTheorem,
-    EXACT_MODULO, ElabError, PLam, ParseError, _Elaborator,
+    EXACT_MODULO, ElabError, PLam, PRef, ParseError, _Elaborator, elaborate,
     parse_and_elaborate, parse_script, parse_term, print_term, tokenize,
 )
 from transfer_kernel.terms import spine
@@ -159,6 +162,60 @@ def test_uninferable_binder_is_an_error(env):
         parse_and_elaborate(env, "fun a => a")
 
 
+@pytest.fixture
+def sorted_env(env):
+    """`env` with functions whose domains are sorts or sort families."""
+    env = parse_add(env, "parameter", "p", "Prop → Prop")
+    env = parse_add(env, "parameter", "h", "(A → Type) → Prop")
+    return parse_add(env, "parameter", "F", "Set → Prop")
+
+
+@pytest.mark.parametrize("text, message, kernel_term", [
+    # Prop : Type is not a Prop.
+    ("p Prop", "1:3: type mismatch: Type vs Prop", App(Const("p"), PROP)),
+    # Type is not included in Set, though Set is in Type.
+    ("nat = Prop", "1:5: type mismatch: Set vs Type",
+     app(Const(EQ), SET, Const("nat"), PROP)),
+    # Inclusion holds only at the top: A → Set is not an A → Type.
+    ("h (fun x : A => nat)", "1:4: type mismatch: Set vs Type",
+     App(Const("h"), Lam("x", Const("A"), Const("nat")))),
+])
+def test_the_elaborator_includes_sorts_as_the_kernel_does(sorted_env, text,
+                                                          message, kernel_term):
+    with pytest.raises(ElabError) as info:
+        parse_and_elaborate(sorted_env, text)
+    assert str(info.value) == message
+    with pytest.raises(TypeCheckError):
+        infer_type(sorted_env, LocalContext(), kernel_term)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("Prop = nat", app(Const(EQ), TYPE, PROP, Const("nat"))),
+    # A solved binder type, Set, is included where Type is wanted.
+    ("fun X => F X → @eq Type X X",
+     Lam("X", SET, arrow(App(Const("F"), Var(0)),
+                         app(Const(EQ), TYPE, Var(0), Var(0))))),
+])
+def test_a_sort_where_type_is_wanted_elaborates_and_is_admitted(
+        sorted_env, text, expected):
+    term = parse_and_elaborate(sorted_env, text)
+    assert term == expected
+    assert "d" in sorted_env.add_definition("d", term)
+    assert "d" in sorted_env.add_definition(
+        "d", term, infer_type(sorted_env, LocalContext(), term))
+
+
+def test_printing_and_zonking_have_one_mode():
+    """`print_term` always has an environment and `zonk` a position."""
+    params = inspect.signature(print_term).parameters
+    assert list(params) == ["t", "env", "ctx"]
+    assert params["env"].default is inspect.Parameter.empty
+    assert params["ctx"].default is None
+    params = inspect.signature(_Elaborator.zonk).parameters
+    assert list(params) == ["self", "t", "at"]
+    assert params["at"].default is inspect.Parameter.empty
+
+
 def test_meta_free_elaboration_skips_the_meta_walk(env, monkeypatch):
     walks = []
     has_meta = _Elaborator._has_meta
@@ -178,12 +235,13 @@ def test_meta_free_elaboration_skips_the_meta_walk(env, monkeypatch):
 
 def test_resolution_returns_meta_free_terms_as_they_are(env):
     el = _Elaborator(env)
-    t = parse_and_elaborate(env, "∀ x : nat, le x x → fun y : N => N.le y y")
+    pre = parse_term("∀ x : nat, le x x → fun y : N => N.le y y")
+    t = elaborate(env, pre)
     assert el.resolve(t) is t
-    assert el.zonk(t) is t
+    assert el.zonk(t, pre) is t
     el.solutions[el.fresh().id] = Const("nat")  # a meta that t does not hold
     assert el.resolve(t) is t
-    assert el.zonk(t) is t
+    assert el.zonk(t, pre) is t
     assert el.head_normal(t) is t
 
 
@@ -200,8 +258,9 @@ def test_resolution_substitutes_solved_metas_only(env):
                       tail)
     assert got.arg is tail and got.fn.body.arg is m3
     assert el.resolve(m3) is m3
-    with pytest.raises(ElabError, match="cannot infer"):
-        el.zonk(t)
+    # The unsolved meta is reported at the pre-term `t` came from.
+    with pytest.raises(ElabError, match="^3:7: cannot infer"):
+        el.zonk(t, PLam((("x", None),), PRef("x", 3, 9), 3, 7))
 
 
 # --- script parsing -------------------------------------------------------------
@@ -309,12 +368,6 @@ def test_sugar_coherence(env):
     impl_term = parse_and_elaborate(env, "impl False False")
     arrow_term = parse_and_elaborate(env, "False -> False")
     assert convertible(env, impl_term, arrow_term)
-
-
-def test_print_without_env_is_still_reparseable(env):
-    term = parse_and_elaborate(env, "∀ x : A, False")
-    printed = print_term(term)  # no sugar guarantees, but valid syntax
-    assert parse_and_elaborate(env, printed) == term
 
 
 def test_printed_respectful_uses_infix(env):

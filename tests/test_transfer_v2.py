@@ -1,5 +1,7 @@
 """Engine tests for judgment synthesis (transfer modulo)."""
 
+import inspect
+
 import pytest
 
 from transfer_kernel.cli import RunOptions, execute_script, exit_code
@@ -142,12 +144,35 @@ def test_synth_env_rule(v2_env):
            .push("H2", parse_and_elaborate(
                env, "natN z z'",
                LocalContext().push("z", Const("nat")).push("z'", Const("N")))))
-    result = synth(env, tables, ctx, Var(2), Var(1))
+    # Any relation: the engine numbers the holes it makes from 1.
+    result = synth(env, tables, ctx, Var(2), Var(1), Unknown(0))
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
     assert trace.steps[0].rule == "Env"
     assert judgment.proof == Var(0)
     assert convertible(env, judgment.relation, Const("natN"))
+
+
+def test_a_failure_below_an_applied_rule_names_the_pair_that_failed(v2_env):
+    """App applies to `le c` and `N.le c'`: it relates `le` to `N.le`, and
+    then nothing relates `c` to `c'`.  The message names that pair with
+    each rule's reason; App, which applied, gives none for the root."""
+    env, tables = v2_env
+    env = env.add_parameter("c", Const("nat")).add_parameter("c'", Const("N"))
+    expect = Known(parse_and_elaborate(env, "natN ##> impl"))
+    result = synth(env, tables, LocalContext(), App(Const("le"), Const("c")),
+                   App(Const("N.le"), Const("c'")), expect)
+    assert isinstance(result, TransferFailure)
+    assert result.message == (
+        "cannot relate c to c' (Env: no hypothesis relates the two sides; "
+        "Table: no matching entry (direct or inverted); App: sides are not "
+        "both applications; Lambda: expected relation is not a relator arrow)")
+
+
+def test_synth_takes_an_expectation():
+    params = inspect.signature(synth).parameters
+    assert list(params)[:6] == ["env", "tables", "ctx", "lhs", "rhs", "expect"]
+    assert params["expect"].default is inspect.Parameter.empty
 
 
 def test_synth_all_table_rule(v2_env):
