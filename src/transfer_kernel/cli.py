@@ -12,11 +12,11 @@ machine format, or `--trace`).
 
 Exit codes: 0 all theorems proved, 1 a transfer failed, 2 parse or
 semantic error, 3 an engine produced a proof the kernel rejected, 4 the
-report could not be written (a full device, a closed pipe).  The
-per-command `try` in `execute_script` is the one place that maps a
-command's exception to its outcome: `SynthesisError` to 3, any other
-`ScriptError`, `SurfaceError`, `KernelError` or `TableError`, and
-`RecursionError`, to 2.
+report could not be written (a full device, a closed pipe); 3 outranks 2,
+and 2 outranks 1.  The per-command `try` in `execute_script` is the one
+place that maps a command's exception to its outcome: `SynthesisError` to
+3, any other `ScriptError`, `SurfaceError`, `KernelError` or `TableError`,
+and `RecursionError`, to 2.
 """
 
 from __future__ import annotations
@@ -200,10 +200,10 @@ def _execute_theorem(state: SessionState, cmd: CmdTheorem,
 
 
 def exit_code(state: SessionState) -> int:
-    if state.errors:
-        return EXIT_SCRIPT_ERROR
     if state.internal_errors:
         return EXIT_INTERNAL
+    if state.errors:
+        return EXIT_SCRIPT_ERROR
     if any(r.status != "proved" for r in state.results):
         return EXIT_PROOF_FAILURE
     return EXIT_OK

@@ -240,7 +240,11 @@ def declare_relation_v2(tables: DeclTables, env: GlobalEnv,
     rel, lhs, rhs = stmt.fn.fn, stmt.fn.arg, stmt.arg
     if whnf(env, infer_type(env, LocalContext(), stmt)) != PROP:
         raise ShapeError(f"'{lemma_name}' does not state a proposition")
-    relation_types(env, LocalContext(), rel)  # must be a binary relation
+    try:
+        relation_types(env, LocalContext(), rel)
+    except TypeCheckError:
+        raise ShapeError(f"{print_term(rel, env)} is not a binary relation"
+                         ) from None
     return _insert(tables, "relations_v2", env,
                    RelationEntryV2(lhs, rhs, rel, proof), "a relation entry")
 

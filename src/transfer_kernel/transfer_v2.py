@@ -18,13 +18,14 @@ a context are found once per engine run, since a context changes only when
 the Lambda rule pushes a new one, and Env then tests them in the order a
 scan from the innermost entry would.
 
-Relation expectations may contain metavariables; they are solved by
-one-way matching against hypothesis and table relations (by conversion, in
-no context), and solutions are restricted to closed terms so they can move
-across binders; a failed rule's solutions are undone.  The rule order and
+Relation expectations are patterns (`Known`, `RelArrow` and `ANY`, which
+matches any closed relation), matched one way against hypothesis and table
+relations by conversion, in no context; a match leaves no state, as the
+relation matched is passed on in the derived judgment.  The rule order and
 operand order are fixed, so identical inputs produce identical derivations.
-Matching and resolving test an expectation's exact class, most frequent
-first, so `Known`, `Unknown` and `RelArrow` must stay final.
+Matching and resolving test a pattern's exact class, most frequent first,
+so `Known`, `Any` and `RelArrow` must stay final; `ANY` is an empty tuple,
+so falsy, and a pattern is never tested by truthiness.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
@@ -60,17 +61,20 @@ class Known(NamedTuple):
     rel: Term
 
 
-class Unknown(NamedTuple):
-    id: int
+class Any(NamedTuple):
+    """The pattern that matches any closed relation."""
+
+
+ANY = Any()
 
 
 class RelArrow(NamedTuple):
-    """Expectation `dom ##> cod` with holes allowed on either side."""
+    """Expectation `dom ##> cod`, each side a pattern."""
     dom: "RelExpectation"
     cod: "RelExpectation"
 
 
-RelExpectation = Known | Unknown | RelArrow
+RelExpectation = Known | Any | RelArrow
 
 
 class Judgment(NamedTuple):
@@ -89,23 +93,15 @@ Derived = tuple[Judgment, tuple[TraceStep, ...]]
 # Matching
 # ---------------------------------------------------------------------------
 
-def match_relation(env: GlobalEnv, stored: Term, expect: RelExpectation,
-                   metas: dict[int, Term]) -> dict[int, Term] | None:
-    """One-way match of an expectation pattern against a stored relation.
-
-    Returns the extended substitution, or None.  The stored relation is
-    never instantiated; concrete components are compared by conversion.
-    Metavariable solutions must be closed so they remain valid under the
-    binders other rules introduce.
-    """
-    trial = dict(metas)
-    if _match(env, stored, expect, trial):
-        return trial
-    return None
+def match_relation(env: GlobalEnv, stored: Term,
+                   expect: RelExpectation) -> bool:
+    """Whether a stored relation matches an expectation pattern, one way:
+    the stored relation is never instantiated.  The rules call this once
+    per match, which the benchmark counts; `_match` does the recursion."""
+    return _match(env, stored, expect)
 
 
-def _match(env: GlobalEnv, stored: Term, expect: RelExpectation,
-           trial: dict[int, Term]) -> bool:
+def _match(env: GlobalEnv, stored: Term, expect: RelExpectation) -> bool:
     cls = type(expect)
     if cls is Known:
         return convertible(env, expect.rel, stored)
@@ -114,16 +110,9 @@ def _match(env: GlobalEnv, stored: Term, expect: RelExpectation,
         if view is None:
             return False
         _, _, _, _, r, s = view
-        return (_match(env, r, expect.dom, trial)
-                and _match(env, s, expect.cod, trial))
-    if cls is Unknown:
-        i = expect.id
-        if i in trial:
-            return convertible(env, trial[i], stored)
-        if stored.lbr > 0:
-            return False
-        trial[i] = stored
-        return True
+        return _match(env, r, expect.dom) and _match(env, s, expect.cod)
+    if cls is Any:
+        return stored.lbr == 0
     return False
 
 
@@ -140,27 +129,21 @@ class _FailurePoint(NamedTuple):
 
 
 class _Synth:
-    def __init__(self, env: GlobalEnv, tables: DeclTables,
-                 diagnostics: bool = False):
+    def __init__(self, env: GlobalEnv, tables: DeclTables, diagnostics: bool):
         self.env = env
         self.tables = tables
         self.diagnostics = diagnostics
-        self.metas: dict[int, Term] = {}
-        self._next_meta = 0
         self.deepest_failure: _FailurePoint | None = None
         self._lambdas = 0  # Lambda steps enclosing the pair being derived
         # id(ctx) -> (ctx, its hypotheses); see `_hypotheses`.
         self._hyp_index: dict[int, tuple[LocalContext, list]] = {}
 
-    def fresh(self) -> Unknown:
-        self._next_meta += 1
-        return Unknown(self._next_meta)
-
     # -- expectation helpers -------------------------------------------------
 
     def resolve(self, expect: RelExpectation,
                 ctx: LocalContext) -> Term | None:
-        """Expectation as a concrete relation term, if fully solved."""
+        """The expectation as a relation term, or None if it holds `ANY` or
+        a side is not a binary relation."""
         cls = type(expect)
         if cls is Known:
             return expect.rel
@@ -175,16 +158,7 @@ class _Synth:
             except TypeCheckError:
                 return None
             return app(Const(RESPECTFUL), x, y, x2, y2, d, c)
-        if cls is Unknown:
-            return self.metas.get(expect.id)
         return None
-
-    def match(self, stored: Term, expect: RelExpectation) -> bool:
-        result = match_relation(self.env, stored, expect, self.metas)
-        if result is None:
-            return False
-        self.metas = result
-        return True
 
     def record_failure(self, depth: int, ctx: LocalContext, lhs: Term,
                        rhs: Term, attempts: list[tuple[str, str]]) -> None:
@@ -222,14 +196,9 @@ class _Synth:
               depth: int = 0) -> Derived | None:
         attempts: list[tuple[str, str]] = []
         for name, rule in self.RULES:
-            # Solutions made inside a failed rule are unjustified and must
-            # not leak into later rules.  `match` rebinds `metas` and never
-            # mutates it, so keeping the old binding is enough.
-            saved = self.metas
             result = getattr(self, rule)(ctx, lhs, rhs, expect, depth)
             if isinstance(result, tuple):
                 return result
-            self.metas = saved
             if result is not None:
                 attempts.append((name, result))
         self.record_failure(depth, ctx, lhs, rhs, attempts)
@@ -287,7 +256,7 @@ class _Synth:
             if not (convertible(self.env, a, lhs)
                     and convertible(self.env, b, rhs)):
                 continue
-            if not self.match(rel, expect):
+            if not match_relation(self.env, rel, expect):
                 continue
             return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                                 depth)
@@ -316,7 +285,7 @@ class _Synth:
     def _rule_table(self, ctx, lhs, rhs, expect, depth):
         for entry, via_inverse in relation_entries(self.tables, self.env,
                                                    lhs, rhs):
-            if self.match(entry.relation, expect):
+            if match_relation(self.env, entry.relation, expect):
                 judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
                 return self._finish(judgment, "Table", depth,
                                     inverse=via_inverse)
@@ -336,12 +305,12 @@ class _Synth:
         # the argument); otherwise the function side determines the domain.
         args_are_vars = isinstance(arg_l, Var) and isinstance(arg_r, Var)
         if args_are_vars:
-            arg_sub = self.synth(ctx, arg_l, arg_r, self.fresh(), depth + 1)
+            arg_sub = self.synth(ctx, arg_l, arg_r, ANY, depth + 1)
             if arg_sub is None:
                 return None
             fn_expect = RelArrow(Known(arg_sub[0].relation), expect)
         else:
-            fn_expect = RelArrow(self.fresh(), expect)
+            fn_expect = RelArrow(ANY, expect)
         fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
         if fn_sub is None:
             return None

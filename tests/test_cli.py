@@ -206,6 +206,15 @@ def test_declaring_a_dependent_relation_is_a_script_error():
     code, state = run_text(text)
     assert code == EXIT_SCRIPT_ERROR
     assert state.errors == ["line 7: R is not a binary relation"]
+    # the relation is printed in concrete syntax, its bound names kept
+    text = ("Parameter nat : Set.\nParameter z : nat.\n"
+            "Parameter P : nat → Prop.\nParameter pz : P z.\n"
+            "Parameter Q : (nat → nat) → ∀ n : nat, P n → Prop.\n"
+            "Axiom foo : Q (fun x : nat => x) z pz.\nDeclare Relation foo.\n")
+    code, state = run_text(text)
+    assert code == EXIT_SCRIPT_ERROR
+    assert state.errors == [
+        "line 7: Q (fun x : nat => x) is not a binary relation"]
 
 
 def test_parse_error_gives_exit_two():
@@ -484,6 +493,11 @@ def test_internal_error_exit_code(monkeypatch):
                                keep_going=True)
         assert code == EXIT_INTERNAL, engine
         assert len(state.internal_errors) == 1 and state.errors == [], engine
+    # a script error before the rejected proof does not hide it
+    code, state = run_text("Axiom before : ghost.\n" + script_text("example1.tk"),
+                           keep_going=True)
+    assert code == EXIT_INTERNAL
+    assert len(state.errors) == 1 and len(state.internal_errors) == 1
 
 
 @pytest.mark.parametrize("name", ["example2.tk", "v2_letrans.tk"])

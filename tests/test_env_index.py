@@ -19,7 +19,7 @@ from transfer_kernel.surface import parse_and_elaborate
 from transfer_kernel.tables import DeclTables
 from transfer_kernel.terms import spine
 from transfer_kernel.transfer_v2 import (
-    Judgment, Unknown, _Synth, synth, transfer_modulo,
+    ANY, Judgment, _Synth, match_relation, synth, transfer_modulo,
 )
 
 from conftest import declare, script_text
@@ -40,7 +40,7 @@ def scanning_rule_env(self, ctx, lhs, rhs, expect, depth):
         if not (convertible(self.env, a, lhs)
                 and convertible(self.env, b, rhs)):
             continue
-        if not self.match(rel, expect):
+        if not match_relation(self.env, rel, expect):
             continue
         return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                             depth)
@@ -116,9 +116,6 @@ def eq_env():
     env = declare(env, "parameter", "le", "nat → nat → Prop")
     env = declare(env, "parameter", "P", "nat → Prop")
     return env
-
-
-ANY = Unknown(0)  # any relation: the engine numbers the holes it makes from 1
 
 
 def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):

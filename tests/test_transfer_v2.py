@@ -18,8 +18,8 @@ from transfer_kernel.tables import (
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.transfer_v2 import (
-    Known, RelArrow, Unknown, invert_entry,
-    match_relation, synth, transfer_modulo,
+    ANY, Known, RelArrow, invert_entry, match_relation, synth,
+    transfer_modulo,
 )
 
 from conftest import declare
@@ -52,27 +52,27 @@ def v2_env(nat_env):
 def test_match_solves_chain_prefix(v2_env):
     env, tables = v2_env
     stored = parse_and_elaborate(env, "(natN ##> impl) ##> impl")
-    pattern = RelArrow(Unknown(1), Known(Const(IMPL)))
-    solution = match_relation(env, stored, pattern, {})
-    assert solution is not None
-    assert solution[1] == parse_and_elaborate(env, "natN ##> impl")
+    pattern = RelArrow(ANY, Known(Const(IMPL)))
+    assert match_relation(env, stored, pattern) is True
+    longer = parse_and_elaborate(env, "impl⁻¹ ##> impl ##> impl")
+    assert match_relation(env, longer, pattern) is False
 
 
 def test_match_solves_two_holes(v2_env):
     env, _ = v2_env
     stored = parse_and_elaborate(env, "impl⁻¹ ##> impl ##> impl")
-    pattern = RelArrow(Unknown(1), RelArrow(Unknown(2), Known(Const(IMPL))))
-    solution = match_relation(env, stored, pattern, {})
-    assert solution is not None
-    assert solution[1] == parse_and_elaborate(env, "impl⁻¹")
-    assert solution[2] == Const(IMPL)
+    pattern = RelArrow(ANY, RelArrow(ANY, Known(Const(IMPL))))
+    assert match_relation(env, stored, pattern) is True
+    shorter = parse_and_elaborate(env, "(natN ##> impl) ##> impl")
+    assert match_relation(env, shorter, pattern) is False
 
 
 def test_match_bare_hole_takes_anything(v2_env):
     env, _ = v2_env
     stored = parse_and_elaborate(env, "natN ##> impl")
-    solution = match_relation(env, stored, Unknown(7), {})
-    assert solution == {7: stored}
+    assert match_relation(env, stored, ANY) is True
+    # a relation with a free variable is not closed
+    assert match_relation(env, App(Const("eq"), Var(0)), ANY) is False
 
 
 def test_match_is_one_way_and_conversion_aware(v2_env):
@@ -80,14 +80,14 @@ def test_match_is_one_way_and_conversion_aware(v2_env):
     stored = parse_and_elaborate(env, "natN ##> impl")
     # the generated relation is definitionally equal to natN
     known = parse_and_elaborate(env, "N.of_nat_rel ##> impl")
-    assert match_relation(env, stored, Known(known), {}) is not None
+    assert match_relation(env, stored, Known(known)) is True
     mismatch = parse_and_elaborate(env, "natN ##> impl⁻¹")
-    assert match_relation(env, stored, Known(mismatch), {}) is None
+    assert match_relation(env, stored, Known(mismatch)) is False
 
 
 def test_match_rejects_open_solutions(v2_env):
     env, _ = v2_env
-    assert match_relation(env, Var(0), Unknown(3), {}) is None
+    assert match_relation(env, Var(0), ANY) is False
 
 
 # --- invert_entry -----------------------------------------------------------------
@@ -144,13 +144,29 @@ def test_synth_env_rule(v2_env):
            .push("H2", parse_and_elaborate(
                env, "natN z z'",
                LocalContext().push("z", Const("nat")).push("z'", Const("N")))))
-    # Any relation: the engine numbers the holes it makes from 1.
-    result = synth(env, tables, ctx, Var(2), Var(1), Unknown(0))
+    result = synth(env, tables, ctx, Var(2), Var(1), ANY)
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
     assert trace.steps[0].rule == "Env"
     assert judgment.proof == Var(0)
     assert convertible(env, judgment.relation, Const("natN"))
+
+
+def test_synth_any_expectation_takes_the_derived_relation(v2_env):
+    """`ANY` at the root is apart from the patterns App makes below it:
+    relating `x` to `x'` (at `natN`) does not fix the root's relation."""
+    env, tables = v2_env
+    ctx = (LocalContext().push("x", Const("nat")).push("x'", Const("N"))
+           .push("H", parse_and_elaborate(
+               env, "natN x x'",
+               LocalContext().push("x", Const("nat")).push("x'", Const("N")))))
+    lhs = parse_and_elaborate(env, "le x x", ctx)
+    rhs = parse_and_elaborate(env, "N.le x' x'", ctx)
+    result = synth(env, tables, ctx, lhs, rhs, ANY)
+    assert not isinstance(result, TransferFailure)
+    judgment, _ = result
+    assert judgment.relation == Const(IMPL)
+    assert check_proof(env, ctx, judgment.proof, app(Const(IMPL), lhs, rhs))
 
 
 def test_a_failure_below_an_applied_rule_names_the_pair_that_failed(v2_env):
@@ -173,11 +189,13 @@ def test_synth_takes_an_expectation():
     params = inspect.signature(synth).parameters
     assert list(params)[:6] == ["env", "tables", "ctx", "lhs", "rhs", "expect"]
     assert params["expect"].default is inspect.Parameter.empty
+    match_params = inspect.signature(match_relation).parameters
+    assert list(match_params) == ["env", "stored", "expect"]
 
 
 def test_synth_all_table_rule(v2_env):
     env, tables = v2_env
-    expect = RelArrow(Unknown(1), Known(Const(IMPL)))
+    expect = RelArrow(ANY, Known(Const(IMPL)))
     result = synth(env, tables, LocalContext(),
                    App(Const(ALL), Const("nat")), App(Const(ALL), Const("N")),
                    expect)
@@ -190,7 +208,7 @@ def test_synth_all_table_rule(v2_env):
 
 def test_synth_impl_prefill_solves_both_holes(v2_env):
     env, tables = v2_env
-    expect = RelArrow(Unknown(1), RelArrow(Unknown(2), Known(Const(IMPL))))
+    expect = RelArrow(ANY, RelArrow(ANY, Known(Const(IMPL))))
     result = synth(env, tables, LocalContext(), Const(IMPL), Const(IMPL), expect)
     assert not isinstance(result, TransferFailure)
     judgment, trace = result
@@ -460,7 +478,7 @@ def underivable_identity():
 
 
 def test_failed_attempts_do_not_leak_solutions():
-    # a dead-end table match must not pin metavariables for later rules,
+    # a dead-end table match must leave nothing behind for later rules,
     # and an underivable identity goal must fail finitely
     assert isinstance(underivable_identity(), TransferFailure)
 
