@@ -14,9 +14,16 @@ stored pairs whose weak head normal forms have the same head shape, and
 accepts the pair each of whose components the query is convertible with.
 Nothing is normalized, so a pair that names a large term through
 definitions costs what its weak head normal form costs, not its normal
-form.  Under `Type : Type` a well-typed term need not have a normal form,
-and on such a term `convertible` is not bounded; only a reduction budget
-would bound it.  A table value gets entries only by insertion: `DeclTables()`
+form.  The engine's lookup, `relation_entries`, tests the shape before it
+reduces: `whnf_shape` gives the head shape of a term's weak head normal
+form, mostly without building it, and a query whose direct and flipped
+shapes have no stored pairs is rejected unreduced.  `whnf_shape` needs no
+fuel of its own, as it only unfolds head definitions, which are acyclic,
+and hands every substitution to `whnf`.  Under `Type : Type` a well-typed
+term need not have a normal form, and on such a term `whnf` and
+`convertible` are not bounded; only a reduction budget in those two
+(ROADMAP item 1a-i) would bound them, and with them all of this module's
+reduction.  A table value gets entries only by insertion: `DeclTables()`
 is empty, and `_insert` gives the value it grows its parent's shape
 indexes with the new entry added, so `_find` only reads them.  The inverted
 form of each flipped relation entry is the one thing built on first use; it
@@ -290,6 +297,41 @@ def _shape(t: Term) -> Shape:
     return type(t), None, n
 
 
+def whnf_shape(env: GlobalEnv, t: Term) -> Shape:
+    """`_shape(whnf(env, t))`, mostly without building the weak head
+    normal form.  It walks the spine, counting arguments, unfolds a head
+    definition in place, and peels a λ head's binders against arguments
+    without substituting, counting them in `peeled`.  A head variable
+    below `peeled` is one of those binders, whose argument decides the
+    head (a definition's body is closed, so each of its variables is one),
+    and that term goes to `whnf`.  It needs no fuel of its own: it only
+    descends into subterms and unfolds head definitions, which are
+    acyclic, and every substitution is left to `whnf`."""
+    n = peeled = 0
+    head = t
+    while True:
+        cls = type(head)
+        if cls is App:
+            head = head.fn
+            n += 1
+        elif cls is Lam and n:
+            head = head.body
+            n -= 1
+            peeled += 1
+        elif cls is Const:
+            if not env.is_definition(head.name):
+                return Const, head.name, n
+            head = env.body_of(head.name)
+        elif cls is Var:
+            if head.index < peeled:
+                return _shape(whnf(env, t))
+            return Var, head.index - peeled, n
+        elif cls is Sort:
+            return Sort, head.tag, n
+        else:  # a Pi, or a λ without arguments
+            return cls, None, n
+
+
 def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
           b: Term) -> Entry | None:
     """The entry of `store` whose pair is convertible with (a, b), or
@@ -315,22 +357,34 @@ def lookup_transfer_v1(tables: DeclTables, env: GlobalEnv,
 
 
 def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
-                     rhs: Term) -> Iterator[tuple[RelationEntryV2, bool]]:
+                     rhs: Term, shapes: tuple[Shape, Shape] | None = None
+                     ) -> Iterator[tuple[RelationEntryV2, bool]]:
     """The direct entry for (lhs, rhs), then the inverted (rhs, lhs) entry,
-    each with its via_inverse flag.  Lazy: the flipped key is looked up
-    only if the caller asks for a second entry, and its entry is inverted
-    once per table state, then reused."""
+    each with its via_inverse flag.  The sides' head shapes (`whnf_shape`,
+    or `shapes` if the caller has them) are tested against the index
+    first, for the direct key and the flipped one, and the sides are
+    reduced only if either has stored pairs.  Lazy: the flipped key is
+    looked up only if the caller asks for a second entry, and its entry is
+    inverted once per table state, then reused."""
+    index = tables._index["relations_v2"]
+    if shapes is None:
+        shapes = whnf_shape(env, lhs), whnf_shape(env, rhs)
+    direct, flipped = shapes in index, shapes[::-1] in index
+    if not (direct or flipped):
+        return
     lhs, rhs = whnf(env, lhs), whnf(env, rhs)
-    direct = _find(tables, "relations_v2", env, lhs, rhs)
-    if direct is not None:
-        yield direct, False
-    flipped = _find(tables, "relations_v2", env, rhs, lhs)
-    if flipped is not None:
-        key = flipped.lhs, flipped.rhs
-        inverted = tables._inverted.get(key)
-        if inverted is None:
-            inverted = tables._inverted[key] = invert_entry(env, flipped)
-        yield inverted, True
+    if direct:
+        entry = _find(tables, "relations_v2", env, lhs, rhs)
+        if entry is not None:
+            yield entry, False
+    if flipped:
+        entry = _find(tables, "relations_v2", env, rhs, lhs)
+        if entry is not None:
+            key = entry.lhs, entry.rhs
+            inverted = tables._inverted.get(key)
+            if inverted is None:
+                inverted = tables._inverted[key] = invert_entry(env, entry)
+            yield inverted, True
 
 
 def lookup_relation_v2(tables: DeclTables, env: GlobalEnv, lhs: Term,

@@ -65,17 +65,26 @@ def _head_view(env: GlobalEnv, t: Term, name: str, arity: int) \
         -> tuple[Term, ...] | None:
     """The arguments of t (up to head unfolding) as `name` applied to
     `arity` of them, or None.  Stops before unfolding `inv` or
-    `respectful`."""
-    t = whnf(env, t, delta=False)
+    `respectful`.  The spine is walked once: a definition's body takes its
+    name's place in front of the arguments already collected, and only a
+    λ head with arguments is β-reduced, by `whnf`."""
+    args: list[Term] = []  # the arguments, the last first
+    head = t
     while True:
-        head, args = spine(t)
-        if not isinstance(head, Const):
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.fn
+        if type(head) is Lam and args:
+            head = whnf(env, app(head, *reversed(args)), delta=False)
+            args = []
+            continue
+        if type(head) is not Const:
             return None
         if head.name == name and len(args) == arity:
-            return tuple(args)
+            return tuple(reversed(args))
         if head.name in (INV, RESPECTFUL) or not env.is_definition(head.name):
             return None
-        t = whnf(env, app(env.body_of(head.name), *args), delta=False)
+        head = env.body_of(head.name)
 
 
 def respectful_view(env: GlobalEnv, t: Term) -> tuple[Term, Term, Term, Term, Term, Term] | None:

@@ -13,10 +13,16 @@ pair.  A failure names the deepest failing pair, where no rule applied,
 with each rule's reason.  Lambda names its hypothesis `H`, `H1`, … by the
 Lambda steps enclosing it, which it counts.
 
-Env reads a per-context index: the candidate hypotheses `Var(i) : R a b` of
-a context are found once per engine run, since a context changes only when
-the Lambda rule pushes a new one, and Env then tests them in the order a
-scan from the innermost entry would.
+Each pair is reduced once: `synth` puts each side in weak head normal
+form without delta, which Forall/Arrow, Table, App and Lambda read, and
+finds the head shape of its full weak head normal form (`whnf_shape`),
+which Env and Table read; the rules take both with the pair.  Env reads a
+per-context index: the candidate hypotheses `Var(i) : R a b` of a context
+are found once per engine run, since a context changes only when the
+Lambda rule pushes a new one, and Env then tests them in the order a scan
+from the innermost entry would.  A hypothesis side that is a variable is
+convertible exactly with a side whose shape is that variable's, so Env
+decides it by the shape and calls `convertible` only for other sides.
 
 Relation expectations are patterns (`Known`, `RelArrow` and `ANY`, which
 matches any closed relation), matched one way against hypothesis and table
@@ -46,7 +52,7 @@ from .kernel import (
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
 from .tables import (  # the benchmark's tracer wraps invert_entry here
-    DeclTables, SynthesisError, invert_entry, relation_entries,
+    DeclTables, SynthesisError, invert_entry, relation_entries, whnf_shape,
 )
 from .terms import (
     occurs_free, relation_types, replace_var, respectful_view, spine,
@@ -195,8 +201,13 @@ class _Synth:
               expect: RelExpectation,
               depth: int = 0) -> Derived | None:
         attempts: list[tuple[str, str]] = []
+        # The pair's sides reduced once, and their shapes (module docstring).
+        wl = whnf(self.env, lhs, delta=False)
+        wr = whnf(self.env, rhs, delta=False)
+        shapes = whnf_shape(self.env, wl), whnf_shape(self.env, wr)
         for name, rule in self.RULES:
-            result = getattr(self, rule)(ctx, lhs, rhs, expect, depth)
+            result = getattr(self, rule)(ctx, lhs, rhs, wl, wr, shapes,
+                                         expect, depth)
             if isinstance(result, tuple):
                 return result
             if result is not None:
@@ -222,11 +233,9 @@ class _Synth:
 
     # Forall / Arrow -----------------------------------------------------------
 
-    def _forall_arrow_view(self, ctx, lhs, rhs, expect, depth):
+    def _forall_arrow_view(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         # Products are detected on the beta view only: the rewritten
         # `impl`/`all` applications must stay applications when recursing.
-        wl = whnf(self.env, lhs, delta=False)
-        wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, Pi) and isinstance(wr, Pi)):
             return None
         if not occurs_free(wl.body, 0) and not occurs_free(wr.body, 0) \
@@ -251,16 +260,25 @@ class _Synth:
 
     # Env ----------------------------------------------------------------------
 
-    def _rule_env(self, ctx, lhs, rhs, expect, depth):
+    def _rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         for i, rel, a, b in self._hypotheses(ctx):
-            if not (convertible(self.env, a, lhs)
-                    and convertible(self.env, b, rhs)):
+            if not (self._converts(a, lhs, shapes[0])
+                    and self._converts(b, rhs, shapes[1])):
                 continue
             if not match_relation(self.env, rel, expect):
                 continue
             return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
                                 depth)
         return "no hypothesis relates the two sides"
+
+    def _converts(self, side, pair_side, shape):
+        """Whether a hypothesis's side is convertible with a pair's side,
+        whose weak head normal form has `shape`.  A variable is convertible
+        exactly with what reduces to it, so the shape decides it without a
+        reduct."""
+        if type(side) is Var:
+            return shape == (Var, side.index, 0)
+        return convertible(self.env, side, pair_side)
 
     def _hypotheses(self, ctx):
         """`(i, R, a, b)` for each entry `Var(i) : R a b` of the context
@@ -282,9 +300,9 @@ class _Synth:
 
     # Table ----------------------------------------------------------------------
 
-    def _rule_table(self, ctx, lhs, rhs, expect, depth):
+    def _rule_table(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         for entry, via_inverse in relation_entries(self.tables, self.env,
-                                                   lhs, rhs):
+                                                   wl, wr, shapes):
             if match_relation(self.env, entry.relation, expect):
                 judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
                 return self._finish(judgment, "Table", depth,
@@ -293,9 +311,7 @@ class _Synth:
 
     # App ------------------------------------------------------------------------
 
-    def _rule_app(self, ctx, lhs, rhs, expect, depth):
-        wl = whnf(self.env, lhs, delta=False)
-        wr = whnf(self.env, rhs, delta=False)
+    def _rule_app(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         if not (isinstance(wl, App) and isinstance(wr, App)):
             return "sides are not both applications"
         fn_l, arg_l = wl.fn, wl.arg
@@ -335,7 +351,7 @@ class _Synth:
 
     # Lambda -----------------------------------------------------------------------
 
-    def _rule_lambda(self, ctx, lhs, rhs, expect, depth):
+    def _rule_lambda(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         resolved = self.resolve(expect, ctx)
         if resolved is None:
             return "expected relation is undetermined"
@@ -345,8 +361,6 @@ class _Synth:
         _, _, _, _, rel_dom, rel_cod = view
         # Only syntactic functions: unfolding constants into lambdas here
         # would re-open the applications the other rules just decomposed.
-        wl = whnf(self.env, lhs, delta=False)
-        wr = whnf(self.env, rhs, delta=False)
         if not (isinstance(wl, Lam) and isinstance(wr, Lam)):
             return "sides are not both functions"
         n = self._lambdas

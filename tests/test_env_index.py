@@ -26,10 +26,12 @@ from conftest import declare, script_text
 from fuzz_helpers import v2_fixture, v2_problem
 
 
-def scanning_rule_env(self, ctx, lhs, rhs, expect, depth):
+def scanning_rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
     """The Env rule without the index: every call shifts, reduces and
-    splits the type of every context entry again.  Like every rule, it
-    returns its derivation or the reason it does not apply."""
+    splits the type of every context entry again, and tests each side by
+    `convertible`.  Like every rule, it takes the pair's reduced sides and
+    their shapes, here unused, and returns its derivation or the reason it
+    does not apply."""
     for i in range(len(ctx)):
         ty = ctx.type_of(i)
         head, args = spine(whnf(self.env, ty, delta=False))

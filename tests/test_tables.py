@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from transfer_kernel import cli, tables as tables_module
 from transfer_kernel.kernel import (
     ALL, EQ, IMPL, IMPL_RESPECTFUL, INV, PROP, SET,
-    App, Const, Lam, LocalContext, Pi, Term, Var, app, arrow, check_proof,
+    App, Const, Lam, LocalContext, Pi, Sort, Term, Var, app, arrow, check_proof,
     convertible, normalize, prelude_env, shift, whnf,
 )
 from transfer_kernel.cli import RunOptions, execute_script
@@ -21,7 +21,7 @@ from transfer_kernel.tables import (
     declare_relation_v2, declare_surjection, declare_transfer_v1,
     invert_entry, library_env,
     lookup_relation_v2, lookup_surjection, lookup_transfer_v1, prefill_core,
-    relation_entries, surjection_to_relational, table_key,
+    relation_entries, surjection_to_relational, table_key, whnf_shape,
 )
 from transfer_kernel.terms import spine
 
@@ -556,6 +556,106 @@ def test_insertion_rejects_exactly_the_pairs_with_a_stored_normal_form(pair):
                                    whnf(env, b)) is entry
         with pytest.raises(DuplicateEntry):
             tables_module._insert(grown, store, env, entry, "it")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(QUERIES)
+def test_the_shape_of_a_term_is_the_shape_of_its_normal_form(t):
+    assert whnf_shape(LOOKUP_ENV, t) \
+        == tables_module._shape(whnf(LOOKUP_ENV, t))
+
+
+def _shape_env():
+    """LOOKUP_ENV with one definition for each way `whnf_shape` walks."""
+    env = LOOKUP_ENV
+    for name, text in (
+            # the body's head is one of its binders
+            ("ap", "fun (f : nat → nat → Prop) (x : nat) => f x"),
+            # returns a λ: applied to two arguments, its result is `le`'s
+            ("flip_le", "fun x : nat => fun y : nat => le y x"),
+            # a β-redex in the body
+            ("le_at", "fun x : nat => (fun y : nat => le y) x"),
+            # a chain of definitions
+            ("le_alias2", "le_alias"),
+            # a product, and a sort
+            ("pred", "nat → Prop"), ("set", "Set")):
+        env = env.add_definition(name, parse_and_elaborate(env, text))
+    return env
+
+
+SHAPE_ENV = _shape_env()
+
+
+@pytest.mark.parametrize("text, ctx, expected", [
+    ("ap le", (), (Lam, None, 0)),
+    ("ap le_alias n", ("n",), (Const, "le", 1)),
+    ("ap flip_le n n", ("n",), (Const, "le", 2)),
+    ("flip_le n", ("n",), (Lam, None, 0)),
+    ("flip_le n n", ("n",), (Const, "le", 2)),
+    ("le_at n n", ("n",), (Const, "le", 2)),
+    ("le_alias2 n", ("n",), (Const, "le", 1)),
+    ("r n m", ("r", "n", "m"), (Var, 2, 2)),
+    ("(fun x : nat => r x) n", ("r", "n"), (Var, 1, 1)),
+    ("(fun x : nat => x) n", ("n",), (Var, 0, 0)),
+    ("pred", (), (Pi, None, 0)),
+    ("set", (), (Sort, "Set", 0)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_the_shape_of_each_kind_of_head(text, ctx, expected):
+    """One case per branch of `whnf_shape`: a binder substituted into the
+    head (handed to `whnf`), a λ result with arguments left over, a chain
+    of definitions, free variables, a product and a sort."""
+    types = {"r": "nat → N → Prop", "n": "nat", "m": "N"}
+    context = LocalContext()
+    for name in ctx:
+        context = context.push(name, parse_and_elaborate(
+            SHAPE_ENV, types[name], context))
+    t = parse_and_elaborate(SHAPE_ENV, text, context)
+    assert whnf_shape(SHAPE_ENV, t) == expected \
+        == tables_module._shape(whnf(SHAPE_ENV, t))
+
+
+@pytest.mark.parametrize("head", [
+    arrow(Const("nat"), PROP), Lam("x", Const("nat"), Var(0)), SET,
+    Const("pred"), Const("set")])
+def test_the_shape_of_an_ill_typed_application(head):
+    """A product or a sort applied to arguments is its own weak head
+    normal form; a λ applied to two takes one, then is stuck on `nat`."""
+    t = app(head, Const("nat"), Const("N"))
+    assert whnf_shape(SHAPE_ENV, t) \
+        == tables_module._shape(whnf(SHAPE_ENV, t))
+
+
+def test_a_query_whose_shapes_have_no_stored_pair_is_not_reduced(
+        nat_env, nat_tables, monkeypatch):
+    """`impl A B` unfolds to a product, and no stored pair's sides do (the
+    encoding's `all X` and `impl` unfold to λs, `eq X` is stuck): the
+    direct and the flipped lookup are both rejected by shape, before any
+    reduct is built and without a `_find`."""
+    entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
+    tables, env = surjection_to_relational(
+        prefill_core(nat_tables, nat_env), nat_env, entry)
+    calls = []
+    find, reduce = tables_module._find, tables_module.whnf
+
+    def counting_find(*args):
+        calls.append(args[1])
+        return find(*args)
+
+    def counting_whnf(*args, **kwargs):
+        calls.append("whnf")
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(tables_module, "_find", counting_find)
+    monkeypatch.setattr(tables_module, "whnf", counting_whnf)
+    ctx = LocalContext().push("x", Const("nat")).push("x'", Const("N"))
+    lhs = parse_and_elaborate(env, "impl (le x x) (le x x)", ctx)
+    rhs = parse_and_elaborate(env, "impl (N.le x' x') (N.le x' x')", ctx)
+    assert list(relation_entries(tables, env, lhs, rhs)) == []
+    assert calls == []
+    # A query whose shapes are stored is reduced and looked up as before.
+    assert [via for _, via in relation_entries(
+        tables, env, Const(IMPL), Const(IMPL))] == [False, True]
+    assert calls == ["whnf", "whnf", "relations_v2", "relations_v2"]
 
 
 def test_disguised_spellings_find_their_entries():

@@ -5,20 +5,22 @@ import inspect
 import pytest
 
 from transfer_kernel.cli import RunOptions, execute_script, exit_code
+from transfer_kernel import transfer_v2
 from transfer_kernel.kernel import (
     ALL, IMPL, SET,
     App, Const, LocalContext, Var, app, check_proof, convertible, normalize,
-    prelude_env,
+    prelude_env, whnf,
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
     DeclTables, SynthesisError, _insert, declare_relation_v2,
     declare_surjection, lookup_relation_v2, lookup_surjection, prefill_core,
-    surjection_to_relational,
+    surjection_to_relational, whnf_shape,
 )
 from transfer_kernel.outcome import TransferFailure
+from transfer_kernel.terms import inv_view, respectful_view
 from transfer_kernel.transfer_v2 import (
-    ANY, Known, RelArrow, invert_entry, match_relation, synth,
+    ANY, Known, RelArrow, _Synth, invert_entry, match_relation, synth,
     transfer_modulo,
 )
 
@@ -134,6 +136,23 @@ def test_invert_bare_relation(v2_env):
     assert flipped.proof == entry.proof  # no binders to permute
 
 
+def test_relator_views_see_through_definitions_and_redexes(v2_env):
+    """A relator arrow or an inversion is found behind a definition whose
+    body is a λ, and behind a redex; a λ with no argument is no view."""
+    env, _ = v2_env
+    env = env.add_definition("to_impl", parse_and_elaborate(
+        env, "fun R : nat → N → Prop => R ##> impl"))
+    direct = respectful_view(env, parse_and_elaborate(env, "natN ##> impl"))
+    assert direct is not None and direct[4:] == (Const("natN"), Const(IMPL))
+    for text in ("to_impl natN",
+                 "(fun R : nat → N → Prop => R ##> impl) natN",
+                 "(fun A : Set => to_impl) nat natN"):
+        assert respectful_view(env, parse_and_elaborate(env, text)) == direct
+    assert respectful_view(env, Const("to_impl")) is None
+    inverse = parse_and_elaborate(env, "(fun R : nat → N → Prop => R⁻¹) natN")
+    assert inv_view(env, inverse) == (Const("nat"), Const("N"), Const("natN"))
+
+
 # --- synth rule examples -------------------------------------------------------------
 
 def test_synth_env_rule(v2_env):
@@ -167,6 +186,76 @@ def test_synth_any_expectation_takes_the_derived_relation(v2_env):
     judgment, _ = result
     assert judgment.relation == Const(IMPL)
     assert check_proof(env, ctx, judgment.proof, app(Const(IMPL), lhs, rhs))
+
+
+@pytest.fixture
+def counting_convertible(monkeypatch):
+    """The pairs engine v2 hands `convertible` from now on."""
+    calls = []
+    original = transfer_v2.convertible
+
+    def counting(env, a, b):
+        calls.append((a, b))
+        return original(env, a, b)
+
+    monkeypatch.setattr(transfer_v2, "convertible", counting)
+    return calls
+
+
+def test_env_tests_a_variable_side_by_shape(v2_env, counting_convertible):
+    """The hypothesis `natN x x'` has variables for sides.  Env derives
+    (x, x') from it, and rejects an `impl` pair, which unfolds to a
+    product, without building either side's reduct for `convertible`."""
+    env, tables = v2_env
+    ctx = (LocalContext().push("x", Const("nat")).push("x'", Const("N"))
+           .push("H", parse_and_elaborate(
+               env, "natN x x'",
+               LocalContext().push("x", Const("nat")).push("x'", Const("N")))))
+    judgment, trace = synth(env, tables, ctx, Var(2), Var(1), ANY)
+    assert rules(trace) == ["Env"] and judgment.proof == Var(0)
+    assert counting_convertible == []
+    # A side that reduces to the variable applied to an argument is not it.
+    fns = (LocalContext().push("p", parse_and_elaborate(env, "nat → nat"))
+           .push("q", parse_and_elaborate(env, "nat → nat")))
+    fns = fns.push("e", parse_and_elaborate(env, "eq (nat → nat) p q", fns))
+    fns = fns.push("a", Const("nat"))
+    judgment, _ = synth(env, tables, fns, Var(3), Var(2), ANY)
+    assert judgment.proof == Var(1)
+    applied = synth(env, tables, fns, App(Var(3), Var(0)),
+                    App(Var(2), Var(0)), ANY)
+    assert isinstance(applied, TransferFailure)
+    counting_convertible.clear()
+    lhs = parse_and_elaborate(env, "impl (le x x) (le x x)", ctx)
+    rhs = parse_and_elaborate(env, "impl (N.le x' x') (N.le x' x')", ctx)
+    wl, wr = whnf(env, lhs, delta=False), whnf(env, rhs, delta=False)
+    shapes = whnf_shape(env, wl), whnf_shape(env, wr)
+    reason = _Synth(env, tables, False)._rule_env(
+        ctx, lhs, rhs, wl, wr, shapes, Known(Const(IMPL)), 0)
+    assert reason == "no hypothesis relates the two sides"
+    assert counting_convertible == []
+
+
+def test_each_side_is_reduced_once_without_delta(v2_env, monkeypatch):
+    """Forall/Arrow, Table, App and Lambda all read the pair's sides
+    reduced without delta: on an atom pair that every rule tries, each
+    side is reduced so only once."""
+    env, tables = v2_env
+    env = env.add_parameter("c", Const("nat")).add_parameter("c'", Const("N"))
+    lhs, rhs = Const("c"), Const("c'")
+    reduced = []
+    original = transfer_v2.whnf
+
+    def counting_whnf(env, t, delta=True):
+        if not delta:
+            reduced.append(t)
+        return original(env, t, delta)
+
+    monkeypatch.setattr(transfer_v2, "whnf", counting_whnf)
+    expect = Known(parse_and_elaborate(env, "natN ##> impl"))
+    result = synth(env, tables, LocalContext(), lhs, rhs, expect)
+    assert isinstance(result, TransferFailure)
+    assert "Lambda: sides are not both functions" in result.message
+    assert reduced.count(lhs) <= 1 and reduced.count(rhs) <= 1
 
 
 def test_a_failure_below_an_applied_rule_names_the_pair_that_failed(v2_env):
