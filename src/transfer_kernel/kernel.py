@@ -21,7 +21,8 @@ The checker implements beta + delta conversion (no eta): definitions
 unfold lazily in head position, parameters and axioms are opaque.  There
 are no inductive types or fixpoints, but under `Type : Type` some
 well-typed terms have no normal form, so reduction is not bounded on every
-input.  Terms, contexts, declarations and environments are immutable.
+input.  Terms, contexts and environments are immutable, and so are
+declarations but for the unfoldings of their types they keep (below).
 
 Every term carries `lbr`, its loose-bound-variable range: one more than the
 largest de Bruijn index free in it, 0 if it is closed, fixed at
@@ -38,6 +39,20 @@ traversals dispatch on the exact class, `type(t) is App`, so the term
 classes must stay final (a subclass would take the default branch, as the
 elaborator's `Meta` does), and the recursive ones are module-level
 functions, since a nested function that calls itself is a reference cycle.
+
+A `Decl` keeps, in `unfolded`, weak head normal forms `infer_type` needs
+of its type.  While the pending type of a spine headed by the constant is
+still an uninstantiated subterm of that type, or of a form kept for it,
+one that is not a product is reduced open, its pending binders free, once
+per declaration and argument count; a kept product is used as is, and any
+other kept form takes the general path, instantiate then reduce.
+No result changes: `whnf` reads no context; a `Decl` is shared only by
+extensions of the environment that made it, in all of which each constant
+its type reaches has the same declaration; and an open form that is a
+product was reached by no step headed by a free variable, so instantiating
+it gives exactly the term instantiating first and reducing gives, as
+`_instantiate` composes exactly.  The memo holds no term built from
+arguments, so its size is bounded by the declaration, and it dies with it.
 """
 
 from __future__ import annotations
@@ -302,6 +317,8 @@ _entry_name, _entry_ty, _ctx_entries = (
 class Decl:
     ty: Term
     body: Term | None = None
+    # Argument count -> a kept unfolding of `ty` (see the module docstring).
+    unfolded: dict[int, Term] = field(default_factory=dict, compare=False, repr=False)
 
 
 class GlobalEnv:
@@ -478,8 +495,8 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
     if cls is App:
         # Collect the arguments of h a1 .. an, the last first.  `ty` is the
         # pending type under the binders of args[i + 1:], the ones applied
-        # since it was last reduced, instantiated only where an open domain,
-        # a reduction or the result needs them.
+        # since it was last instantiated, instantiated only where an open
+        # domain, a reduction or the result needs them.
         args: list[Term] = []
         head = t
         while type(head) is App:
@@ -494,14 +511,21 @@ def infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
             # ("fn",) * i leads from t to the App applying args[i].
             if type(ty) is not Pi:
                 k = len(args) - i - 1
-                if k:
-                    ty = _instantiate(ty, 0, args, k)
-                    del args[i + 1:]
-                ty = whnf(env, ty)
+                if type(head) is Const:  # `ty` is still its type's, under k binders
+                    unfolded = env._decls[head.name].unfolded
+                    kept = unfolded.get(k) or unfolded.setdefault(k, whnf(env, ty))
+                    if type(kept) is Pi:
+                        ty = kept
                 if type(ty) is not Pi:
-                    raise TypeCheckError(
-                        f"applied term has non-function type {ty!r}",
-                        ("fn",) * (i + 1))
+                    if k:
+                        ty = _instantiate(ty, 0, args, k)
+                        del args[i + 1:]
+                    ty = whnf(env, ty)
+                    if type(ty) is not Pi:
+                        raise TypeCheckError(
+                            f"applied term has non-function type {ty!r}",
+                            ("fn",) * (i + 1))
+                    head = None  # `ty` is built from arguments from here on
             try:
                 arg_ty = infer_type(env, ctx, args[i])
             except TypeCheckError as e:

@@ -12,24 +12,30 @@ Insertion and lookup decide pair equality the same way, by `_find`, and no
 store has another.  It takes the query's weak head normal form, picks the
 stored pairs whose weak head normal forms have the same head shape, and
 accepts the pair each of whose components the query is convertible with.
-Nothing is normalized, so a pair that names a large term through
-definitions costs what its weak head normal form costs, not its normal
-form.  The engine's lookup, `relation_entries`, tests the shape before it
-reduces: `whnf_shape` gives the head shape of a term's weak head normal
-form, mostly without building it, and a query whose direct and flipped
-shapes have no stored pairs is rejected unreduced.  `whnf_shape` needs no
-fuel of its own, as it only unfolds head definitions, which are acyclic,
-and hands every substitution to `whnf`.  Under `Type : Type` a well-typed
-term need not have a normal form, and on such a term `whnf` and
-`convertible` are not bounded; only a reduction budget in those two
-(ROADMAP item 1a-i) would bound them, and with them all of this module's
-reduction.  A table value gets entries only by insertion: `DeclTables()`
-is empty, and `_insert` gives the value it grows its parent's shape
-indexes with the new entry added, so `_find` only reads them.  The inverted
-form of each flipped relation entry is the one thing built on first use; it
-is kept on the table value it derives from, so it is computed at most once
-per table state.  A table value is used with the environment it was built
-in, or an extension of it.
+A pair with a λ side also carries `_lam_keys`, the shapes of each λ's
+binder type and body, and `_find` skips a stored pair whose keys differ
+from the query's before converting: `impl`, `all nat` and `all N` unfold to
+λs and share one bucket, which the keys split.  The keys are taken after
+reduction only: `whnf_shape`, which `relation_entries` tests before
+reducing, stays on the head alone, as refining it for every side the engine
+meets cost more than it saved.  Nothing is normalized, so a pair that names
+a large term through definitions costs what its weak head normal form
+costs, not its normal form.  The engine's lookup, `relation_entries`, tests
+the shape before it reduces: `whnf_shape` gives the head shape of a term's
+weak head normal form, mostly without building it, and a query whose direct
+and flipped shapes have no stored pairs is rejected unreduced.
+`whnf_shape` needs no fuel of its own, as it only unfolds head definitions,
+which are acyclic, and hands every substitution to `whnf`.  Under
+`Type : Type` a well-typed term need not have a normal form, and on such a
+term `whnf` and `convertible` are not bounded; only a reduction budget in those
+two (ROADMAP item 1a-i) would bound them, and with them all of this
+module's reduction.  A table value gets entries only by insertion:
+`DeclTables()` is empty, and `_insert` gives the value it grows its
+parent's shape indexes with the new entry added, so `_find` only reads
+them.  The inverted form of each flipped relation entry is the one thing
+built on first use; it is kept on the table value it derives from, so it is
+computed at most once per table state.  A table value is used with the
+environment it was built in, or an extension of it.
 Generated entries cite their proofs by name: prefill's the prelude's
 `impl_respectful`, an encoding's instances of `LIBRARY`.
 """
@@ -97,6 +103,8 @@ Entry = SurjectionEntry | TransferEntryV1 | RelationEntryV2
 # What `convertible` compares first on a weak head normal form: the spine
 # head's constructor and its name, index or tag, and the argument count.
 Shape = tuple[type, object, int]
+# The shapes of a λ's binder type and body, per side of a pair (`_lam_keys`).
+LamKeys = tuple[tuple[Shape, Shape] | None, tuple[Shape, Shape] | None]
 
 
 class DeclTables:
@@ -108,10 +116,11 @@ class DeclTables:
         self.surjections: tuple[SurjectionEntry, ...] = ()
         self.transfers_v1: tuple[TransferEntryV1, ...] = ()
         self.relations_v2: tuple[RelationEntryV2, ...] = ()
-        # Store name -> shapes -> (whnf of pair, entry) in store order,
-        # grown with the store by `_insert`; never changed once here.
-        self._index: dict[str, dict[tuple[Shape, Shape],
-                                    list[tuple[Key, Entry]]]] = {
+        # Store name -> shapes -> (whnf of pair, its `_lam_keys`, entry) in
+        # store order, grown with the store by `_insert`; never changed once
+        # here.
+        self._index: dict[str, dict[tuple[Shape, Shape], list[
+            tuple[Key, LamKeys | None, Entry]]]] = {
             "surjections": {}, "transfers_v1": {}, "relations_v2": {}}
         # Pair of a relation entry -> its inverted form (`invert_entry`).
         self._inverted: dict[Key, RelationEntryV2] = {}
@@ -274,7 +283,7 @@ def _insert(tables: DeclTables, store: str, env: GlobalEnv, entry: Entry,
     setattr(new, store, getattr(tables, store) + (entry,))
     index = dict(tables._index[store])
     shapes = _shape(heads[0]), _shape(heads[1])
-    index[shapes] = [*index.get(shapes, ()), (heads, entry)]
+    index[shapes] = [*index.get(shapes, ()), (heads, _lam_keys(env, *heads), entry)]
     new._index = {**tables._index, store: index}
     return new
 
@@ -332,13 +341,32 @@ def whnf_shape(env: GlobalEnv, t: Term) -> Shape:
             return cls, None, n
 
 
+def _lam_keys(env: GlobalEnv, a: Term, b: Term) -> LamKeys | None:
+    """For a pair in weak head normal form with a λ side, the `whnf_shape`s
+    of each λ side's binder type and body (None for a side that is no λ);
+    None for a pair without one."""
+    ka = (whnf_shape(env, a.ty), whnf_shape(env, a.body)) if type(a) is Lam else None
+    kb = (whnf_shape(env, b.ty), whnf_shape(env, b.body)) if type(b) is Lam else None
+    return None if ka is None and kb is None else (ka, kb)
+
+
 def _find(tables: DeclTables, store: str, env: GlobalEnv, a: Term,
           b: Term) -> Entry | None:
     """The entry of `store` whose pair is convertible with (a, b), or
     None; a and b are in weak head normal form.  `_insert` rejects a pair
     convertible with a stored one, and conversion is transitive, so at
-    most one stored pair is convertible with (a, b)."""
-    for heads, entry in tables._index[store].get((_shape(a), _shape(b)), ()):
+    most one stored pair is convertible with (a, b).  Within the bucket of
+    the pair's head shapes, a stored pair whose `_lam_keys` differ from the
+    query's is skipped unconverted: without η two λs convert only if their
+    binder types and their bodies do, which then have equal shapes, so
+    `impl`, `all nat` and `all N`, all λs, are told apart by shape."""
+    keys = None  # the query's, computed at the bucket's first λ pair
+    for heads, lam_keys, entry in tables._index[store].get(
+            (_shape(a), _shape(b)), ()):
+        if lam_keys is not None:
+            keys = keys or _lam_keys(env, a, b)
+            if lam_keys != keys:
+                continue
         if convertible(env, a, heads[0]) and convertible(env, b, heads[1]):
             return entry
     return None

@@ -369,7 +369,8 @@ class _Synth:
         ctx3 = (ctx.push(wl.name, wl.ty)
                    .push(wr.name, shift(wr.ty, 1))
                    .push(hyp_name, hyp_ty))
-        body_l = replace_var(shift(wl.body, 2, 1), 0, Var(2))
+        # Under x, x', H: the left binder is Var(2), the right one Var(1).
+        body_l = shift(wl.body, 2)
         body_r = replace_var(shift(wr.body, 2, 1), 0, Var(1))
         self._lambdas = n + 1
         sub = self.synth(ctx3, body_l, body_r, Known(shift(rel_cod, 3)),

@@ -65,10 +65,10 @@ from transfer_kernel.kernel import (
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import (
     Meta, PApp, PArrow, PEq, PInv, PLam, PPi, PRef, PResp, PreTerm, PSort,
-    parse_script,
+    parse_and_elaborate, parse_script,
 )
 from transfer_kernel.tables import LIBRARY, DeclTables, library_env, prefill_core
-from transfer_kernel.terms import occurs_free, replace_var
+from transfer_kernel.terms import occurs_free, replace_var, spine
 from transfer_kernel.transfer_v1 import exact_modulo
 from transfer_kernel.transfer_v2 import transfer_modulo
 
@@ -860,6 +860,293 @@ def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
                  "N.of_nat_rel_func"}
     assert generated <= cited
     assert all(env.is_definition(name) for name in generated)
+
+
+# --- declared types unfolded once per declaration ---------------------------------
+
+def parent_infer_type(env: GlobalEnv, ctx: LocalContext, t: Term) -> Term:
+    """`infer_type` as it was before a `Decl` kept unfoldings of its type:
+    a pending type that is not a product is instantiated, then reduced,
+    at every application.  It reduces through `kernel.whnf`, so a test can
+    count its calls."""
+    cls = type(t)
+    if cls is Var:
+        i = t.index
+        entries = ctx.entries
+        if i >= len(entries) or i < 0:
+            raise UnboundName(f"unbound variable index {i}")
+        return shift(entries[-1 - i].ty, i + 1)
+    if cls is Const:
+        return (env._decls.get(t.name) or env.lookup(t.name)).ty
+    if cls is App:
+        args: list[Term] = []
+        head = t
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.fn
+        try:
+            ty = parent_infer_type(env, ctx, head)
+        except TypeCheckError as e:
+            e.path = ("fn",) * len(args) + e.path
+            raise
+        for i in range(len(args) - 1, -1, -1):
+            if type(ty) is not Pi:
+                k = len(args) - i - 1
+                if k:
+                    ty = kernel._instantiate(ty, 0, args, k)
+                    del args[i + 1:]
+                ty = kernel.whnf(env, ty)
+                if type(ty) is not Pi:
+                    raise TypeCheckError(
+                        f"applied term has non-function type {ty!r}",
+                        ("fn",) * (i + 1))
+            try:
+                arg_ty = parent_infer_type(env, ctx, args[i])
+            except TypeCheckError as e:
+                e.path = ("fn",) * i + ("arg",) + e.path
+                raise
+            dom = ty.ty
+            k = len(args) - i - 1
+            if k and dom.lbr:
+                dom = kernel._instantiate(dom, 0, args, k)
+            if not (arg_ty is dom or arg_ty == dom or subsumes(env, arg_ty, dom)):
+                raise TypeCheckError(
+                    f"argument type {arg_ty!r} does not match domain {dom!r}",
+                    ("fn",) * i + ("arg",))
+            ty = ty.body
+        return kernel._instantiate(ty, 0, args, len(args)) if args else ty
+    if cls is Pi:
+        try:
+            s1 = parent_infer_type(env, ctx, t.ty)
+        except TypeCheckError as e:
+            e.path = ("domain",) + e.path
+            raise
+        if type(s1) is not Sort and type(whnf(env, s1)) is not Sort:
+            raise TypeCheckError(
+                f"product domain {t.ty!r} is not a type", ("domain",))
+        try:
+            s2 = parent_infer_type(env, ctx.push(t.name, t.ty), t.body)
+        except TypeCheckError as e:
+            e.path = ("codomain",) + e.path
+            raise
+        if type(s2) is not Sort and type(s2 := whnf(env, s2)) is not Sort:
+            raise TypeCheckError(
+                f"product codomain {t.body!r} is not a type", ("codomain",))
+        return s2
+    if cls is Lam:
+        try:
+            s = parent_infer_type(env, ctx, t.ty)
+        except TypeCheckError as e:
+            e.path = ("binder-type",) + e.path
+            raise
+        if type(s) is not Sort and type(whnf(env, s)) is not Sort:
+            raise TypeCheckError(
+                f"binder type {t.ty!r} is not a type", ("binder-type",))
+        try:
+            body_ty = parent_infer_type(env, ctx.push(t.name, t.ty), t.body)
+        except TypeCheckError as e:
+            e.path = ("body",) + e.path
+            raise
+        return Pi(t.name, t.ty, body_ty)
+    if cls is Sort:
+        return TYPE
+    raise TypeCheckError(f"unrecognized term {t!r}")
+
+
+def _folded_env() -> GlobalEnv:
+    """The fuzz v2 fixture, whose relation entries have folded
+    `respectful`/`inv`/`impl` types, plus axioms whose types are stuck on a
+    variable until applied (one after a folded `impl`), one whose type
+    unfolds through `inv` to an equation, and definitions that cite entries
+    under folded types."""
+    env = v2_fixture()[0]
+    for kind, name, text in (
+            ("axiom", "ax", "∀ (F : Prop → Prop) (p : Prop), F p"),
+            ("axiom", "ax_late",
+             "∀ x : Prop, impl x (∀ (F : Prop → Prop) (p : Prop), F p)"),
+            ("axiom", "inv_ax", "∀ x : nat, natN⁻¹ (N.of_nat x) x"),
+            ("axiom", "all_ax", "all nat P"),
+            ("axiom", "down_up", "(natN⁻¹ ##> impl) P' P")):
+        ty = parse_and_elaborate(env, text)
+        env = env.add_axiom(name, ty)
+    for name, body, ty in (
+            ("le_up_def", "le_up_rel", None),
+            ("le_up_folded", "le_up_rel", "(natN ##> natN ##> impl) le N.le"),
+            ("impl_def", "false_id", "impl False False")):
+        env = env.add_definition(
+            name, parse_and_elaborate(env, body),
+            None if ty is None else parse_and_elaborate(env, ty))
+    return env
+
+
+HEADS = ("le_up_rel", "le_down_rel", "P_up", "P_down", "false_id", "ax",
+         "ax_late",
+         "inv_ax", "all_ax", "down_up", "le_up_def", "le_up_folded",
+         "impl_def", "N.of_nat_rel_surj", "eq_refl", "h")
+# (name, type) of the context the spines are checked in, outermost first.
+# Every pair of variables is related by a hypothesis, so most argument
+# lists that some pool term fits can be completed.
+SPINE_CTX = (("x", "nat"), ("x'", "N"), ("y", "nat"), ("y'", "N"),
+             ("hx", "natN x x'"), ("hy", "natN y y'"), ("hxy", "natN x y'"),
+             ("hyx", "natN y x'"), ("hxo", "natN x (N.of_nat x)"),
+             ("hyo", "natN y (N.of_nat x)"), ("p", "le x y"), ("pxx", "le x x"),
+             ("pyx", "le y x"), ("pyy", "le y y"), ("qx", "P x"),
+             ("qy", "P y"), ("f", "False"))
+ARG_TEXTS = tuple(name for name, _ in SPINE_CTX) + (
+    "False", "Prop", "fun q : Prop => q → q",
+    "fun q : Prop => impl q (impl q q)", "le", "N.le", "P", "P'",
+    "N.of_nat x", "h", "le x", "impl False", "nat")
+
+
+def _spine_context(env: GlobalEnv) -> LocalContext:
+    ctx = LocalContext()
+    for name, text in SPINE_CTX:
+        ctx = ctx.push(name, parse_and_elaborate(env, text, ctx))
+    return ctx
+
+
+def _random_spine(rng: random.Random, env: GlobalEnv, ctx: LocalContext,
+                  pool: list[tuple[Term, Term]]) -> Term:
+    """A head from HEADS applied to up to 12 arguments.  Where some pool
+    term fits the pending domain, one of them is applied nineteen times in
+    twenty, and the spine stops one time in ten; where none fits, the
+    spine stops three times in four."""
+    t = Const(rng.choice(HEADS))
+    everything = [a for a, _ in pool]
+    for _ in range(12):
+        try:
+            ty = whnf(env, parent_infer_type(env, ctx, t))
+        except TypeCheckError:
+            ty = None
+        fits = [a for a, a_ty in pool
+                if type(ty) is Pi and subsumes(env, a_ty, ty.ty)]
+        if rng.random() < (0.1 if fits else 0.75):
+            break
+        t = App(t, rng.choice(fits if fits and rng.random() < 0.95
+                              else everything))
+    return t
+
+
+def test_kept_unfoldings_type_spines_as_the_parents_loop():
+    """Spines over declarations with folded types, checked alternately in
+    two sibling environments (the same declarations, different `h`), type
+    as with the parent's loop: the same type by `==` and by `repr`, or the
+    same error class, message and path.  The declarations' kept unfoldings
+    are filled in one sibling and used in the other."""
+    base = _folded_env()
+    siblings = [base.add_axiom("h", Const(FALSE)),
+                base.add_axiom("h", parse_and_elaborate(base, "impl False False"))]
+    ctx = _spine_context(base)
+    pools = [[(a, infer_type(env, ctx, a))
+              for a in (parse_and_elaborate(env, text, ctx) for text in ARG_TEXTS)]
+             for env in siblings]
+    rng = random.Random(30)
+    outcomes = Counter()
+    for n in range(400):
+        env = siblings[n % 2]
+        t = _random_spine(rng, env, ctx, pools[n % 2])
+        for other in siblings:  # filled in one sibling, reused in the other
+            got = typing(infer_type, other, ctx, t)
+            expected = typing(parent_infer_type, other, ctx, t)
+            assert got == expected and repr(got) == repr(expected), t
+            if isinstance(got, tuple):
+                outcomes[got[2].split(" ")[0]] += 1
+            else:
+                outcomes["typed" if len(spine(t)[1]) < 5 else "typed, 5+"] += 1
+    assert outcomes["typed"] > 400 and outcomes["typed, 5+"] > 50
+    assert outcomes["argument"] > 80 and outcomes["applied"] > 50
+    # Each folded level's unfolding was kept once, and over-applied spines
+    # kept the stuck `N.le x' y'` after all seven arguments.
+    for name in ("le_up_rel", "le_up_folded"):
+        assert {0, 3, 6} <= base.lookup(name).unfolded.keys() <= {0, 3, 6, 7}
+
+
+def _count_whnf(monkeypatch, infer, env, ctx, t) -> tuple[Term, int]:
+    calls = []
+    reduce = kernel.whnf
+
+    def counting_whnf(*args, **kwargs):
+        calls.append(None)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "whnf", counting_whnf)
+    try:
+        return infer(env, ctx, t), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_a_second_application_reuses_the_kept_unfoldings(monkeypatch):
+    """`le_up_rel x x' hx y y' hy p : N.le x' y'`.  Each argument's type
+    is its domain, so only pending types are reduced.  The parent reduces
+    one at each of the three folded `respectful`/`impl` levels on every
+    application (3 `whnf` calls); the first application in an environment
+    reduces them open and keeps them (3 calls), and the second reduces
+    none (0 calls)."""
+    env = _folded_env()
+    ctx = _spine_context(env)
+    t = parse_and_elaborate(env, "le_up_rel x x' hx y y' hy p", ctx)
+    expected = parse_and_elaborate(env, "N.le x' y'", ctx)
+    parent = _count_whnf(monkeypatch, parent_infer_type, env, ctx, t)
+    first = _count_whnf(monkeypatch, infer_type, env, ctx, t)
+    second = _count_whnf(monkeypatch, infer_type, env, ctx, t)
+    assert (parent, first, second) \
+        == ((expected, 3), (expected, 3), (expected, 0))
+    assert second[1] < first[1] and second[1] < parent[1]
+
+
+def test_a_kept_form_that_is_not_a_product_takes_the_general_path():
+    """`ax : ∀ (F : Prop → Prop) (p : Prop), F p`: after two arguments the
+    pending type `F p` is stuck on a variable, so its kept form is not a
+    product; instantiating then reducing gives `False → False`."""
+    env = _folded_env().add_axiom("h", Const(FALSE))
+    ctx = LocalContext()
+    unary = parse_and_elaborate(env, "fun q : Prop => q → q")
+    t = app(Const("ax"), unary, Const(FALSE), Const("h"))
+    for _ in range(2):
+        assert infer_type(env, ctx, t) == Const(FALSE)
+    assert env.lookup("ax").unfolded == {2: App(Var(1), Var(0))}
+    with pytest.raises(TypeCheckError) as err:
+        infer_type(env, ctx, app(Const("ax"), unary, Const(FALSE), Const(FALSE)))
+    assert (err.value.message, err.value.path) \
+        == ("argument type Prop does not match domain False", ("arg",))
+    # A fourth argument meets `False`, which is no product.
+    with pytest.raises(TypeCheckError) as err:
+        infer_type(env, ctx, App(t, Const("h")))
+    assert (err.value.message, err.value.path) \
+        == ("applied term has non-function type False", ("fn",))
+    # `ax_late False h` keeps the unfolding of `impl x (…)` at one argument.
+    # Past the stuck `F p`, its instance `impl False (impl False False)`
+    # meets a folded type again one argument later: built from arguments,
+    # it is reduced as such, not read from the kept forms.
+    late = parse_and_elaborate(
+        env, "ax_late False h (fun q : Prop => impl q (impl q q)) False h h")
+    for _ in range(2):
+        assert infer_type(env, ctx, late) == Const(FALSE)
+    assert sorted(env.lookup("ax_late").unfolded) == [1, 4]
+
+
+def test_the_kept_unfoldings_are_bounded_by_the_declaration():
+    """After the first application of an axiom, a thousand more with other
+    arguments, in other environments too, keep no further term."""
+    env = _folded_env()
+    for kind, name, text in (("parameter", "c", "nat"), ("parameter", "c'", "N"),
+                             ("axiom", "hc", "natN c c'")):
+        env = getattr(env, f"add_{kind}")(name, parse_and_elaborate(env, text))
+    ctx = _spine_context(env)
+    decl = env.lookup("le_up_rel")
+    first = parse_and_elaborate(env, "le_up_rel x x' hx y y' hy p", ctx)
+    infer_type(env, ctx, first)
+    kept = dict(decl.unfolded)
+    assert len(kept) == 3
+    le_c = parse_and_elaborate(env, "le c c")
+    for i in range(1000):
+        sibling = env.add_axiom(f"h{i}", le_c)
+        t = parse_and_elaborate(sibling, f"le_up_rel c c' hc c c' hc h{i}")
+        assert infer_type(sibling, ctx, t) \
+            == parse_and_elaborate(env, "N.le c' c'")
+    assert decl.unfolded == kept
+    assert all(decl.unfolded[k] is term for k, term in kept.items())
 
 
 # --- no cyclic garbage ------------------------------------------------------------

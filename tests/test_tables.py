@@ -26,6 +26,7 @@ from transfer_kernel.tables import (
 from transfer_kernel.terms import spine
 
 from conftest import SCRIPTS, declare
+from fuzz_helpers import v2_fixture
 from test_kernel_fastpath import decode
 
 
@@ -798,9 +799,21 @@ def test_an_insert_extends_a_copy_of_its_parents_index():
 STORES = ("surjections", "transfers_v1", "relations_v2")
 
 
+def ref_lam_keys(env, a: Term, b: Term):
+    """The shapes of each λ side's binder type and body, read off their
+    whnf; None for a pair with no λ side."""
+    if not (isinstance(a, Lam) or isinstance(b, Lam)):
+        return None
+    return tuple(None if not isinstance(t, Lam)
+                 else (tables_module._shape(whnf(env, t.ty)),
+                       tables_module._shape(whnf(env, t.body)))
+                 for t in (a, b))
+
+
 def ref_index(tables: DeclTables, env):
     """Each store's shape index rebuilt from its entries: the loop `_find`
-    once ran on a value whose index was not yet built."""
+    once ran on a value whose index was not yet built, with each pair's
+    λ keys."""
     index = {}
     for store in STORES:
         built = index[store] = {}
@@ -808,21 +821,22 @@ def ref_index(tables: DeclTables, env):
             heads = whnf(env, entry[0]), whnf(env, entry[1])
             built.setdefault((tables_module._shape(heads[0]),
                               tables_module._shape(heads[1])), []) \
-                .append((heads, entry))
+                .append((heads, ref_lam_keys(env, *heads), entry))
     return index
 
 
 def assert_index_is_a_rebuild(tables: DeclTables, env):
-    """Equal heads, identical entries, store order, in every bucket."""
+    """Equal heads and λ keys, identical entries, store order, in every
+    bucket."""
     expected = ref_index(tables, env)
     assert tables._index.keys() == expected.keys()
     for store, buckets in expected.items():
         index = tables._index[store]
         assert index.keys() == buckets.keys()
         for shapes, bucket in buckets.items():
-            assert [heads for heads, _ in index[shapes]] \
-                == [heads for heads, _ in bucket]
-            assert all(got is entry for (_, got), (_, entry)
+            assert [item[:2] for item in index[shapes]] \
+                == [item[:2] for item in bucket]
+            assert all(got is entry for (*_, got), (*_, entry)
                        in zip(index[shapes], bucket, strict=True))
 
 
@@ -911,3 +925,103 @@ def test_the_index_is_a_rebuild_after_every_relation_declaration(
         CmdDeclareRelation)
     assert state.errors == [] and len(checked) == 400
     assert len(state.tables.relations_v2) == 401
+
+
+# --- the λ bucket, split by binder and body shape ----------------------------
+#
+# `impl` and `all X` have λs as weak head normal forms, so their pairs share
+# one shape bucket; `_find` tells them apart by `_lam_keys`, the shapes of
+# each λ side's binder type and body, before any conversion.  That is sound
+# only if convertible λs have equal keys.
+
+def lam_key(env, t: Term):
+    """The λ key of one side: t's, paired with a side that is no λ."""
+    keys = tables_module._lam_keys(env, t, PROP)
+    return keys and keys[0]
+
+
+def _lam_env():
+    env = LOOKUP_ENV
+    for name, text in (("impl_alias", "impl"), ("all_nat", "all nat"),
+                       ("flip_le", "fun x y : nat => le y x")):
+        env = env.add_definition(name, parse_and_elaborate(env, text))
+    return env
+
+
+LAM_ENV = _lam_env()
+# Spellings of λs, one tuple per conversion class: aliases, expansions that
+# only δ and β relate (`fun A => impl A` against `impl`), and a definition
+# whose body is a λ.
+LAM_CLASSES = (
+    ("impl", "impl_alias", "fun A : Prop => impl A",
+     "fun A B : Prop => impl_alias A B", "fun A B : Prop => A → B"),
+    ("all nat", "all nat_alias", "all_nat", "fun P : nat → Prop => all nat P",
+     "fun P : nat_alias → Prop => ∀ x : nat, P x"),
+    ("all N", "fun P : N → Prop => all N P", "fun P : N → Prop => ∀ x : N, P x"),
+    ("impl False", "impl_alias False", "fun B : Prop => False → B"),
+    ("flip_le", "fun x : nat => flip_le x", "fun x y : nat => le_alias y x"),
+    ("fun A : Prop => A", "fun B : Prop => (fun C : Prop => C) B"),
+    ("fun P : nat → Prop => P", "fun P : nat_alias → Prop => P"),
+)
+LAM_TERMS = [(i, parse_and_elaborate(LAM_ENV, text))
+             for i, group in enumerate(LAM_CLASSES) for text in group]
+LAM_QUERIES = st.one_of(
+    st.builds(lambda picked, codes: (picked[0], _disguise(picked[1], iter(codes))),
+              st.sampled_from(LAM_TERMS), st.lists(st.integers(0, 3), max_size=4)),
+    QUERIES.map(lambda t: (None, t)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(LAM_QUERIES, LAM_QUERIES)
+def test_convertible_lambdas_have_equal_lam_keys(first, second):
+    """Any two of the spellings above, disguised in redexes, or of the
+    lookup queries: in weak head normal form, convertible terms have equal
+    λ keys, and two spellings of one class are convertible."""
+    env = LAM_ENV
+    (group_a, a), (group_b, b) = first, second
+    a, b = whnf(env, a), whnf(env, b)
+    if group_a is not None and group_a == group_b:
+        assert convertible(env, a, b)
+    if convertible(env, a, b):
+        assert lam_key(env, a) == lam_key(env, b)
+
+
+def test_lam_keys_separate_the_fixture_lambdas():
+    """Each class's spellings share one key; `impl`, `impl A` and `all X`
+    have three different ones, and `all nat` and `all N` share theirs."""
+    env = LAM_ENV
+    keys = [{lam_key(env, whnf(env, t)) for i, t in LAM_TERMS if i == group}
+            for group in range(len(LAM_CLASSES))]
+    assert all(len(k) == 1 and None not in k for k in keys)
+    impl, all_nat, all_n, impl_false = (k.pop() for k in keys[:4])
+    assert len({impl, all_nat, impl_false}) == 3 and all_nat == all_n
+    for t in (Const("le"), App(Const(EQ), Const("nat")), PROP):
+        assert tables_module._lam_keys(env, whnf(env, t), t) is None
+
+
+@pytest.mark.parametrize("lhs, rhs, calls", [
+    ("impl (le x x)", "impl (N.le x' x')", 0),
+    ("all nat", "all N", 5),
+    ("impl", "impl", 4),
+    ("le", "N.le", 4),
+])
+def test_relation_entries_skip_lambdas_of_another_shape(monkeypatch, lhs, rhs,
+                                                        calls):
+    """`convertible` calls of `relation_entries` on the fuzz v2 fixture,
+    whose λ bucket holds (impl, impl), (all nat, all N) and (all N, all nat).
+    Before the split they were 6, 7, 4 and 4: every query on an `impl` or
+    `all` pair was converted against each λ pair, direct and flipped."""
+    env, tables = v2_fixture()
+    counted = []
+    conv = tables_module.convertible
+
+    def counting_convertible(*args):
+        counted.append(None)
+        return conv(*args)
+
+    ctx = LocalContext().push("x", Const("nat")).push("x'", Const("N"))
+    pair = [parse_and_elaborate(env, text, ctx) for text in (lhs, rhs)]
+    expected = list(relation_entries(tables, env, *pair))
+    monkeypatch.setattr(tables_module, "convertible", counting_convertible)
+    assert list(relation_entries(tables, env, *pair)) == expected
+    assert len(counted) == calls

@@ -3,13 +3,14 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings
 
 from transfer_kernel.cli import RunOptions, execute_script, exit_code
 from transfer_kernel import transfer_v2
 from transfer_kernel.kernel import (
     ALL, IMPL, SET,
     App, Const, LocalContext, Var, app, check_proof, convertible, normalize,
-    prelude_env, whnf,
+    prelude_env, shift, whnf,
 )
 from transfer_kernel.surface import parse_and_elaborate, print_term
 from transfer_kernel.tables import (
@@ -18,13 +19,16 @@ from transfer_kernel.tables import (
     surjection_to_relational, whnf_shape,
 )
 from transfer_kernel.outcome import TransferFailure
-from transfer_kernel.terms import inv_view, respectful_view
+from transfer_kernel.terms import (
+    inv_view, occurs_free, replace_var, respectful_view,
+)
 from transfer_kernel.transfer_v2 import (
     ANY, Known, RelArrow, _Synth, invert_entry, match_relation, synth,
     transfer_modulo,
 )
 
 from conftest import declare
+from test_kernel_fastpath import TERMS
 
 
 def rules(trace):
@@ -553,6 +557,19 @@ def test_lambda_rule_requires_syntactic_functions(v2_env):
     result = synth(env, tables, LocalContext(), lhs, lhs,
                    Known(parse_and_elaborate(env, "impl ##> impl")))
     assert isinstance(result, TransferFailure)
+
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(TERMS)
+def test_the_lambda_rules_left_body_is_one_shift(body):
+    """Under x, x' and H, the Lambda rule moves the left binder from 0 to 2
+    and every other free index up by two, which is `shift(body, 2)`: the
+    two-step walk it replaces gives the same term on open terms.  The right
+    binder goes to 1, which no shift gives."""
+    assert shift(body, 2) == replace_var(shift(body, 2, 1), 0, Var(2))
+    if occurs_free(body, 0):
+        assert replace_var(shift(body, 2, 1), 0, Var(1)) != shift(body, 2)
 
 
 def underivable_identity():
