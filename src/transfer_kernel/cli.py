@@ -119,7 +119,9 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
             state.errors.append(f"line {cmd.line}: {e}")
         except RecursionError:
             state.errors.append(f"line {cmd.line}: {NESTED_TOO_DEEPLY}")
-        if not options.keep_going and exit_code(state) != EXIT_OK:
+        # Without `keep_going`, nothing failed before this command.
+        if not options.keep_going and (state.errors or (
+                state.results and state.results[-1].status != "proved")):
             break
     return state
 

@@ -449,27 +449,41 @@ def subsumes(env: GlobalEnv, have: Term, want: Term) -> bool:
 
 
 def convertible(env: GlobalEnv, a: Term, b: Term) -> bool:
-    """Equality modulo alpha, beta and delta (no eta), in any context."""
+    """Equality modulo alpha, beta and delta (no eta), in any context.
+
+    A loop, so that terms deep after unfolding cannot exhaust the stack.
+    Pairs are compared in a recursion's order, each tested for equality
+    before it is reduced: while a pair's first children differ, its second
+    ones wait on a stack."""
     if a is b or a == b:  # alpha-equality is structural equality
         return True
-    a = whnf(env, a)
-    b = whnf(env, b)
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    if cls is Pi or cls is Lam:
-        return (convertible(env, a.ty, b.ty)
-                and convertible(env, a.body, b.body))
-    if cls is App:
-        return (convertible(env, a.fn, b.fn)
-                and convertible(env, a.arg, b.arg))
-    if cls is Const:
-        return a.name == b.name
-    if cls is Var:
-        return a.index == b.index
-    if cls is Sort:
-        return a.tag == b.tag
-    return False
+    pending: list[tuple[Term, Term]] = []
+    while True:
+        a = whnf(env, a)
+        b = whnf(env, b)
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is App:  # two pairs: a four-name assignment builds a tuple
+            a1, b1 = a.fn, b.fn
+            a, b = a.arg, b.arg
+        elif cls is Pi or cls is Lam:
+            a1, b1 = a.ty, b.ty
+            a, b = a.body, b.body
+        elif (cls is Const and a.name == b.name
+              or cls is Var and a.index == b.index
+              or cls is Sort and a.tag == b.tag):
+            a1 = b1 = a = b  # equal leaves: nothing below them differs
+        else:
+            return False
+        if not (a1 is b1 or a1 == b1):
+            pending.append((a, b))
+            a, b = a1, b1
+            continue
+        while a is b or a == b:
+            if not pending:
+                return True
+            a, b = pending.pop()
 
 
 # ---------------------------------------------------------------------------

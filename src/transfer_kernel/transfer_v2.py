@@ -6,12 +6,16 @@ each pair in a fixed order: Forall/Arrow (a product viewed as an
 application of `all` or `impl`), Env (a context hypothesis), Table (a
 declared relation entry, or a stored one flipped), App (one application)
 and Lambda (binders, when the expected relation is a relator arrow).  A
-rule returns its derivation, or the reason it does not apply, or None: it
-gives no reason when it applied and a pair below it failed, as that
-failure is deeper, and Forall/Arrow gives none, as it only rewrites the
-pair.  A failure names the deepest failing pair, where no rule applied,
-with each rule's reason.  Lambda names its hypothesis `H`, `H1`, … by the
-Lambda steps enclosing it, which it counts.
+rule only derives: it returns its step's label and the `Judgment` it
+derives, or the reason it does not apply, or None: it gives no reason
+when it applied and a pair below it failed, as that failure is deeper,
+and Forall/Arrow gives none, as it only rewrites the pair.  `synth`
+reserves the pair's step in the run's step list before it tries the
+rules, so steps are in pre-order, fills it after the `diagnostics` check,
+and deletes the steps a rule that did not apply left.  A failure names
+the deepest failing pair, where no rule applied, with each rule's reason.
+Lambda names its hypothesis `H`, `H1`, … by the Lambda steps enclosing
+it, which it counts.
 
 Each pair is reduced once: `synth` puts each side in weak head normal
 form without delta, which Forall/Arrow, Table, App and Lambda read, and
@@ -35,9 +39,8 @@ so falsy, and a pattern is never tested by truthiness.
 
 The engine does not kernel-check what it emits unless asked to
 (`diagnostics`); the proof it returns is checked by whoever trusts it.
-Each derived judgment is recorded as a `TraceStep` (rule, side terms,
-relation) and a failure as a `TransferFailure`; neither is printed here
-(see `outcome`).
+A step is a `TraceStep` (rule, side terms, relation) and a failure a
+`TransferFailure`; neither is printed here (see `outcome`).
 """
 
 from __future__ import annotations
@@ -84,15 +87,9 @@ RelExpectation = Known | Any | RelArrow
 
 
 class Judgment(NamedTuple):
-    ctx: LocalContext
-    lhs: Term
-    rhs: Term
+    """The relation a derived pair is related by, and the proof of it."""
     relation: Term
     proof: Term
-
-
-# A judgment and its derivation's steps, in pre-order.
-Derived = tuple[Judgment, tuple[TraceStep, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +138,7 @@ class _Synth:
         self.diagnostics = diagnostics
         self.deepest_failure: _FailurePoint | None = None
         self._lambdas = 0  # Lambda steps enclosing the pair being derived
+        self.steps: list[TraceStep] = []  # the run's trace, in pre-order
         # id(ctx) -> (ctx, its hypotheses); see `_hypotheses`.
         self._hyp_index: dict[int, tuple[LocalContext, list]] = {}
 
@@ -198,38 +196,40 @@ class _Synth:
              ("Lambda", "_rule_lambda"))
 
     def synth(self, ctx: LocalContext, lhs: Term, rhs: Term,
-              expect: RelExpectation,
-              depth: int = 0) -> Derived | None:
+              expect: RelExpectation, depth: int = 0) -> Judgment | None:
+        """The pair's judgment, by the first rule that derives it, or None;
+        the one place that checks a judgment and records its step."""
         attempts: list[tuple[str, str]] = []
         # The pair's sides reduced once, and their shapes (module docstring).
         wl = whnf(self.env, lhs, delta=False)
         wr = whnf(self.env, rhs, delta=False)
         shapes = whnf_shape(self.env, wl), whnf_shape(self.env, wr)
+        steps = self.steps
+        slot = len(steps)
+        steps.append(None)
         for name, rule in self.RULES:
             result = getattr(self, rule)(ctx, lhs, rhs, wl, wr, shapes,
                                          expect, depth)
             if isinstance(result, tuple):
-                return result
+                label, judgment = result
+                if self.diagnostics:
+                    stmt = app(judgment.relation, lhs, rhs)
+                    ok, diag = check_proof_report(self.env, ctx,
+                                                  judgment.proof, stmt)
+                    if not ok:
+                        raise SynthesisError(
+                            f"unsound judgment at "
+                            f"{label.removesuffix('-inv')}: {diag}")
+                steps[slot] = TraceStep(depth, label, ctx,
+                                        (lhs, " ⇝[", judgment.relation, "] ",
+                                         rhs))
+                return judgment
+            del steps[slot + 1:]
             if result is not None:
                 attempts.append((name, result))
+        del steps[slot]
         self.record_failure(depth, ctx, lhs, rhs, attempts)
         return None
-
-    def _finish(self, judgment: Judgment, rule: str, depth: int,
-                below: tuple[TraceStep, ...] = (),
-                inverse: bool = False) -> Derived:
-        """The judgment with its step, followed by the steps of the
-        judgments it rests on (`below`)."""
-        if self.diagnostics:
-            stmt = app(judgment.relation, judgment.lhs, judgment.rhs)
-            ok, diag = check_proof_report(self.env, judgment.ctx,
-                                          judgment.proof, stmt)
-            if not ok:
-                raise SynthesisError(f"unsound judgment at {rule}: {diag}")
-        step = TraceStep(depth, f"{rule}-inv" if inverse else rule,
-                         judgment.ctx, (judgment.lhs, " ⇝[", judgment.relation,
-                                        "] ", judgment.rhs))
-        return judgment, (step, *below)
 
     # Forall / Arrow -----------------------------------------------------------
 
@@ -252,11 +252,7 @@ class _Synth:
         else:
             return None
         sub = self.synth(ctx, lhs2, rhs2, expect, depth + 1)
-        if sub is None:
-            return None
-        judgment, steps = sub
-        wrapped = Judgment(ctx, lhs, rhs, judgment.relation, judgment.proof)
-        return self._finish(wrapped, rule, depth, steps)
+        return None if sub is None else (rule, sub)
 
     # Env ----------------------------------------------------------------------
 
@@ -267,8 +263,7 @@ class _Synth:
                 continue
             if not match_relation(self.env, rel, expect):
                 continue
-            return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
-                                depth)
+            return "Env", Judgment(rel, Var(i))
         return "no hypothesis relates the two sides"
 
     def _converts(self, side, pair_side, shape):
@@ -304,9 +299,8 @@ class _Synth:
         for entry, via_inverse in relation_entries(self.tables, self.env,
                                                    wl, wr, shapes):
             if match_relation(self.env, entry.relation, expect):
-                judgment = Judgment(ctx, lhs, rhs, entry.relation, entry.proof)
-                return self._finish(judgment, "Table", depth,
-                                    inverse=via_inverse)
+                return ("Table-inv" if via_inverse else "Table",
+                        Judgment(entry.relation, entry.proof))
         return "no matching entry (direct or inverted)"
 
     # App ------------------------------------------------------------------------
@@ -321,33 +315,24 @@ class _Synth:
         # the argument); otherwise the function side determines the domain.
         args_are_vars = isinstance(arg_l, Var) and isinstance(arg_r, Var)
         if args_are_vars:
-            arg_sub = self.synth(ctx, arg_l, arg_r, ANY, depth + 1)
-            if arg_sub is None:
+            arg_j = self.synth(ctx, arg_l, arg_r, ANY, depth + 1)
+            if arg_j is None:
                 return None
-            fn_expect = RelArrow(Known(arg_sub[0].relation), expect)
+            fn_expect = RelArrow(Known(arg_j.relation), expect)
         else:
             fn_expect = RelArrow(ANY, expect)
-        fn_sub = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
-        if fn_sub is None:
+        fn_j = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
+        if fn_j is None:
             return None
-        fn_j, fn_steps = fn_sub
         view = respectful_view(self.env, fn_j.relation)
         if view is None:
             return "function relation is not a relator arrow"
-        if args_are_vars:
-            arg_j, arg_steps = arg_sub
-            steps = arg_steps + fn_steps
-        else:
-            arg_sub = self.synth(ctx, arg_l, arg_r, Known(view[4]), depth + 1)
-            if arg_sub is None:
+        if not args_are_vars:
+            arg_j = self.synth(ctx, arg_l, arg_r, Known(view[4]), depth + 1)
+            if arg_j is None:
                 return None
-            arg_j, arg_steps = arg_sub
-            steps = fn_steps + arg_steps
-
-        result_rel = view[5]
-        proof = app(fn_j.proof, arg_l, arg_r, arg_j.proof)
-        judgment = Judgment(ctx, lhs, rhs, result_rel, proof)
-        return self._finish(judgment, "App", depth, steps)
+        return "App", Judgment(view[5],
+                               app(fn_j.proof, arg_l, arg_r, arg_j.proof))
 
     # Lambda -----------------------------------------------------------------------
 
@@ -373,17 +358,14 @@ class _Synth:
         body_l = shift(wl.body, 2)
         body_r = replace_var(shift(wr.body, 2, 1), 0, Var(1))
         self._lambdas = n + 1
-        sub = self.synth(ctx3, body_l, body_r, Known(shift(rel_cod, 3)),
-                         depth + 1)
+        body_j = self.synth(ctx3, body_l, body_r, Known(shift(rel_cod, 3)),
+                            depth + 1)
         self._lambdas = n
-        if sub is None:
+        if body_j is None:
             return None
-        body_j, body_steps = sub
-        proof = Lam(wl.name, wl.ty,
-                    Lam(wr.name, shift(wr.ty, 1),
-                        Lam(hyp_name, hyp_ty, body_j.proof)))
-        judgment = Judgment(ctx, lhs, rhs, resolved, proof)
-        return self._finish(judgment, "Lambda", depth, body_steps)
+        return "Lambda", Judgment(resolved, Lam(
+            wl.name, wl.ty, Lam(wr.name, shift(wr.ty, 1),
+                                Lam(hyp_name, hyp_ty, body_j.proof))))
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +377,10 @@ def synth(env: GlobalEnv, tables: DeclTables, ctx: LocalContext, lhs: Term,
           ) -> tuple[Judgment, DerivationTrace] | TransferFailure:
     """Derive a single judgment relating lhs to rhs under the expectation."""
     engine = _Synth(env, tables, diagnostics)
-    result = engine.synth(ctx, lhs, rhs, expect)
-    if result is None:
+    judgment = engine.synth(ctx, lhs, rhs, expect)
+    if judgment is None:
         return TransferFailure("no-derivation", engine.failure_message)
-    judgment, steps = result
-    return judgment, DerivationTrace(steps, env)
+    return judgment, DerivationTrace(tuple(engine.steps), env)
 
 
 def transfer_modulo(env: GlobalEnv, tables: DeclTables, thm_statement: Term,

@@ -378,6 +378,54 @@ Qed.
     assert len(state2.results) == 1
 
 
+def test_a_script_does_not_rescan_its_results_after_each_command(
+        monkeypatch):
+    """Without `--keep-going`, the script stops on the outcome of the
+    command it just ran: nothing failed before it.  Reading the exit status
+    of every result after every command would make a script's cost
+    quadratic in its length."""
+    import transfer_kernel.cli as cli
+    text = OUTCOME_PREFIX + "".join(
+        f"Theorem t{n} : ∀ x : A, P x. exact modulo src. Qed.\n"
+        for n in range(40))
+    calls = []
+    original = cli.exit_code
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(cli, "exit_code", counting)
+    state = execute_script(text)
+    assert calls == []
+    assert [r.status for r in state.results] == ["proved"] * 40
+    assert original(state) == EXIT_OK
+
+
+def chain_script(k: int, goal: str) -> str:
+    """One flat line per definition, `c0 x := x` and `c_n x := g (c_{n-1}
+    x)`, then `exact modulo` from `∀ x, P (c_k x)` to `∀ x, P (goal)`."""
+    lines = ["Parameter A : Set.", "Parameter g : A → A.",
+             "Parameter P : A → Prop.", "Definition i (x : A) := x.",
+             "Definition c0 (x : A) := x."]
+    lines += [f"Definition c{n} (x : A) := g (c{n - 1} x)."
+              for n in range(1, k + 1)]
+    lines += [f"Axiom h : ∀ x : A, P (c{k} x).",
+              f"Theorem t : ∀ x : A, P ({goal}).", "  exact modulo h.", "Qed."]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("goal", ["c1500 (i x)", "c1499 (g x)"])
+def test_a_chain_of_flat_definitions_is_not_nesting(goal):
+    """No line nests, but the check compares terms that unfold 1,500 deep,
+    more than the interpreter's default stack holds frames: `c_k (i x)`
+    against `c_k x`, and `c_{k-1} (g x)` against `c_k x`, whose conversion
+    is deep on any strategy."""
+    code, state = run_text(chain_script(1500, goal))
+    assert (code, state.errors) == (EXIT_OK, [])
+    assert [r.status for r in state.results] == ["proved"]
+
+
 def test_no_prefill_breaks_the_v2_derivation():
     code, state = run_text(script_text("v2_letrans.tk"), prefill=False)
     assert code == EXIT_PROOF_FAILURE

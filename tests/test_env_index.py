@@ -30,8 +30,8 @@ def scanning_rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
     """The Env rule without the index: every call shifts, reduces and
     splits the type of every context entry again, and tests each side by
     `convertible`.  Like every rule, it takes the pair's reduced sides and
-    their shapes, here unused, and returns its derivation or the reason it
-    does not apply."""
+    their shapes, here unused, and returns its label and judgment or the
+    reason it does not apply."""
     for i in range(len(ctx)):
         ty = ctx.type_of(i)
         head, args = spine(whnf(self.env, ty, delta=False))
@@ -44,8 +44,7 @@ def scanning_rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
             continue
         if not match_relation(self.env, rel, expect):
             continue
-        return self._finish(Judgment(ctx, lhs, rhs, rel, Var(i)), "Env",
-                            depth)
+        return "Env", Judgment(rel, Var(i))
     return "no hypothesis relates the two sides"
 
 

@@ -278,6 +278,46 @@ def test_a_failure_below_an_applied_rule_names_the_pair_that_failed(v2_env):
         "both applications; Lambda: expected relation is not a relator arrow)")
 
 
+def test_a_rule_that_declines_after_deriving_leaves_no_step(
+        v2_env, monkeypatch, counting_convertible):
+    """`synth` writes a pair's step for the rule that derives it, ahead of
+    the steps below it, and deletes the steps of a rule that derived
+    sub-pairs and then declined.  No rule of the engine declines after
+    deriving at a pair a later rule relates: the hypothesis `H` that
+    relates `∀ n : nat, P n` to `∀ n : N, Q' n` also relates Forall's
+    rewritten pair, through `convertible`.  So a probe rule, tried first,
+    runs Forall/Arrow on the root and then gives a reason."""
+    env, tables = v2_env
+    env = declare(env, "parameter", "P", "nat → Prop")
+    env = declare(env, "parameter", "Q'", "N → Prop")
+    lhs = parse_and_elaborate(env, "∀ n : nat, P n")
+    rhs = parse_and_elaborate(env, "∀ n : N, Q' n")
+    ctx = LocalContext().push("H", app(Const(IMPL), lhs, rhs))
+    expect = Known(Const(IMPL))
+    judgment, trace = synth(env, tables, ctx, lhs, rhs, expect)
+    assert [(s.depth, s.rule) for s in trace.steps] == [(0, "Forall"),
+                                                        (1, "Env")]
+    assert judgment == (Const(IMPL), Var(0))
+    assert counting_convertible and counting_convertible[0][0] is lhs
+    # With no hypothesis, Forall/Arrow derives `all nat` to `all N` and
+    # the bound variables' pair before `P` against `Q'` fails.
+    failed = synth(env, tables, LocalContext(), lhs, rhs, expect)
+    assert failed.message.startswith("cannot relate P to Q' (")
+
+    written = []
+
+    def probe(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
+        if self._forall_arrow_view(ctx, lhs, rhs, wl, wr, shapes, expect,
+                                   depth) is not None:
+            written.append(len(self.steps))
+        return "declines after deriving"
+
+    monkeypatch.setattr(_Synth, "_probe", probe, raising=False)
+    monkeypatch.setattr(_Synth, "RULES", (("Probe", "_probe"),) + _Synth.RULES)
+    assert synth(env, tables, ctx, lhs, rhs, expect) == (judgment, trace)
+    assert written == [2]
+
+
 def test_synth_takes_an_expectation():
     params = inspect.signature(synth).parameters
     assert list(params)[:6] == ["env", "tables", "ctx", "lhs", "rhs", "expect"]
