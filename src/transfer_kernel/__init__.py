@@ -17,7 +17,7 @@ from .kernel import (
     normalize, prelude_env, shift, substitute, whnf,
 )
 from .surface import (
-    ElabError, ParseError, Script, elaborate, parse_and_elaborate,
+    ElabError, ParseError, elaborate, parse_and_elaborate,
     parse_script, parse_term, print_term,
 )
 from .tables import (
@@ -36,7 +36,7 @@ __all__ = [
     "App", "Const", "GlobalEnv", "Lam", "LocalContext", "Pi", "Sort", "Term",
     "Var", "app", "arrow", "check_proof", "check_proof_report", "convertible",
     "infer_type", "normalize", "prelude_env", "shift", "substitute", "whnf",
-    "ElabError", "ParseError", "Script", "elaborate", "parse_and_elaborate",
+    "ElabError", "ParseError", "elaborate", "parse_and_elaborate",
     "parse_script", "parse_term", "print_term",
     "DeclTables", "DuplicateEntry", "RelationEntryV2", "ShapeError",
     "SurjectionEntry", "TableError", "TransferEntryV1", "declare_relation_v2",

@@ -15,8 +15,8 @@ semantic error, 3 an engine produced a proof the kernel rejected, 4 the
 report could not be written (a full device, a closed pipe); 3 outranks 2,
 and 2 outranks 1.  The per-command `try` in `execute_script` is the one
 place that maps a command's exception to its outcome: `SynthesisError` to
-3, any other `ScriptError`, `SurfaceError`, `KernelError` or `TableError`,
-and `RecursionError`, to 2.
+3, and a `ScriptError`, `SurfaceError`, `KernelError`, `TableError` or
+`RecursionError` to 2.
 """
 
 from __future__ import annotations
@@ -100,19 +100,19 @@ def execute_script(text: str, options: RunOptions = RunOptions()) -> SessionStat
     error (`line N: <message>`) or failed theorem."""
     state = SessionState(env=library_env(), tables=DeclTables())
     try:
-        script = parse_script(text)
+        commands = parse_script(text)
     except SurfaceError as e:
         state.errors.append(str(e))
         return state
     if options.prefill:
         state.tables = prefill_core(state.tables, state.env)
-    for cmd in script.commands:
+    for cmd in commands:
         try:
             if isinstance(cmd, CmdTheorem):
                 _execute_theorem(state, cmd, options)
             else:
                 _declare(state, cmd)
-        except SynthesisError as e:  # first: it is a TableError
+        except SynthesisError as e:
             state.internal_errors.append(f"line {cmd.line}: {e}")
             break
         except (ScriptError, SurfaceError, KernelError, TableError) as e:

@@ -439,10 +439,6 @@ Command = (CmdParameter | CmdAxiom | CmdDefinition | CmdDeclareSurjection
            | CmdDeclareTransfer | CmdDeclareRelation | CmdTheorem)
 
 
-class Script(NamedTuple):
-    commands: tuple[Command, ...]
-
-
 def _parse_command(ts: _TokenStream) -> Command:
     head = ts.expect_ident()
     line = head.line
@@ -518,7 +514,7 @@ def _parse_command(ts: _TokenStream) -> Command:
 NESTED_TOO_DEEPLY = "input nested too deeply"
 
 
-def parse_script(text: str) -> Script:
+def parse_script(text: str) -> tuple[Command, ...]:
     ts = _TokenStream(tokenize(text))
     commands: list[Command] = []
     while ts.peek().kind != "eof":
@@ -527,7 +523,7 @@ def parse_script(text: str) -> Script:
             commands.append(_parse_command(ts))
         except RecursionError:
             raise ParseError(NESTED_TOO_DEEPLY, start.line, start.col) from None
-    return Script(tuple(commands))
+    return tuple(commands)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class ShapeError(TableError):
     pass
 
 
-class SynthesisError(TableError):
+class SynthesisError(Exception):
     """A proof built by the library or an engine failed to kernel-check
     (internal bug)."""
 
@@ -492,7 +492,7 @@ Definition graph_func (A A' : Type) (f : A → A') (x : A) (x' y' : A')
 
 
 def _with_library(env: GlobalEnv) -> GlobalEnv:
-    for cmd in parse_script(LIBRARY).commands:
+    for cmd in parse_script(LIBRARY):
         env = env.add_definition(cmd.name, elaborate(env, cmd.body))
     return env
 

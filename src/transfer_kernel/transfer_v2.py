@@ -57,9 +57,7 @@ from .surface import print_term
 from .tables import (  # the benchmark's tracer wraps invert_entry here
     DeclTables, SynthesisError, invert_entry, relation_entries, whnf_shape,
 )
-from .terms import (
-    occurs_free, relation_types, replace_var, respectful_view, spine,
-)
+from .terms import occurs_free, relation_types, replace_var, respectful_view
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +121,13 @@ def _match(env: GlobalEnv, stored: Term, expect: RelExpectation) -> bool:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-class _FailurePoint(NamedTuple):
-    depth: int
-    ctx: LocalContext
-    lhs: Term
-    rhs: Term
-    attempts: list[tuple[str, str]]
-
-
 class _Synth:
     def __init__(self, env: GlobalEnv, tables: DeclTables, diagnostics: bool):
         self.env = env
         self.tables = tables
         self.diagnostics = diagnostics
-        self.deepest_failure: _FailurePoint | None = None
+        # (depth, ctx, lhs, rhs, attempts) of the deepest failing pair.
+        self.deepest_failure: tuple | None = None
         self._lambdas = 0  # Lambda steps enclosing the pair being derived
         self.steps: list[TraceStep] = []  # the run's trace, in pre-order
         # id(ctx) -> (ctx, its hypotheses); see `_hypotheses`.
@@ -164,19 +155,13 @@ class _Synth:
             return app(Const(RESPECTFUL), x, y, x2, y2, d, c)
         return None
 
-    def record_failure(self, depth: int, ctx: LocalContext, lhs: Term,
-                       rhs: Term, attempts: list[tuple[str, str]]) -> None:
-        if self.deepest_failure is None or depth >= self.deepest_failure.depth:
-            self.deepest_failure = _FailurePoint(depth, ctx, lhs, rhs,
-                                                 attempts)
-
     def failure_message(self) -> str:
-        fp = self.deepest_failure
-        if fp is None:
+        if self.deepest_failure is None:
             return "no derivation found"
-        lhs = print_term(fp.lhs, self.env, fp.ctx)
-        rhs = print_term(fp.rhs, self.env, fp.ctx)
-        tried = "; ".join(f"{rule}: {why}" for rule, why in fp.attempts)
+        _, ctx, lhs, rhs, attempts = self.deepest_failure
+        lhs = print_term(lhs, self.env, ctx)
+        rhs = print_term(rhs, self.env, ctx)
+        tried = "; ".join(f"{rule}: {why}" for rule, why in attempts)
         return (f"cannot relate {lhs} to {rhs}"
                 + (f" ({tried})" if tried else ""))
 
@@ -228,7 +213,9 @@ class _Synth:
             if result is not None:
                 attempts.append((name, result))
         del steps[slot]
-        self.record_failure(depth, ctx, lhs, rhs, attempts)
+        # The later of two equally deep failures wins.
+        if self.deepest_failure is None or depth >= self.deepest_failure[0]:
+            self.deepest_failure = depth, ctx, lhs, rhs, attempts
         return None
 
     # Forall / Arrow -----------------------------------------------------------
@@ -277,7 +264,8 @@ class _Synth:
 
     def _hypotheses(self, ctx):
         """`(i, R, a, b)` for each entry `Var(i) : R a b` of the context
-        (its type's beta-whnf has at least two arguments), innermost first.
+        (its type's beta-whnf is `App(App(R, a), b)`, split in place as
+        `declare_relation_v2` splits a lemma), innermost first.
 
         A context changes only when the Lambda rule pushes a new one, so
         the list is computed once per context object.  The memo holds the
@@ -287,9 +275,9 @@ class _Synth:
         if memo is None:
             found = []
             for i in range(len(ctx)):
-                head, args = spine(whnf(self.env, ctx.type_of(i), delta=False))
-                if len(args) >= 2:
-                    found.append((i, app(head, *args[:-2]), args[-2], args[-1]))
+                t = whnf(self.env, ctx.type_of(i), delta=False)
+                if isinstance(t, App) and isinstance(t.fn, App):
+                    found.append((i, t.fn.fn, t.fn.arg, t.arg))
             memo = self._hyp_index[id(ctx)] = (ctx, found)
         return memo[1]
 

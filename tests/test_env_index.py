@@ -12,7 +12,8 @@ import pytest
 
 from transfer_kernel.cli import RunOptions, execute_script
 from transfer_kernel.kernel import (
-    EQ, SET, Const, LocalContext, Var, app, convertible, prelude_env, whnf,
+    EQ, SET, Const, Lam, LocalContext, Var, app, convertible, prelude_env,
+    whnf,
 )
 from transfer_kernel.outcome import TransferFailure
 from transfer_kernel.surface import parse_and_elaborate
@@ -26,6 +27,15 @@ from conftest import declare, script_text
 from fuzz_helpers import v2_fixture, v2_problem
 
 
+def spine_split(env, ty):
+    """`(R, a, b)` for a type whose beta-whnf is `R a b`, read off its whole
+    spine and with `R` rebuilt by `app`, or None."""
+    head, args = spine(whnf(env, ty, delta=False))
+    if len(args) < 2:
+        return None
+    return app(head, *args[:-2]), args[-2], args[-1]
+
+
 def scanning_rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
     """The Env rule without the index: every call shifts, reduces and
     splits the type of every context entry again, and tests each side by
@@ -33,12 +43,10 @@ def scanning_rule_env(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
     their shapes, here unused, and returns its label and judgment or the
     reason it does not apply."""
     for i in range(len(ctx)):
-        ty = ctx.type_of(i)
-        head, args = spine(whnf(self.env, ty, delta=False))
-        if len(args) < 2:
+        split = spine_split(self.env, ctx.type_of(i))
+        if split is None:
             continue
-        rel = app(head, *args[:-2])
-        a, b = args[-2], args[-1]
+        rel, a, b = split
         if not (convertible(self.env, a, lhs)
                 and convertible(self.env, b, rhs)):
             continue
@@ -144,3 +152,22 @@ def test_env_finds_a_binder_that_is_not_a_hypothesis(monkeypatch, eq_env):
         assert (judgment.proof, judgment.relation) == (proof, relation)
     # Nothing relates b to a: the reversed pair fails in both.
     assert isinstance(synth(env, tables, ctx, b, a, ANY), TransferFailure)
+
+
+def test_hypotheses_split_each_entry_in_place(eq_env):
+    """The index lists a binder with no relation type as no hypothesis, and
+    splits a parametric relation and a beta-redex as the spine would."""
+    env = declare(eq_env, "parameter", "u", "nat")
+    env = declare(env, "parameter", "R", "nat → nat → nat → Prop")
+    redex = parse_and_elaborate(env, "(fun (p q : nat) => R u p q) a b")
+    assert isinstance(redex.fn.fn, Lam)
+    ctx = (LocalContext()
+           .push("x", Const("nat"))
+           .push("H", parse_and_elaborate(env, "R u a b"))
+           .push("K", redex))
+    rel = app(Const("R"), Const("u"))
+    found = _Synth(env, DeclTables(), False)._hypotheses(ctx)
+    assert found == [(0, rel, Const("a"), Const("b")),
+                     (1, rel, Const("a"), Const("b"))]
+    assert found == [(i, *split) for i in range(len(ctx))
+                     if (split := spine_split(env, ctx.type_of(i)))]

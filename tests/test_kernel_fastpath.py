@@ -604,7 +604,7 @@ def test_only_the_kernel_defines_dataclasses():
     assert {c for c in classes if dataclasses.is_dataclass(c)} \
         == {*KERNEL_CLASSES, kernel.CtxEntry, LocalContext, kernel.Decl}
     records = [c for c in classes if issubclass(c, tuple)]
-    assert len(records) == 31  # surface.Token and the 30 former dataclasses
+    assert len(records) == 29  # surface.Token and 28 former dataclasses
     for cls in records:
         record = cls(*[None] * len(cls._fields))
         for name in (*cls._fields, "extra"):
@@ -821,7 +821,7 @@ def test_admission_does_not_reinfer_checked_entry_proofs(monkeypatch):
     the theorem, whose proof embeds them, calls `infer_type` on no node of
     a library or `impl_respectful` body."""
     lib = library_env()
-    bodies = [lib.body_of(cmd.name) for cmd in parse_script(LIBRARY).commands]
+    bodies = [lib.body_of(cmd.name) for cmd in parse_script(LIBRARY)]
     bodies.append(lib.body_of(IMPL_RESPECTFUL))
     nodes = {id(t): t for body in bodies for _, t in _nodes(body)
              if type(t) in _CHILDREN}

@@ -17,7 +17,7 @@ from transfer_kernel.surface import (
     _TERM_KEYWORDS, CmdAxiom, CmdDeclareRelation, CmdDeclareSurjection,
     CmdDeclareTransfer, CmdDefinition, CmdParameter, CmdTheorem, Command,
     PApp, PArrow, PEq, PInv, PLam, PPi, PRef, PResp, PSort, ParseError,
-    PreTerm, Script, Token, parse_script, parse_term, tokenize,
+    PreTerm, Token, parse_script, parse_term, tokenize,
 )
 
 from conftest import SCRIPTS, script_text
@@ -276,7 +276,7 @@ def _parse_command(ts: _TokenStream) -> Command:
     raise ParseError(f"unknown command '{head.value}'", head.line, head.col)
 
 
-def reference_parse_script(text: str) -> Script:
+def reference_parse_script(text: str) -> tuple[Command, ...]:
     ts = _TokenStream(tokenize(text))
     commands: list[Command] = []
     while ts.peek().kind != "eof":
@@ -285,7 +285,7 @@ def reference_parse_script(text: str) -> Script:
             commands.append(_parse_command(ts))
         except RecursionError:
             raise ParseError(NESTED_TOO_DEEPLY, start.line, start.col) from None
-    return Script(tuple(commands))
+    return tuple(commands)
 
 
 # --- comparison -----------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_parsers_agree_on_every_corpus_script_and_its_terms():
     for path in sorted(SCRIPTS.glob("*.tk")):
         text = script_text(path.name)
         assert_same_parse(text)
-        assert isinstance(parse_script(text), Script)
+        assert isinstance(parse_script(text), tuple)
         for span in term_spans(text):
             assert_same_term(span)
 

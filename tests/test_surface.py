@@ -266,13 +266,12 @@ def test_resolution_substitutes_solved_metas_only(env):
 # --- script parsing -------------------------------------------------------------
 
 def test_empty_input_gives_empty_script():
-    assert parse_script("").commands == ()
-    assert parse_script(" (* just a comment *) ").commands == ()
+    assert parse_script("") == ()
+    assert parse_script(" (* just a comment *) ") == ()
 
 
 def test_example_script_has_seven_commands():
-    script = parse_script(script_text("example1.tk"))
-    cmds = script.commands
+    cmds = parse_script(script_text("example1.tk"))
     assert len(cmds) == 7
     assert isinstance(cmds[0], CmdParameter) and cmds[0].names == ("A", "A'")
     assert isinstance(cmds[1], CmdAxiom)
@@ -286,7 +285,7 @@ def test_example_script_has_seven_commands():
 
 def test_definition_command_with_untyped_binders():
     script = parse_script("Definition natN x x' := N.of_nat x = x'.")
-    (cmd,) = script.commands
+    (cmd,) = script
     assert isinstance(cmd, CmdDefinition)
     assert cmd.name == "natN"
     assert isinstance(cmd.body, PLam)
@@ -299,7 +298,7 @@ def test_every_corpus_script_parses():
                  "zn_transfer.tk", "zn_missing.tk", "iszero.tk",
                  "agreement.tk"):
         script = parse_script(script_text(name))
-        assert script.commands, name
+        assert script, name
 
 
 def test_unknown_command_is_parse_error():
@@ -309,9 +308,9 @@ def test_unknown_command_is_parse_error():
 
 def test_qualified_names_and_sentence_dots():
     script = parse_script("Parameter N.le : Prop.\nAxiom x' : N.le.")
-    assert isinstance(script.commands[0], CmdParameter)
-    assert script.commands[0].names == ("N.le",)
-    assert script.commands[1].name == "x'"
+    assert isinstance(script[0], CmdParameter)
+    assert script[0].names == ("N.le",)
+    assert script[1].name == "x'"
 
 
 # --- printing and round trips ------------------------------------------------
@@ -378,7 +377,7 @@ def test_printed_respectful_uses_infix(env):
 def test_comments_are_ignored():
     script = parse_script(
         "(* header (* nested *) still comment *)\nParameter A : Set.")
-    assert len(script.commands) == 1
+    assert len(script) == 1
 
 
 def test_deep_report_keeps_one_context_per_binder(monkeypatch):

@@ -365,7 +365,7 @@ def test_fresh_tables_have_no_implication_entry():
 
 # --- library ------------------------------------------------------------------------
 
-LIBRARY_NAMES = [cmd.name for cmd in parse_script(LIBRARY).commands]
+LIBRARY_NAMES = [cmd.name for cmd in parse_script(LIBRARY)]
 
 
 @pytest.mark.parametrize("name", LIBRARY_NAMES + [IMPL_RESPECTFUL])
@@ -880,7 +880,7 @@ def test_the_index_is_a_rebuild_after_every_corpus_command(monkeypatch,
     for path in sorted(SCRIPTS.glob("*.tk")):
         text = path.read_text(encoding="utf-8")
         state, checked = _run_checking_the_index(monkeypatch, text, options)
-        assert len(checked) == len(parse_script(text).commands)
+        assert len(checked) == len(parse_script(text))
         encoded += state.encoded
     assert encoded > 0  # surjection_to_relational's inserts were checked
 

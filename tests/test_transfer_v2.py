@@ -318,6 +318,31 @@ def test_a_rule_that_declines_after_deriving_leaves_no_step(
     assert written == [2]
 
 
+def test_the_later_of_two_equally_deep_failures_is_reported(v2_env,
+                                                           monkeypatch):
+    """A probe rule, tried first at the root, fails on two pairs one level
+    down, `c` to `c'` and then `d` to `d'`.  The root then fails one level
+    up, and the message names the second pair."""
+    env, tables = v2_env
+    for name, ty in (("c", "nat"), ("c'", "N"), ("d", "nat"), ("d'", "N")):
+        env = env.add_parameter(name, Const(ty))
+
+    def probe(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
+        if depth > 0:
+            return None
+        for left, right in (("c", "c'"), ("d", "d'")):
+            assert self.synth(ctx, Const(left), Const(right), ANY,
+                              depth + 1) is None
+        return "fails below"
+
+    monkeypatch.setattr(_Synth, "_probe", probe, raising=False)
+    monkeypatch.setattr(_Synth, "RULES", (("Probe", "_probe"),) + _Synth.RULES)
+    result = synth(env, tables, LocalContext(), Const("c"), Const("c'"), ANY)
+    assert isinstance(result, TransferFailure)
+    assert result.message.startswith("cannot relate d to d' (Env: ")
+    assert "Probe" not in result.message
+
+
 def test_synth_takes_an_expectation():
     params = inspect.signature(synth).parameters
     assert list(params)[:6] == ["env", "tables", "ctx", "lhs", "rhs", "expect"]
