@@ -23,7 +23,10 @@ a large term through definitions costs what its weak head normal form
 costs, not its normal form.  The engine's lookup, `relation_entries`, tests
 the shape before it reduces: `whnf_shape` gives the head shape of a term's
 weak head normal form, mostly without building it, and a query whose direct
-and flipped shapes have no stored pairs is rejected unreduced.
+and flipped shapes have no stored pairs is rejected unreduced.  A query
+spelled `==` like a stored pair of the bucket its shapes select is
+answered by that pair's entry, unreduced: it is the entry `_find` would
+return, as a store holds at most one pair per conversion class.
 `whnf_shape` needs no fuel of its own, as it only unfolds head definitions,
 which are acyclic, and hands every substitution to `whnf`.  Under
 `Type : Type` a well-typed term need not have a normal form, and on such a
@@ -32,10 +35,23 @@ two (ROADMAP item 1a-i) would bound them, and with them all of this
 module's reduction.  A table value gets entries only by insertion:
 `DeclTables()` is empty, and `_insert` gives the value it grows its
 parent's shape indexes with the new entry added, so `_find` only reads
-them.  The inverted form of each flipped relation entry is the one thing
-built on first use; it is kept on the table value it derives from, so it is
-computed at most once per table state.  A table value is used with the
-environment it was built in, or an extension of it.
+them.
+Three things are built on first use and kept on the table value they
+derive from, so each is computed at most once per table state, and a value
+from `_insert` starts without any: the inverted form of each flipped
+relation entry; the `respectful_view` of each relation in the relator tree
+of an entry that `relation_entries` yields, direct or inverted, which
+registers that relation; and whether two registered relations are
+convertible, as the engine asks (`relation_view`, `relations_convertible`).
+A table value is used with the environment it was built in, or an
+extension of it, and that makes the memo exact.  A registered relation
+mentions only constants that were declared when its entry was inserted or
+inverted, and an extension keeps their declarations, so the relation's view
+and its comparisons are the same in it.  The memo holds each relation it
+keys by id, so no id is reused while it lives, and its size is bounded by
+the state's relations, not by the queries it serves.  A relation it did not
+register, such as the engine's root `impl` or a hypothesis of a caller's
+context, is viewed and converted afresh.
 Generated entries cite their proofs by name: prefill's the prelude's
 `impl_respectful`, an encoding's instances of `LIBRARY`.
 """
@@ -109,7 +125,7 @@ LamKeys = tuple[tuple[Shape, Shape] | None, tuple[Shape, Shape] | None]
 
 class DeclTables:
     __slots__ = ("surjections", "transfers_v1", "relations_v2",
-                 "_index", "_inverted")
+                 "_index", "_inverted", "_relations", "_compared")
 
     def __init__(self):
         # Each store is its entries in declaration order, never mutated.
@@ -124,6 +140,12 @@ class DeclTables:
             "surjections": {}, "transfers_v1": {}, "relations_v2": {}}
         # Pair of a relation entry -> its inverted form (`invert_entry`).
         self._inverted: dict[Key, RelationEntryV2] = {}
+        # id of each relation in the relator tree of an entry that
+        # `relation_entries` yielded -> (that relation, its
+        # `respectful_view`); and (id, id) of two of them -> whether they
+        # are convertible (`relations_convertible`).
+        self._relations: dict[int, tuple[Term, tuple[Term, ...] | None]] = {}
+        self._compared: dict[tuple[int, int], bool] = {}
 
 
 def table_key(env: GlobalEnv, a: Term, b: Term) -> Key:
@@ -389,30 +411,91 @@ def relation_entries(tables: DeclTables, env: GlobalEnv, lhs: Term,
                      ) -> Iterator[tuple[RelationEntryV2, bool]]:
     """The direct entry for (lhs, rhs), then the inverted (rhs, lhs) entry,
     each with its via_inverse flag.  The sides' head shapes (`whnf_shape`,
-    or `shapes` if the caller has them) are tested against the index
-    first, for the direct key and the flipped one, and the sides are
-    reduced only if either has stored pairs.  Lazy: the flipped key is
-    looked up only if the caller asks for a second entry, and its entry is
-    inverted once per table state, then reused."""
+    or `shapes` if the caller has them) select the direct key's bucket and
+    the flipped key's, and a query with neither is rejected unreduced.  In
+    a bucket, a stored pair spelled `==` like the query is its entry, the
+    one `_find` would return, as a store holds one pair per conversion
+    class; only when none is do the sides get reduced, once, and looked up
+    by `_find`.  Lazy: the flipped key is looked up only if the caller
+    asks for a second entry, and its entry is inverted once per table
+    state, then reused.  Each entry yielded has the relations of its
+    relator tree registered on the state (`relation_view`)."""
     index = tables._index["relations_v2"]
     if shapes is None:
         shapes = whnf_shape(env, lhs), whnf_shape(env, rhs)
-    direct, flipped = shapes in index, shapes[::-1] in index
+    direct, flipped = index.get(shapes), index.get(shapes[::-1])
     if not (direct or flipped):
         return
-    lhs, rhs = whnf(env, lhs), whnf(env, rhs)
+    relations = tables._relations
+    heads = None  # the sides' weak head normal forms, once a lookup needs them
     if direct:
-        entry = _find(tables, "relations_v2", env, lhs, rhs)
+        entry = _spelled(direct, lhs, rhs)
+        if entry is None:
+            heads = whnf(env, lhs), whnf(env, rhs)
+            entry = _find(tables, "relations_v2", env, *heads)
         if entry is not None:
+            if id(entry.relation) not in relations:
+                _register(relations, env, entry.relation)
             yield entry, False
     if flipped:
-        entry = _find(tables, "relations_v2", env, rhs, lhs)
+        entry = _spelled(flipped, rhs, lhs)
+        if entry is None:
+            if heads is None:
+                heads = whnf(env, lhs), whnf(env, rhs)
+            entry = _find(tables, "relations_v2", env, heads[1], heads[0])
         if entry is not None:
             key = entry.lhs, entry.rhs
             inverted = tables._inverted.get(key)
             if inverted is None:
-                inverted = tables._inverted[key] = invert_entry(env, entry)
+                inverted = invert_entry(env, entry)
+                _register(relations, env, inverted.relation)
+                tables._inverted[key] = inverted
             yield inverted, True
+
+
+def _spelled(bucket: list[tuple[Key, LamKeys | None, Entry]], a: Term,
+             b: Term) -> Entry | None:
+    """The entry of a shape bucket whose pair as declared is `==` (a, b),
+    or None."""
+    for _, _, entry in bucket:
+        if entry[0] == a and entry[1] == b:
+            return entry
+    return None
+
+
+def _register(relations: dict, env: GlobalEnv, rel: Term) -> None:
+    """Register `rel` with its `respectful_view`, after that view's two
+    relations, recursively, so that a relation is registered only once its
+    whole relator tree is."""
+    view = respectful_view(env, rel)
+    if view is not None:
+        _register(relations, env, view[4])
+        _register(relations, env, view[5])
+    relations[id(rel)] = rel, view
+
+
+def relation_view(tables: DeclTables, env: GlobalEnv, rel: Term
+                  ) -> tuple[Term, ...] | None:
+    """`respectful_view(env, rel)`, read from the state if it registered
+    `rel`.  The two relations of a registered view are registered too, so
+    a walk down a registered relator tree reads each level from the
+    state."""
+    known = tables._relations.get(id(rel))
+    return respectful_view(env, rel) if known is None else known[1]
+
+
+def relations_convertible(tables: DeclTables, env: GlobalEnv, a: Term,
+                          b: Term) -> bool:
+    """`convertible(env, a, b)`, computed once per table state for two
+    relations that it registered; any other pair is converted afresh."""
+    relations = tables._relations
+    if id(a) in relations and id(b) in relations:
+        key = id(a), id(b)
+        known = tables._compared.get(key)
+        if known is None:
+            known = tables._compared[key] = convertible(env, a, b)
+        return known
+    return convertible(env, a, b)
 
 
 def lookup_relation_v2(tables: DeclTables, env: GlobalEnv, lhs: Term,

@@ -55,9 +55,10 @@ from .kernel import (
 from .outcome import DerivationTrace, TraceStep, TransferFailure
 from .surface import print_term
 from .tables import (  # the benchmark's tracer wraps invert_entry here
-    DeclTables, SynthesisError, invert_entry, relation_entries, whnf_shape,
+    DeclTables, SynthesisError, invert_entry, relation_entries,
+    relation_view, relations_convertible, whnf_shape,
 )
-from .terms import occurs_free, relation_types, replace_var, respectful_view
+from .terms import occurs_free, relation_types, replace_var
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,9 @@ class RelArrow(NamedTuple):
 
 
 RelExpectation = Known | Any | RelArrow
+# A state that `relation_entries` never reads, so registers nothing: what
+# `match_relation` compares without `tables`.
+_NO_TABLES = DeclTables()
 
 
 class Judgment(NamedTuple):
@@ -94,24 +98,30 @@ class Judgment(NamedTuple):
 # Matching
 # ---------------------------------------------------------------------------
 
-def match_relation(env: GlobalEnv, stored: Term,
-                   expect: RelExpectation) -> bool:
+def match_relation(env: GlobalEnv, stored: Term, expect: RelExpectation, *,
+                   tables: DeclTables = _NO_TABLES) -> bool:
     """Whether a stored relation matches an expectation pattern, one way:
     the stored relation is never instantiated.  The rules call this once
-    per match, which the benchmark counts; `_match` does the recursion."""
-    return _match(env, stored, expect)
+    per match, which the benchmark counts; `_match` does the recursion.
+    With `tables`, the state the rules look entries up in, a relation it
+    registered has its view read from it (`relation_view`), and two such
+    relations are converted once per state (`relations_convertible`);
+    any other relation is viewed and converted afresh."""
+    return _match(env, stored, expect, tables)
 
 
-def _match(env: GlobalEnv, stored: Term, expect: RelExpectation) -> bool:
+def _match(env: GlobalEnv, stored: Term, expect: RelExpectation,
+           tables: DeclTables) -> bool:
     cls = type(expect)
     if cls is Known:
-        return convertible(env, expect.rel, stored)
+        return relations_convertible(tables, env, expect.rel, stored)
     if cls is RelArrow:
-        view = respectful_view(env, stored)
+        view = relation_view(tables, env, stored)
         if view is None:
             return False
         _, _, _, _, r, s = view
-        return _match(env, r, expect.dom) and _match(env, s, expect.cod)
+        return (_match(env, r, expect.dom, tables)
+                and _match(env, s, expect.cod, tables))
     if cls is Any:
         return stored.lbr == 0
     return False
@@ -248,7 +258,7 @@ class _Synth:
             if not (self._converts(a, lhs, shapes[0])
                     and self._converts(b, rhs, shapes[1])):
                 continue
-            if not match_relation(self.env, rel, expect):
+            if not match_relation(self.env, rel, expect, tables=self.tables):
                 continue
             return "Env", Judgment(rel, Var(i))
         return "no hypothesis relates the two sides"
@@ -286,7 +296,8 @@ class _Synth:
     def _rule_table(self, ctx, lhs, rhs, wl, wr, shapes, expect, depth):
         for entry, via_inverse in relation_entries(self.tables, self.env,
                                                    wl, wr, shapes):
-            if match_relation(self.env, entry.relation, expect):
+            if match_relation(self.env, entry.relation, expect,
+                              tables=self.tables):
                 return ("Table-inv" if via_inverse else "Table",
                         Judgment(entry.relation, entry.proof))
         return "no matching entry (direct or inverted)"
@@ -312,7 +323,7 @@ class _Synth:
         fn_j = self.synth(ctx, fn_l, fn_r, fn_expect, depth + 1)
         if fn_j is None:
             return None
-        view = respectful_view(self.env, fn_j.relation)
+        view = relation_view(self.tables, self.env, fn_j.relation)
         if view is None:
             return "function relation is not a relator arrow"
         if not args_are_vars:
@@ -328,7 +339,7 @@ class _Synth:
         resolved = self.resolve(expect, ctx)
         if resolved is None:
             return "expected relation is undetermined"
-        view = respectful_view(self.env, resolved)
+        view = relation_view(self.tables, self.env, resolved)
         if view is None:
             return "expected relation is not a relator arrow"
         _, _, _, _, rel_dom, rel_cod = view

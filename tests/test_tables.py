@@ -631,7 +631,8 @@ def test_a_query_whose_shapes_have_no_stored_pair_is_not_reduced(
     """`impl A B` unfolds to a product, and no stored pair's sides do (the
     encoding's `all X` and `impl` unfold to λs, `eq X` is stuck): the
     direct and the flipped lookup are both rejected by shape, before any
-    reduct is built and without a `_find`."""
+    reduct is built and without a `_find`.  A query spelled like a stored
+    pair is found in its bucket unreduced too."""
     entry = lookup_surjection(nat_tables, nat_env, Const("nat"), Const("N"))
     tables, env = surjection_to_relational(
         prefill_core(nat_tables, nat_env), nat_env, entry)
@@ -646,6 +647,10 @@ def test_a_query_whose_shapes_have_no_stored_pair_is_not_reduced(
         calls.append("whnf")
         return reduce(*args, **kwargs)
 
+    # The disguise's shape is found through `whnf`, as `synth` finds it.
+    disguised = parse_and_elaborate(
+        env, "(fun r : Prop → Prop → Prop => r) impl")
+    shapes = whnf_shape(env, disguised), whnf_shape(env, Const(IMPL))
     monkeypatch.setattr(tables_module, "_find", counting_find)
     monkeypatch.setattr(tables_module, "whnf", counting_whnf)
     ctx = LocalContext().push("x", Const("nat")).push("x'", Const("N"))
@@ -653,9 +658,13 @@ def test_a_query_whose_shapes_have_no_stored_pair_is_not_reduced(
     rhs = parse_and_elaborate(env, "impl (N.le x' x') (N.le x' x')", ctx)
     assert list(relation_entries(tables, env, lhs, rhs)) == []
     assert calls == []
-    # A query whose shapes are stored is reduced and looked up as before.
     assert [via for _, via in relation_entries(
         tables, env, Const(IMPL), Const(IMPL))] == [False, True]
+    assert calls == []
+    # A query whose shapes are stored but whose spelling is not is reduced
+    # once and looked up by `_find`, directly and flipped.
+    assert [via for _, via in relation_entries(
+        tables, env, disguised, Const(IMPL), shapes)] == [False, True]
     assert calls == ["whnf", "whnf", "relations_v2", "relations_v2"]
 
 
@@ -701,6 +710,62 @@ def test_each_flipped_entry_is_inverted_once_per_table_state(monkeypatch):
         for a, b in SPELLINGS:
             list(relation_entries(grown, env, b, a))
     assert len(inverted) == 2 * len(SPELLINGS)
+
+
+def test_a_lookup_by_spelling_yields_the_entry_reduction_finds(monkeypatch):
+    """On each stored pair as declared and on its disguises, each way round,
+    `relation_entries` yields the entry that reducing the query and calling
+    `_find` gives, directly, and the state's inversion of it, flipped.  A
+    pair as declared is found without a `_find`."""
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    find = tables_module._find
+
+    def reduced(a, b):
+        return find(tables, "relations_v2", env, whnf(env, a), whnf(env, b))
+
+    for a, b in SPELLINGS:
+        for codes in ([], [1], [2], [3], [2, 1, 2, 1, 3, 1, 2, 1]):
+            qa, qb = _disguise(a, iter(codes)), _disguise(b, iter(codes))
+            for x, y in ((qa, qb), (qb, qa)):
+                found = list(relation_entries(tables, env, x, y))
+                direct, flipped = reduced(x, y), reduced(y, x)
+                expected = [] if direct is None else [(direct, False)]
+                if flipped is not None:
+                    expected.append((tables._inverted[flipped.lhs,
+                                                      flipped.rhs], True))
+                assert len(found) == len(expected)
+                assert all(e is f and via == want for (f, via), (e, want)
+                           in zip(found, expected))
+    finds = []
+    monkeypatch.setattr(tables_module, "_find",
+                        lambda *args: finds.append(args) or find(*args))
+    for i, (a, b) in enumerate(SPELLINGS):
+        assert lookup_relation_v2(tables, env, a, b) \
+            == (tables.relations_v2[i], False)
+    assert finds == []
+
+
+def test_a_new_table_state_starts_with_an_empty_relation_memo():
+    """Like its inversions, a state's registered relations and their
+    comparisons are its own: `_insert`'s new state has none of its
+    parent's, and filling it leaves the parent's as they were."""
+    env, tables = LOOKUP_ENV, _lookup_tables(LOOKUP_ENV)
+    for a, b in SPELLINGS:
+        for entry, _ in relation_entries(tables, env, b, a):
+            assert tables_module.relations_convertible(
+                tables, env, entry.relation, entry.relation)
+    memo = (dict(tables._inverted), dict(tables._relations),
+            dict(tables._compared))
+    assert all(memo)
+    grown = tables_module._insert(tables, "relations_v2", env, RelationEntryV2(
+        Const("nat"), Const("N"), Const("rel"), Const("r")), "it")
+    assert grown._inverted == grown._relations == grown._compared == {}
+    for a, b in SPELLINGS:
+        for entry, _ in relation_entries(grown, env, b, a):
+            tables_module.relations_convertible(grown, env, entry.relation,
+                                                entry.relation)
+    assert grown._relations and grown._compared
+    assert (tables._inverted, tables._relations, tables._compared) == memo
 
 
 def test_a_new_table_state_never_sees_a_stale_index():
@@ -999,18 +1064,31 @@ def test_lam_keys_separate_the_fixture_lambdas():
         assert tables_module._lam_keys(env, whnf(env, t), t) is None
 
 
+def _disguised(lhs: str, ty: str, rhs: str, calls: int):
+    """The case `lhs`, `rhs` with `lhs` in an identity redex, which is no
+    stored spelling, under the case's plain id."""
+    return pytest.param(f"(fun r : {ty} => r) ({lhs})", rhs, calls,
+                        id=f"{lhs}-{rhs}-{calls}")
+
+
 @pytest.mark.parametrize("lhs, rhs, calls", [
     ("impl (le x x)", "impl (N.le x' x')", 0),
-    ("all nat", "all N", 5),
-    ("impl", "impl", 4),
-    ("le", "N.le", 4),
+    _disguised("all nat", "(nat → Prop) → Prop", "all N", 5),
+    _disguised("impl", "Prop → Prop → Prop", "impl", 4),
+    _disguised("le", "nat → nat → Prop", "N.le", 4),
+    ("all nat", "all N", 0),
+    ("impl", "impl", 0),
+    ("le", "N.le", 0),
 ])
 def test_relation_entries_skip_lambdas_of_another_shape(monkeypatch, lhs, rhs,
                                                         calls):
     """`convertible` calls of `relation_entries` on the fuzz v2 fixture,
     whose λ bucket holds (impl, impl), (all nat, all N) and (all N, all nat).
     Before the split they were 6, 7, 4 and 4: every query on an `impl` or
-    `all` pair was converted against each λ pair, direct and flipped."""
+    `all` pair was converted against each λ pair, direct and flipped.  The
+    stored pairs are queried with the left side in an identity redex, which
+    the lookup by spelling does not answer; spelled as stored, each takes
+    none."""
     env, tables = v2_fixture()
     counted = []
     conv = tables_module.convertible

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from transfer_kernel.cli import RunOptions, execute_script, exit_code
-from transfer_kernel import transfer_v2
+from transfer_kernel import tables as tables_module, transfer_v2
 from transfer_kernel.kernel import (
     ALL, IMPL, SET,
     App, Const, LocalContext, Var, app, check_proof, convertible, normalize,
@@ -348,7 +348,8 @@ def test_synth_takes_an_expectation():
     assert list(params)[:6] == ["env", "tables", "ctx", "lhs", "rhs", "expect"]
     assert params["expect"].default is inspect.Parameter.empty
     match_params = inspect.signature(match_relation).parameters
-    assert list(match_params) == ["env", "stored", "expect"]
+    assert list(match_params) == ["env", "stored", "expect", "tables"]
+    assert match_params["tables"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_synth_all_table_rule(v2_env):
@@ -403,6 +404,53 @@ def worked(v2_env):
                              Const("le_trans"), diagnostics=True)
     assert not isinstance(result, TransferFailure)
     return env, tables, goal, result
+
+
+def test_a_second_problem_converts_no_registered_pair_again(worked,
+                                                            monkeypatch):
+    """After one transfer, each pair of the state's relations that it
+    compared is read from the state's memo: the same transfer on the same
+    state converts none of them again."""
+    env, tables, goal, _ = worked
+    compared = set(tables._compared)
+    assert compared
+    calls = []
+    original = tables_module.convertible
+
+    def counting(env, a, b):
+        calls.append((id(a), id(b)))
+        return original(env, a, b)
+
+    monkeypatch.setattr(tables_module, "convertible", counting)
+    result = transfer_modulo(env, tables, env.type_of("le_trans"), goal,
+                             Const("le_trans"))
+    assert not isinstance(result, TransferFailure)
+    assert not compared.intersection(calls)
+    assert set(tables._compared) == compared
+
+
+def test_a_relation_the_state_did_not_register_is_converted_afresh(v2_env):
+    """`twin` is `natN` in one extension of the table's environment and the
+    flipped equation in a sibling one.  The same `twin` leaf against the
+    same stored `le` entry matches in the first only, whichever is asked
+    first: a relation that the state did not register is never answered
+    from its memo, while the entry's own relations are."""
+    env, tables = v2_env
+    same = env.add_definition("twin", parse_and_elaborate(
+        env, "fun x : nat => fun x' : N => N.of_nat x = x'"))
+    other = env.add_definition("twin", parse_and_elaborate(
+        env, "fun x : nat => fun x' : N => x' = N.of_nat x"))
+    twin = Const("twin")
+    expect = RelArrow(Known(twin), ANY)
+    for order in ((same, other), (other, same), (same, other)):
+        for extension in order:
+            result = synth(extension, tables, LocalContext(), Const("le"),
+                           Const("N.le"), expect)
+            assert isinstance(result, TransferFailure) \
+                is (extension is other)
+    entry, _ = lookup_relation_v2(tables, env, Const("le"), Const("N.le"))
+    assert id(entry.relation) in tables._relations
+    assert id(twin) not in tables._relations
 
 
 def test_worked_derivation_proof_checks(worked):
